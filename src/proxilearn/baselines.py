@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset, DoCurve
 from .kernels import KernelSpec, gram, median_heuristic
-from .numerics import solve_psd
+from .numerics import argmin_ties_larger, loo_path, solve_psd
 
 DEFAULT_RIDGE_GRID = np.logspace(-7, 1, 25)
 
@@ -52,27 +52,14 @@ def ridge_loo_scores(inputs: np.ndarray, y: np.ndarray, spec: KernelSpec,
     if inputs.ndim == 1:
         inputs = inputs[:, None]
     y = np.asarray(y, dtype=float).ravel()
-    n = y.size
     k = gram(inputs, inputs, spec)
     eigvals, eigvecs = np.linalg.eigh(k)
-    scores = np.empty(len(lam_grid))
-    for i, lam in enumerate(np.asarray(lam_grid, dtype=float)):
-        shrink = eigvals / (eigvals + n * lam)
-        h = np.eye(n) - (eigvecs * shrink) @ eigvecs.T
-        diag = np.diag(h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            resid = (h @ y) / diag
-        scores[i] = (
-            np.dot(resid, resid) / n if np.isfinite(resid).all() else np.inf
-        )
-    return scores
+    return loo_path(eigvals, eigvecs, y, lam_grid)
 
 
 def select_ridge_lambda(inputs, y, spec, lam_grid=DEFAULT_RIDGE_GRID) -> float:
-    from .kpv import _argmin_ties_larger
-
-    return _argmin_ties_larger(lam_grid, ridge_loo_scores(inputs, y, spec,
-                                                          lam_grid))
+    return argmin_ties_larger(lam_grid, ridge_loo_scores(inputs, y, spec,
+                                                         lam_grid))
 
 
 def adjusted_ate(model: RidgeModel, a_grid, adjustment: np.ndarray) -> DoCurve:

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__, baselines, evaluation, kpv, pmmr, synthdata
 from .data import Dataset, DoCurve
 from .kernels import KernelSpec, KernelSpecs
+from .numerics import argmin_ties_larger
 
 FIT_METHODS = ("kpv", "pmmr", "pmmr-nystrom", "ridge", "ridge-w",
                "ridge-wz", "linear2s")
@@ -71,6 +72,8 @@ def _parse_grid(text: str) -> np.ndarray:
     values = np.array([float(v) for v in text.split(",") if v.strip()])
     if values.size == 0:
         raise ValueError("--lambda-grid is empty")
+    if not (values > 0).all():
+        raise ValueError("--lambda-grid values must be positive")
     return values
 
 
@@ -383,7 +386,7 @@ def sweep(data_path, method, lambda_grid, bandwidth, seed, out):
                  else kpv.DEFAULT_LAMBDA2_GRID)
         sample1, sample2 = data.split_half(seed)
         scores1 = kpv.stage1_loo_scores(sample1, specs, grid1)
-        lam1 = grid1[int(np.argmin(scores1))]
+        lam1 = argmin_ties_larger(grid1, scores1)
         fit1 = kpv.stage1_fit(sample1, specs, lam1)
         scores2 = kpv.stage2_loo_scores(fit1, sample2, grid2)
         rows += [("stage1", lam, s) for lam, s in zip(grid1, scores1)]

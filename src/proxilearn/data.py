@@ -33,6 +33,30 @@ def _as_block(values, name: str, n_rows: int | None = None) -> np.ndarray:
     return arr
 
 
+def query_block(values, dim: int, name: str, n_queries: int | None = None):
+    """Coerce query points for one variable group to shape (nq, dim)."""
+    if values is None:
+        if dim == 0:
+            return np.empty((n_queries if n_queries else 1, 0))
+        raise ValueError(f"{name} queries are required (dim={dim})")
+    arr = np.asarray(values, dtype=float)
+    if dim == 0:
+        nq = 1 if arr.ndim == 0 else arr.shape[0]
+        return np.empty((nq, 0))
+    if arr.ndim == 0:
+        arr = arr.reshape(1, 1)
+    elif arr.ndim == 1:
+        arr = arr[None, :] if arr.shape[0] == dim and dim > 1 else arr[:, None]
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ValueError(
+            f"{name} queries have shape {np.shape(values)}, "
+            f"expected (*, {dim})"
+        )
+    if n_queries is not None and arr.shape[0] != n_queries:
+        raise ValueError(f"{name} query count differs from treatment count")
+    return arr
+
+
 @dataclass(frozen=True)
 class Dataset:
     """One tabular sample of treatment, covariates, proxies and outcome.

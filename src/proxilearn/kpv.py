@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
-from .data import Dataset, DoCurve
+from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, gram, hadamard
-from .numerics import psd_factor, solve_psd
+from .numerics import argmin_ties_larger, loo_path, psd_factor, solve_psd
 
 # Default ridge grids. The leave-one-out curves of both stages are nearly
 # flat on the over-smoothing side (stage 1) and favor interpolation when
@@ -25,30 +26,6 @@ from .numerics import psd_factor, solve_psd
 # the stable regime on the synthetic benchmark family.
 DEFAULT_LAMBDA1_GRID = np.logspace(-8, -3, 11)
 DEFAULT_LAMBDA2_GRID = np.logspace(-2, 0, 9)
-
-
-def _query_block(values, dim: int, name: str, n_queries: int | None = None):
-    """Coerce query points for one variable group to shape (nq, dim)."""
-    if values is None:
-        if dim == 0:
-            return np.empty((n_queries if n_queries else 1, 0))
-        raise ValueError(f"{name} queries are required (dim={dim})")
-    arr = np.asarray(values, dtype=float)
-    if dim == 0:
-        nq = 1 if arr.ndim == 0 else arr.shape[0]
-        return np.empty((nq, 0))
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-    elif arr.ndim == 1:
-        arr = arr[None, :] if arr.shape[0] == dim and dim > 1 else arr[:, None]
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError(
-            f"{name} queries have shape {np.shape(values)}, "
-            f"expected (*, {dim})"
-        )
-    if n_queries is not None and arr.shape[0] != n_queries:
-        raise ValueError(f"{name} query count differs from treatment count")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -93,9 +70,9 @@ def stage1_embedding(fit: Stage1Fit, a, x, z) -> np.ndarray:
     (m1,); arrays are treated as query batches and return (m1, nq).
     """
     single = np.ndim(a) == 0
-    aq = _query_block(a, fit.sample.a.shape[1], "a")
-    xq = _query_block(x, fit.sample.x.shape[1], "x", aq.shape[0])
-    zq = _query_block(z, fit.sample.z.shape[1], "z", aq.shape[0])
+    aq = query_block(a, fit.sample.a.shape[1], "a")
+    xq = query_block(x, fit.sample.x.shape[1], "x", aq.shape[0])
+    zq = query_block(z, fit.sample.z.shape[1], "z", aq.shape[0])
     k_cross = _gram_axz(fit.sample, aq, xq, zq, fit.specs)
     coeff = scipy.linalg.cho_solve(fit._factor, k_cross)
     return coeff[:, 0] if single else coeff
@@ -162,9 +139,9 @@ def kpv_h(model: KpvModel, a, x, w):
     """
     specs = model.stage1.specs
     single = np.ndim(a) == 0
-    aq = _query_block(a, model.sample2.a.shape[1], "a")
-    xq = _query_block(x, model.sample2.x.shape[1], "x", aq.shape[0])
-    wq = _query_block(w, model.stage1.sample.w.shape[1], "w", aq.shape[0])
+    aq = query_block(a, model.sample2.a.shape[1], "a")
+    xq = query_block(x, model.sample2.x.shape[1], "x", aq.shape[0])
+    wq = query_block(w, model.stage1.sample.w.shape[1], "w", aq.shape[0])
     u = gram(model.stage1.sample.w, wq, specs.w)            # m1 x nq
     v = hadamard(gram(model.sample2.a, aq, specs.a),
                  gram(model.sample2.x, xq, specs.x))        # m2 x nq
@@ -180,8 +157,8 @@ def kpv_ate(model: KpvModel, a_grid, x_adjust, w_adjust) -> DoCurve:
     is the mean of ``kpv_h`` over the adjustment rows.
     """
     specs = model.stage1.specs
-    wq = _query_block(w_adjust, model.stage1.sample.w.shape[1], "w")
-    xq = _query_block(x_adjust, model.sample2.x.shape[1], "x", wq.shape[0])
+    wq = query_block(w_adjust, model.stage1.sample.w.shape[1], "w")
+    xq = query_block(x_adjust, model.sample2.x.shape[1], "x", wq.shape[0])
     nt = wq.shape[0]
     if nt == 0:
         raise ValueError("adjustment sample is empty")
@@ -198,23 +175,38 @@ def stage1_loo_scores(sample1: Dataset, specs: KernelSpecs,
     """Closed-form leave-one-out score of each stage-1 ridge candidate.
 
     score(lam) = ||T^{-1} H K_WW H T^{-1}||_2 / m1 with
-    H = I - K_AXZ (K_AXZ + m1 lam I)^{-1} and T = diag(H).
+    H = I - K_AXZ (K_AXZ + m1 lam I)^{-1} and T = diag(H). With
+    K_AXZ = U diag(e) U', H = U diag(1 - s) U' for s = e / (e + m1 lam), so
+    the matrix is B C B' with B = T^{-1} U diag(1 - s) and C = U' K_WW U.
+    One eigendecomposition and C are computed once; per ridge, Lanczos
+    finds the top eigenvalue from O(m1^2) products with B C B'.
     """
     m1 = sample1.n
+    if m1 < 2:
+        raise ValueError("stage 1 needs at least 2 points")
     k_axz = _gram_axz(sample1, sample1.a, sample1.x, sample1.z, specs)
     k_ww = gram(sample1.w, sample1.w, specs.w)
     eigvals, eigvecs = np.linalg.eigh(k_axz)
+    c = eigvecs.T @ k_ww @ eigvecs
+    sq = eigvecs * eigvecs
+    # A fixed start vector keeps the scores independent of ARPACK's
+    # random state, and so of earlier calls.
+    v0 = np.random.default_rng(0).standard_normal(m1)
     scores = np.empty(len(lam1_grid))
     for i, lam in enumerate(np.asarray(lam1_grid, dtype=float)):
         shrink = eigvals / (eigvals + m1 * lam)
-        h = np.eye(m1) - (eigvecs * shrink) @ eigvecs.T
-        diag = np.diag(h)
+        diag = 1.0 - sq @ shrink
         with np.errstate(divide="ignore", invalid="ignore"):
-            hs = h / diag[:, None]
-        mat = hs @ k_ww @ hs.T
-        scores[i] = (
-            np.linalg.norm(mat, 2) / m1 if np.isfinite(mat).all() else np.inf
-        )
+            b = eigvecs * (1.0 - shrink) / diag[:, None]
+        if not np.isfinite(b).all():
+            scores[i] = np.inf
+            continue
+        op = scipy.sparse.linalg.LinearOperator(
+            (m1, m1), matvec=lambda v, b=b: b @ (c @ (b.T @ v)),
+            dtype=float)
+        top = scipy.sparse.linalg.eigsh(op, k=1, which="LA", v0=v0,
+                                        return_eigenvectors=False)[0]
+        scores[i] = top / m1
     return scores
 
 
@@ -225,35 +217,9 @@ def stage2_loo_scores(fit: Stage1Fit, sample2: Dataset,
     score(lam) = ||T^{-1} H y||_2^2 / m2 with the m2 x m2 residual
     operator H = I - Sigma (m2 lam I + Sigma)^{-1} and T = diag(H).
     """
-    m2 = sample2.n
     _, sigma = _stage2_sigma(fit, sample2)
     eigvals, eigvecs = np.linalg.eigh(sigma)
-    scores = np.empty(len(lam2_grid))
-    for i, lam in enumerate(np.asarray(lam2_grid, dtype=float)):
-        shrink = eigvals / (eigvals + m2 * lam)
-        h = np.eye(m2) - (eigvecs * shrink) @ eigvecs.T
-        diag = np.diag(h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            resid = (h @ sample2.y) / diag
-        scores[i] = (
-            np.dot(resid, resid) / m2 if np.isfinite(resid).all() else np.inf
-        )
-    return scores
-
-
-def _argmin_ties_larger(grid, scores) -> float:
-    grid = np.asarray(grid, dtype=float)
-    scores = np.asarray(scores, dtype=float)
-    order = np.argsort(grid)
-    grid, scores = grid[order], scores[order]
-    finite = np.isfinite(scores)
-    if not finite.any():
-        raise ValueError("all grid points produced non-finite scores")
-    best = int(np.flatnonzero(finite)[0])
-    for i in range(best + 1, len(grid)):
-        if finite[i] and scores[i] <= scores[best]:
-            best = i
-    return float(grid[best])
+    return loo_path(eigvals, eigvecs, sample2.y, lam2_grid)
 
 
 def kpv_select_lambdas(
@@ -272,10 +238,10 @@ def kpv_select_lambdas(
     lam2_grid = np.atleast_1d(np.asarray(lam2_grid, dtype=float))
     if (lam1_grid <= 0).any() or (lam2_grid <= 0).any():
         raise ValueError("grids must contain positive values")
-    lam1 = _argmin_ties_larger(
+    lam1 = argmin_ties_larger(
         lam1_grid, stage1_loo_scores(sample1, specs, lam1_grid))
     fit = stage1_fit(sample1, specs, lam1)
-    lam2 = _argmin_ties_larger(
+    lam2 = argmin_ties_larger(
         lam2_grid, stage2_loo_scores(fit, sample2, lam2_grid))
     return lam1, lam2
 

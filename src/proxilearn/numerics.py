@@ -1,4 +1,5 @@
-"""Linear-algebra substrate: regularized PSD solves, column-wise
+"""Linear-algebra substrate: regularized PSD solves, closed-form
+leave-one-out scores over a ridge path, the grid selection rule, column-wise
 Khatri-Rao products, Nystrom factorization and the low-rank regularized
 inverse built on it."""
 
@@ -34,6 +35,41 @@ def psd_factor(m: np.ndarray, ridge: float):
 def solve_psd(m: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (m + ridge*I) r = rhs for symmetric PSD ``m`` via Cholesky."""
     return scipy.linalg.cho_solve(psd_factor(m, ridge), np.asarray(rhs, float))
+
+
+def loo_path(eigvals: np.ndarray, eigvecs: np.ndarray, y: np.ndarray,
+             lam_grid) -> np.ndarray:
+    """Closed-form leave-one-out error of kernel ridge at every ridge.
+
+    With K = U diag(e) U' over m points, the residual operator
+    H = I - K (K + m lam I)^{-1} has diag(H) = 1 - (U o U) s and
+    H y = y - U (s o U'y), where s = e / (e + m lam) (Golub, Heath and
+    Wahba, 1979). The score is (1/m)||diag(H)^{-1} H y||^2: O(m^2) per
+    ridge once K is eigendecomposed. Non-finite scores are returned as inf.
+    """
+    y = np.asarray(y, dtype=float).ravel()
+    m = y.size
+    lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float))
+    shrink = eigvals / (eigvals + m * lam_grid[:, None])      # grid x m
+    diag = 1.0 - shrink @ (eigvecs * eigvecs).T
+    hy = y - (shrink * (eigvecs.T @ y)) @ eigvecs.T
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scores = ((hy / diag) ** 2).sum(axis=1) / m
+    return np.where(np.isfinite(scores), scores, np.inf)
+
+
+def argmin_ties_larger(grid, scores) -> float:
+    """Grid value with the smallest finite score; ties go to the larger
+    value. This is the selection rule of every ridge search."""
+    grid = np.asarray(grid, dtype=float)
+    scores = np.asarray(scores, dtype=float)
+    order = np.argsort(grid, kind="stable")
+    grid, scores = grid[order], scores[order]
+    finite = np.isfinite(scores)
+    if not finite.any():
+        raise ValueError("all grid points produced non-finite scores")
+    best = np.flatnonzero(finite & (scores == scores[finite].min()))[-1]
+    return float(grid[best])
 
 
 def khatri_rao_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:

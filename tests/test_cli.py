@@ -222,6 +222,25 @@ class TestExperimentAndSweep:
         stages = {row[0] for row in list(csv.reader(open(out)))[1:]}
         assert stages == {"stage1", "stage2"}
 
+    def test_sweep_breaks_stage1_ties_like_fit(self, runner, tmp_path,
+                                               monkeypatch):
+        from proxilearn import kpv
+
+        fitted = []
+        stage1_fit = kpv.stage1_fit
+        monkeypatch.setattr(kpv, "stage1_loo_scores",
+                            lambda sample, specs, grid: np.ones(len(grid)))
+        monkeypatch.setattr(
+            kpv, "stage1_fit",
+            lambda sample, specs, lam1: fitted.append(lam1)
+            or stage1_fit(sample, specs, lam1))
+        data_path = tmp_path / "train.csv"
+        gen_main(60, seed=1).data.to_csv(data_path)
+        run_ok(runner, ["sweep", "--data", str(data_path), "--method",
+                        "kpv", "--lambda-grid", "1e-5,1e-4,1e-3",
+                        "--out", str(tmp_path / "scores.csv")])
+        assert fitted == [1e-3]
+
 
 class TestErrors:
     def test_missing_file_is_click_error(self, runner, tmp_path):
@@ -252,3 +271,14 @@ class TestErrors:
         assert result.exit_code == 1
         payload = json.loads(result.stderr or result.output)
         assert "min:max:count" in payload["message"]
+
+    def test_nonpositive_lambda_grid_reports_json(self, runner, tmp_path):
+        data_path = tmp_path / "train.csv"
+        gen_main(20, seed=1).data.to_csv(data_path)
+        result = runner.invoke(main, ["sweep", "--data", str(data_path),
+                                      "--method", "pmmr", "--lambda-grid",
+                                      "0,0.1", "--out",
+                                      str(tmp_path / "s.csv")])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert "positive" in payload["message"]

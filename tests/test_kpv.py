@@ -303,17 +303,52 @@ class TestSelection:
         scores2 = stage2_loo_scores(fit, s2, grid2)
         assert scores2[list(grid2).index(lam2)] <= scores2.min() + 1e-12
 
-    def test_ties_break_toward_larger(self):
-        from proxilearn.kpv import _argmin_ties_larger
+    @pytest.mark.parametrize("m1", [2, 3, 40])
+    def test_stage1_scores_match_dense_spectral_norm(self, m1):
+        data = rng_dataset(36 + m1, m1)
+        specs = KernelSpecs.from_data(data)
+        grid = np.logspace(-6, -1, 6)
+        k_axz = hadamard(gram(data.a, data.a, specs.a),
+                         hadamard(gram(data.x, data.x, specs.x),
+                                  gram(data.z, data.z, specs.z)))
+        k_ww = gram(data.w, data.w, specs.w)
+        expected = []
+        for lam in grid:
+            h = np.eye(m1) - k_axz @ np.linalg.inv(k_axz + m1 * lam
+                                                   * np.eye(m1))
+            hs = h / np.diag(h)[:, None]
+            expected.append(np.linalg.norm(hs @ k_ww @ hs.T, 2) / m1)
+        np.testing.assert_allclose(stage1_loo_scores(data, specs, grid),
+                                   expected, rtol=1e-8)
 
-        assert _argmin_ties_larger([1.0, 2.0, 3.0], [5.0, 5.0, 7.0]) == 2.0
-        assert _argmin_ties_larger([3.0, 1.0, 2.0], [7.0, 5.0, 5.0]) == 2.0
+    def test_stage1_scores_independent_of_earlier_eigsh_calls(self):
+        import scipy.sparse.linalg
+
+        data = rng_dataset(39, 30)
+        specs = KernelSpecs.from_data(data)
+        grid = np.logspace(-6, -1, 6)
+        first = stage1_loo_scores(data, specs, grid)
+        scipy.sparse.linalg.eigsh(np.diag(np.arange(1.0, 21.0)), k=2)
+        np.testing.assert_array_equal(
+            stage1_loo_scores(data, specs, grid), first)
+
+    def test_stage1_scores_need_two_points(self):
+        data = rng_dataset(40, 1)
+        with pytest.raises(ValueError, match="at least 2"):
+            stage1_loo_scores(data, KernelSpecs.from_data(rng_dataset(41, 8)),
+                              [1e-3])
+
+    def test_ties_break_toward_larger(self):
+        from proxilearn.numerics import argmin_ties_larger
+
+        assert argmin_ties_larger([1.0, 2.0, 3.0], [5.0, 5.0, 7.0]) == 2.0
+        assert argmin_ties_larger([3.0, 1.0, 2.0], [7.0, 5.0, 5.0]) == 2.0
 
     def test_all_nonfinite_scores_rejected(self):
-        from proxilearn.kpv import _argmin_ties_larger
+        from proxilearn.numerics import argmin_ties_larger
 
         with pytest.raises(ValueError, match="non-finite"):
-            _argmin_ties_larger([1.0, 2.0], [np.inf, np.nan])
+            argmin_ties_larger([1.0, 2.0], [np.inf, np.nan])
 
     def test_positive_grids_required(self):
         s1, s2 = rng_dataset(31, 6), rng_dataset(32, 6)

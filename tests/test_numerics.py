@@ -3,7 +3,9 @@ import pytest
 
 from proxilearn.kernels import KernelSpec, gram
 from proxilearn.numerics import (
+    argmin_ties_larger,
     khatri_rao_cols,
+    loo_path,
     nystrom,
     solve_psd,
     woodbury_regularized_inverse_apply,
@@ -46,6 +48,61 @@ class TestSolvePsd:
         m = np.diag([1.0, -5.0])
         with pytest.raises(np.linalg.LinAlgError):
             solve_psd(m, 1e-3, np.ones(2))
+
+
+def dense_loo_scores(eigvals, eigvecs, y, lam_grid):
+    """Reference: build H = I - U diag(s) U' densely at every ridge."""
+    m = y.size
+    scores = np.empty(len(lam_grid))
+    for i, lam in enumerate(lam_grid):
+        shrink = eigvals / (eigvals + m * lam)
+        h = np.eye(m) - (eigvecs * shrink) @ eigvecs.T
+        resid = (h @ y) / np.diag(h)
+        scores[i] = np.dot(resid, resid) / m
+    return scores
+
+
+class TestLooPath:
+    def test_matches_dense_hat_matrix(self):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(30, 2))
+        y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=30)
+        eigvals, eigvecs = np.linalg.eigh(
+            gram(x, x, KernelSpec(np.array([1.0, 1.5]))))
+        grid = np.logspace(-4, 1, 12)
+        np.testing.assert_allclose(loo_path(eigvals, eigvecs, y, grid),
+                                   dense_loo_scores(eigvals, eigvecs, y, grid),
+                                   rtol=1e-10)
+
+    def test_matches_ridge_refit_leaving_each_point_out(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(12, 1))
+        y = rng.normal(size=12)
+        k = gram(x, x, KernelSpec(np.array([0.8])))
+        lam = 0.05
+        eigvals, eigvecs = np.linalg.eigh(k)
+        errors = []
+        for i in range(12):
+            keep = np.arange(12) != i
+            # Ridge scaled by the full sample size, as in the closed form.
+            coef = np.linalg.solve(
+                k[np.ix_(keep, keep)] + 12 * lam * np.eye(11), y[keep])
+            errors.append(y[i] - k[i, keep] @ coef)
+        assert loo_path(eigvals, eigvecs, y, [lam])[0] == pytest.approx(
+            np.mean(np.square(errors)), rel=1e-10)
+
+    def test_zero_residual_diagonal_scores_inf(self):
+        # At lam = 0 with a full-rank K, H = 0: every LOO residual is 0/0.
+        scores = loo_path(np.array([1.0, 2.0]), np.eye(2),
+                          np.array([1.0, -1.0]), [0.0, 1.0])
+        assert scores[0] == np.inf
+        assert np.isfinite(scores[1])
+
+
+class TestArgminTiesLarger:
+    def test_skips_nonfinite_scores(self):
+        assert argmin_ties_larger([1.0, 2.0, 3.0],
+                                  [np.nan, 4.0, np.inf]) == 2.0
 
 
 class TestKhatriRao:

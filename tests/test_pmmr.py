@@ -87,6 +87,28 @@ class TestPmmrFit:
                                    "gtol": 1e-14})
         assert abs(objective(model.alpha) - result.fun) <= 1e-6
 
+    def test_smallest_default_ridge_matches_extended_precision(self):
+        # The reduced solve keeps L alpha accurate where cond(L) ~ 1e5 and
+        # the ridge is at the bottom of the default grid; the unreduced
+        # system L W L + lam L lost about five digits here.
+        import mpmath
+
+        data = synthdata.gen_main(60, seed=0).data
+        specs = KernelSpecs.from_data(data)
+        lam = float(DEFAULT_LAMBDA_GRID[0])
+        model = pmmr_fit(data, specs, lam)
+        l_jit = jittered_l(h_side_gram(data, data, specs))
+        w_gram = instrument_gram(data, data, specs)
+        with mpmath.workdps(60):
+            l_mp = mpmath.matrix(l_jit.tolist())
+            lw = l_mp * mpmath.matrix(w_gram.tolist())
+            alpha = mpmath.lu_solve(lw * l_mp + mpmath.mpf(lam) * l_mp,
+                                    lw * mpmath.matrix(data.y.tolist()))
+            expected = np.array([float(v) for v in l_mp * alpha])
+        rel = (np.linalg.norm(l_jit @ model.alpha - expected)
+               / np.linalg.norm(expected))
+        assert rel <= 1e-9
+
     def test_first_order_stationarity(self):
         data = rng_dataset(5, 9)
         specs = KernelSpecs.from_data(data)
@@ -239,6 +261,21 @@ class TestSelection:
         scores = pmmr_validation_scores(train, validate, specs, grid)
         chosen = scores[np.argmin(np.abs(grid - lam))]
         assert chosen <= scores.min() + 1e-15
+
+    def test_scores_match_refit_per_ridge(self):
+        train, validate = rng_dataset(23, 15), rng_dataset(24, 11)
+        specs = KernelSpecs.from_data(train)
+        grid = np.logspace(-3, 0, 7)
+        l_cross = h_side_gram(train, validate, specs)
+        w_val = instrument_gram(validate, validate, specs)
+        expected = [
+            vstat_risk(validate.y - pmmr_fit(train, specs, lam).alpha
+                       @ l_cross, w_val)
+            for lam in grid
+        ]
+        np.testing.assert_allclose(
+            pmmr_validation_scores(train, validate, specs, grid), expected,
+            rtol=1e-9)
 
     def test_interior_minimum_on_synthetic_data(self):
         data = synthdata.gen_main(500, seed=0).data
