@@ -16,6 +16,7 @@ from .kpv import (
     kpv_ate,
     kpv_fit,
     kpv_h,
+    kpv_model,
     kpv_select_lambdas,
     stage1_embedding,
     stage1_fit,
@@ -62,6 +63,7 @@ __all__ = [
     "kpv_ate",
     "kpv_fit",
     "kpv_h",
+    "kpv_model",
     "kpv_select_lambdas",
     "stage1_embedding",
     "stage1_fit",

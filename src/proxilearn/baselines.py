@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DoCurve
-from .kernels import KernelSpec, gram, median_heuristic
+from .kernels import KernelSpec, KernelSpecs, gram, median_heuristic
 from .numerics import argmin_ties_larger, loo_path, solve_psd
 
 DEFAULT_RIDGE_GRID = np.logspace(-7, 1, 25)
@@ -65,48 +65,83 @@ def select_ridge_lambda(inputs, y, spec, lam_grid=DEFAULT_RIDGE_GRID) -> float:
 def adjusted_ate(model: RidgeModel, a_grid, adjustment: np.ndarray) -> DoCurve:
     """Average the regression over an adjustment sample.
 
-    ``adjustment`` rows are appended to each treatment value to form the
-    query; a single all-empty row recovers plain pointwise prediction for
-    a model regressing on the treatment alone.
+    The model's first input column is the treatment and the remaining
+    columns match ``adjustment``; a single zero-width row recovers plain
+    pointwise prediction for a model regressing on the treatment alone.
+    The Gaussian product kernel separates, so the curve is
+    k_A(a, A) @ (mean_t k_V(v_t, V) * beta): one adjustment-by-training
+    Gram averaged over its rows and one grid-by-training treatment Gram,
+    not one joint Gram per grid point.
     """
     a_grid = np.asarray(a_grid, dtype=float).ravel()
     adjustment = np.asarray(adjustment, dtype=float)
     if adjustment.ndim == 1:
         adjustment = adjustment[:, None]
-    nt = adjustment.shape[0]
-    if nt == 0:
+    if adjustment.shape[0] == 0:
         raise ValueError("adjustment sample is empty")
-    estimates = np.empty(a_grid.size)
-    for i, a in enumerate(a_grid):
-        queries = np.column_stack([np.full(nt, a), adjustment])
-        estimates[i] = kernel_ridge_predict(model, queries).mean()
-    return DoCurve(grid=a_grid, estimate=estimates)
+    width = model.inputs.shape[1] - 1
+    if adjustment.shape[1] != width:
+        raise ValueError(
+            f"adjustment has {adjustment.shape[1]} columns, the model "
+            f"adjusts over {width} (its inputs minus the treatment)")
+    bw = model.spec.bandwidths
+    kv = gram(adjustment, model.inputs[:, 1:], KernelSpec(bw[1:]))
+    ka = gram(a_grid[:, None], model.inputs[:, :1], KernelSpec(bw[:1]))
+    return DoCurve(grid=a_grid,
+                   estimate=ka @ (kv.mean(axis=0) * model.beta))
+
+
+def ridge_groups(adjust: str) -> tuple[str, ...]:
+    """Dataset groups whose columns form the regression inputs, in order:
+    the treatment, then W for "w", then W and Z for "wz"."""
+    if adjust not in ("", "w", "wz"):
+        raise ValueError(f"adjust must be '', 'w' or 'wz', got {adjust!r}")
+    return ("a",) + tuple(adjust)
+
+
+def ridge_inputs(data: Dataset, adjust: str) -> np.ndarray:
+    """Regression inputs: the columns of ``ridge_groups(adjust)`` in
+    ``data``."""
+    return np.column_stack([getattr(data, g) for g in ridge_groups(adjust)])
+
+
+def ridge_adjustment(data: Dataset, adjust: str) -> np.ndarray:
+    """The adjustment columns of ``data``; a single zero-width row when
+    ``adjust`` is ""."""
+    groups = ridge_groups(adjust)[1:]
+    if not groups:
+        return np.empty((1, 0))
+    return np.column_stack([getattr(data, g) for g in groups])
+
+
+def ridge_spec(data: Dataset, adjust: str,
+               specs: KernelSpecs | None = None) -> KernelSpec:
+    """One bandwidth per regression input column: each group's bandwidths
+    from ``specs``, or its median heuristic on ``data`` when ``specs`` is
+    None."""
+    return KernelSpec(np.concatenate([
+        (median_heuristic(getattr(data, g)) if specs is None
+         else getattr(specs, g)).bandwidths
+        for g in ridge_groups(adjust)]))
 
 
 def fit_ridge_baseline(data: Dataset, adjust: str = "",
                        lam: float | None = None,
-                       lam_grid=DEFAULT_RIDGE_GRID) -> tuple[RidgeModel, np.ndarray]:
+                       lam_grid=DEFAULT_RIDGE_GRID,
+                       specs: KernelSpecs | None = None,
+                       ) -> tuple[RidgeModel, np.ndarray]:
     """Fit Y ~ (A[, W][, Z]) kernel ridge; returns the model and the
     matching adjustment sample columns.
 
-    ``adjust`` is "" (treatment only), "w", or "wz".
+    ``adjust`` is "" (treatment only), "w", or "wz"; bandwidths come from
+    ``specs`` as in ``ridge_spec``.
     """
-    blocks = [data.a]
-    adjust_blocks = []
-    if "w" in adjust:
-        blocks.append(data.w)
-        adjust_blocks.append(data.w)
-    if "z" in adjust:
-        blocks.append(data.z)
-        adjust_blocks.append(data.z)
-    inputs = np.column_stack(blocks)
-    spec = median_heuristic(inputs)
+    inputs = ridge_inputs(data, adjust)
+    spec = ridge_spec(data, adjust, specs)
     if lam is None:
         lam = select_ridge_lambda(inputs, data.y, spec, lam_grid)
     model = kernel_ridge_fit(inputs, data.y, spec, lam)
-    adjustment = (np.column_stack(adjust_blocks) if adjust_blocks
-                  else np.empty((1, 0)))
-    return model, adjustment
+    return model, ridge_adjustment(data, adjust)
 
 
 def linear_two_stage(data: Dataset, a_grid) -> DoCurve:

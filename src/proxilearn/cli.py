@@ -145,7 +145,7 @@ def _fit_model(method, data, specs, lambda1, lambda2, lam_grid, rank, seed):
         payload = {
             "lambdas": {"lambda1": model.stage1.lam1, "lambda2": model.lam2},
             "split_seed": seed,
-            "coefficients": {"alpha": model.alpha.tolist()},
+            "coefficients": {"c": model.c.tolist()},
         }
         return payload, lambda grid: kpv.kpv_ate(model, grid, data.x, data.w)
     if method in ("pmmr", "pmmr-nystrom"):
@@ -168,11 +168,10 @@ def _fit_model(method, data, specs, lambda1, lambda2, lam_grid, rank, seed):
         model, adjustment = baselines.fit_ridge_baseline(
             data, adjust, lam=lambda1,
             lam_grid=lam_grid if lam_grid is not None
-            else baselines.DEFAULT_RIDGE_GRID)
+            else baselines.DEFAULT_RIDGE_GRID, specs=specs)
         payload = {
             "lambdas": {"lambda": model.lam},
             "adjust": adjust,
-            "bandwidths_joint": model.spec.bandwidths.tolist(),
             "coefficients": {"beta": model.beta.tolist()},
         }
         return payload, lambda grid: baselines.adjusted_ate(model, grid,
@@ -242,52 +241,51 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
     click.echo(f"wrote model to {out} and curve to {curve_path}")
 
 
+def _field(artifact, path: str):
+    """The artifact value at a dotted ``path``; a missing field is a
+    ValueError naming it."""
+    value = artifact
+    for key in path.split("."):
+        if not isinstance(value, dict) or key not in value:
+            raise ValueError(f"model artifact has no {path!r} field; "
+                             f"refit the model with this version")
+        value = value[key]
+    return value
+
+
 def _specs_from_artifact(artifact) -> KernelSpecs:
-    bw = artifact["bandwidths"]
-    return KernelSpecs(a=KernelSpec(np.array(bw["a"])),
-                       x=KernelSpec(np.array(bw["x"])),
-                       z=KernelSpec(np.array(bw["z"])),
-                       w=KernelSpec(np.array(bw["w"])))
+    return KernelSpecs(**{
+        g: KernelSpec(np.array(_field(artifact, f"bandwidths.{g}")))
+        for g in ("a", "x", "z", "w")})
 
 
 def _curve_from_artifact(artifact, data: Dataset, adjust: Dataset,
                          a_grid: np.ndarray) -> DoCurve:
-    method = artifact["method"]
-    specs = _specs_from_artifact(artifact)
+    method = _field(artifact, "method")
     if method == "kpv":
-        split_seed = artifact["split_seed"]
-        sample1, sample2 = data.split_half(split_seed)
-        fit1 = kpv.stage1_fit(sample1, specs,
-                              artifact["lambdas"]["lambda1"])
-        model = kpv.KpvModel(
-            stage1=fit1, sample2=sample2,
-            alpha=np.array(artifact["coefficients"]["alpha"]),
-            lam2=artifact["lambdas"]["lambda2"])
+        sample1, sample2 = data.split_half(_field(artifact, "split_seed"))
+        fit1 = kpv.stage1_fit(sample1, _specs_from_artifact(artifact),
+                              _field(artifact, "lambdas.lambda1"))
+        model = kpv.kpv_model(fit1, sample2,
+                              _field(artifact, "coefficients.c"),
+                              _field(artifact, "lambdas.lambda2"))
         return kpv.kpv_ate(model, a_grid, adjust.x, adjust.w)
     if method in ("pmmr", "pmmr-nystrom"):
         model = pmmr.PmmrModel(
-            sample=data, specs=specs,
-            alpha=np.array(artifact["coefficients"]["alpha"]),
-            lam=artifact["lambdas"]["lambda"])
+            sample=data, specs=_specs_from_artifact(artifact),
+            alpha=np.array(_field(artifact, "coefficients.alpha")),
+            lam=_field(artifact, "lambdas.lambda"))
         return pmmr.pmmr_ate(model, a_grid, adjust.x, adjust.w)
     if method in ("ridge", "ridge-w", "ridge-wz"):
-        adjust_kind = artifact["adjust"]
-        blocks = [data.a]
-        adjust_blocks = []
-        if "w" in adjust_kind:
-            blocks.append(data.w)
-            adjust_blocks.append(adjust.w)
-        if "z" in adjust_kind:
-            blocks.append(data.z)
-            adjust_blocks.append(adjust.z)
+        adjust_kind = _field(artifact, "adjust")
         model = baselines.RidgeModel(
-            inputs=np.column_stack(blocks),
-            spec=KernelSpec(np.array(artifact["bandwidths_joint"])),
-            lam=artifact["lambdas"]["lambda"],
-            beta=np.array(artifact["coefficients"]["beta"]))
-        adjustment = (np.column_stack(adjust_blocks) if adjust_blocks
-                      else np.empty((1, 0)))
-        return baselines.adjusted_ate(model, a_grid, adjustment)
+            inputs=baselines.ridge_inputs(data, adjust_kind),
+            spec=baselines.ridge_spec(data, adjust_kind,
+                                      _specs_from_artifact(artifact)),
+            lam=_field(artifact, "lambdas.lambda"),
+            beta=np.array(_field(artifact, "coefficients.beta")))
+        return baselines.adjusted_ate(
+            model, a_grid, baselines.ridge_adjustment(adjust, adjust_kind))
     if method == "linear2s":
         return baselines.linear_two_stage(data, a_grid)
     raise ValueError(f"unknown method {method!r}")
@@ -306,7 +304,7 @@ def _curve_from_artifact(artifact, data: Dataset, adjust: Dataset,
 def ate(model_path, data_path, adjust_path, a_grid_text, out):
     """Evaluate a fitted model's effect curve on a treatment grid."""
     artifact = json.loads(Path(model_path).read_text())
-    recorded = artifact["training_data"]["sha256"]
+    recorded = _field(artifact, "training_data.sha256")
     actual = _sha256(data_path)
     if recorded != actual:
         raise ValueError(
@@ -316,7 +314,7 @@ def ate(model_path, data_path, adjust_path, a_grid_text, out):
     data = Dataset.from_csv(data_path)
     adjust = Dataset.from_csv(adjust_path) if adjust_path else data
     a_grid = (_parse_a_grid(a_grid_text) if a_grid_text
-              else np.array(artifact["config"]["a_grid"]))
+              else np.array(_field(artifact, "config.a_grid")))
     curve = _curve_from_artifact(artifact, data, adjust, a_grid)
     _write_curve(out, curve)
     _write_meta(out, {"command": "ate", "model": str(model_path),

@@ -92,7 +92,10 @@ def median_heuristic(points: np.ndarray) -> KernelSpec:
 
     A dimension whose median distance is zero (constant column) falls back
     to the median pooled over all dimensions, and to 1.0 if that is also
-    zero.
+    zero. The pooled median is computed only when such a dimension
+    exists: the distances are recomputed then rather than kept for every
+    call, which saves the concatenation and the second median over all
+    n(n-1)/2 x d pairs in the common case.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -101,14 +104,16 @@ def median_heuristic(points: np.ndarray) -> KernelSpec:
         raise ValueError("median heuristic needs at least 2 points")
     if pts.shape[1] == 0:
         return KernelSpec(np.empty(0))
-    per_dim = []
-    for d in range(pts.shape[1]):
-        per_dim.append(pdist(pts[:, d:d + 1], metric="euclidean"))
-    medians = np.array([np.median(dists) for dists in per_dim])
-    pooled = np.median(np.concatenate(per_dim))
-    if pooled <= 0.0:
-        pooled = 1.0
-    medians[medians <= 0.0] = pooled
+    columns = range(pts.shape[1])
+
+    def pair_distances(d):
+        return pdist(pts[:, d:d + 1], metric="euclidean")
+
+    medians = np.array([np.median(pair_distances(d)) for d in columns])
+    if (medians <= 0.0).any():
+        pooled = np.median(np.concatenate([pair_distances(d)
+                                           for d in columns]))
+        medians[medians <= 0.0] = pooled if pooled > 0.0 else 1.0
     return KernelSpec(medians)
 
 

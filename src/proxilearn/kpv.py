@@ -88,12 +88,17 @@ def stage1_predict_w(fit: Stage1Fit, a, x, z) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KpvModel:
-    """Fitted bridge function h(a, x, w) with coefficient matrix alpha."""
+    """Fitted bridge function h(a, x, w) with coefficient matrix alpha.
+
+    ``c`` holds the m2 stage-2 coefficients alpha was expanded from (see
+    ``kpv_model``).
+    """
 
     stage1: Stage1Fit
     sample2: Dataset
     alpha: np.ndarray
     lam2: float
+    c: np.ndarray
 
     @property
     def m2(self) -> int:
@@ -113,13 +118,30 @@ def _stage2_sigma(fit: Stage1Fit, sample2: Dataset):
     return gamma2, sigma
 
 
+def kpv_model(fit: Stage1Fit, sample2: Dataset, c, lam2: float,
+              gamma2: np.ndarray | None = None) -> KpvModel:
+    """The model with stage-2 coefficients ``c`` (m2 values).
+
+    The Khatri-Rao expansion of (Gamma kr I) c places Gamma_ij * c_j at
+    row-major position (i, j) of alpha, where Gamma = ``gamma2`` is the
+    stage-1 embedding of ``sample2``, computed here when not given.
+    """
+    c = np.asarray(c, dtype=float).ravel()
+    if c.shape != (sample2.n,):
+        raise ValueError(
+            f"c has {c.size} values, stage 2 has {sample2.n} points")
+    if gamma2 is None:
+        gamma2 = stage1_embedding(fit, sample2.a, sample2.x, sample2.z)
+    return KpvModel(stage1=fit, sample2=sample2, alpha=gamma2 * c[None, :],
+                    lam2=lam2, c=c)
+
+
 def kpv_fit(fit: Stage1Fit, sample2: Dataset, lam2: float) -> KpvModel:
     """Second-stage ridge solution from the m2 x m2 system.
 
     Solves (m2*lam2*I + Sigma) c = y with
-    Sigma_qp = (Gamma_q' K_WW Gamma_p) * k(a_q, a_p) * k(x_q, x_p); the
-    Khatri-Rao expansion of (Gamma kr I) c places Gamma_ij * c_j at
-    row-major position (i, j) of alpha.
+    Sigma_qp = (Gamma_q' K_WW Gamma_p) * k(a_q, a_p) * k(x_q, x_p) and
+    expands c into alpha with ``kpv_model``.
     """
     if not lam2 > 0:
         raise ValueError("lam2 must be positive")
@@ -127,8 +149,7 @@ def kpv_fit(fit: Stage1Fit, sample2: Dataset, lam2: float) -> KpvModel:
         raise ValueError("stage 2 needs at least 1 point")
     gamma2, sigma = _stage2_sigma(fit, sample2)
     c = solve_psd(sigma, sample2.n * lam2, sample2.y)
-    alpha = gamma2 * c[None, :]
-    return KpvModel(stage1=fit, sample2=sample2, alpha=alpha, lam2=lam2)
+    return kpv_model(fit, sample2, c, lam2, gamma2=gamma2)
 
 
 def kpv_h(model: KpvModel, a, x, w):
@@ -261,6 +282,9 @@ def fit_kpv(
     shuffle; bandwidths default to the median heuristic on the full data
     and missing ridge parameters are grid-searched.
     """
+    if data.n < 4:
+        raise ValueError(
+            f"fit_kpv needs at least 4 rows (2 per stage), got {data.n}")
     if specs is None:
         specs = KernelSpecs.from_data(data)
     sample1, sample2 = data.split_half(split_seed)

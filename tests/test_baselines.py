@@ -7,11 +7,13 @@ from proxilearn.baselines import (
     kernel_ridge_fit,
     kernel_ridge_predict,
     linear_two_stage,
+    ridge_inputs,
     ridge_loo_scores,
+    ridge_spec,
     select_ridge_lambda,
 )
 from proxilearn.data import Dataset
-from proxilearn.kernels import KernelSpec, gram
+from proxilearn.kernels import KernelSpec, KernelSpecs, gram
 from tests.conftest import rng_dataset
 
 
@@ -91,6 +93,53 @@ class TestAdjustedAte:
         model, _ = fit_ridge_baseline(data, "w", lam=0.1)
         with pytest.raises(ValueError, match="empty"):
             adjusted_ate(model, [0.0], np.empty((0, 2)))
+
+    @pytest.mark.parametrize("adjust,dw", [("", 2), ("w", 1), ("w", 3),
+                                           ("wz", 2)])
+    def test_matches_joint_gram_loop(self, adjust, dw):
+        # Reference: one joint adjustment-by-training Gram per grid point.
+        data = rng_dataset(9, 40, dw=dw)
+        model, adjustment = fit_ridge_baseline(data, adjust, lam=1e-3)
+        grid = np.linspace(-1.5, 1.5, 7)
+        expected = [
+            kernel_ridge_predict(model, np.column_stack(
+                [np.full(adjustment.shape[0], a), adjustment])).mean()
+            for a in grid]
+        curve = adjusted_ate(model, grid, adjustment)
+        np.testing.assert_allclose(curve.estimate, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_wrong_width_adjustment_rejected(self, width):
+        data = rng_dataset(10, 12)
+        model, _ = fit_ridge_baseline(data, "w", lam=0.1)
+        with pytest.raises(ValueError, match="columns"):
+            adjusted_ate(model, [0.0], np.zeros((4, width)))
+
+    def test_explicit_specs_used(self):
+        data = rng_dataset(11, 20)
+        specs = KernelSpecs(a=KernelSpec([0.3]), x=KernelSpec([]),
+                            z=KernelSpec([1.1, 1.3]),
+                            w=KernelSpec([0.7, 1.9]))
+        model, _ = fit_ridge_baseline(data, "wz", lam=0.1, specs=specs)
+        np.testing.assert_array_equal(model.spec.bandwidths,
+                                      [0.3, 0.7, 1.9, 1.1, 1.3])
+
+    @pytest.mark.parametrize("adjust", ["", "w", "wz"])
+    def test_default_bandwidths_are_per_group_median(self, adjust):
+        # One rule for the default: the per-group median heuristic, as the
+        # CLI's --bandwidth median gives, also when a column is constant.
+        data = rng_dataset(13, 25)
+        w = data.w.copy()
+        w[:, 1] = 2.0
+        data = Dataset(a=data.a, x=data.x, z=data.z, w=w, y=data.y)
+        model, _ = fit_ridge_baseline(data, adjust, lam=0.1)
+        expected = ridge_spec(data, adjust, KernelSpecs.from_data(data))
+        np.testing.assert_array_equal(model.spec.bandwidths,
+                                      expected.bandwidths)
+
+    def test_unknown_adjust_rejected(self):
+        with pytest.raises(ValueError, match="adjust must be"):
+            ridge_inputs(rng_dataset(12, 5), "z")
 
     def test_adjustment_blocks_match_model(self):
         data = rng_dataset(8, 15)

@@ -170,6 +170,56 @@ class TestFitAndAte:
         assert artifact["training_data"]["sha256"]
         assert artifact["config"]["command"] == "fit"
 
+    def test_kpv_artifact_stores_c(self, runner, tmp_path):
+        _, model_path = self.fit(
+            runner, tmp_path, "kpv", n=21,
+            extra=["--lambda1", "1e-3", "--lambda2", "1e-2"])
+        artifact = json.loads(model_path.read_text())
+        assert set(artifact["coefficients"]) == {"c"}
+        assert len(artifact["coefficients"]["c"]) == 11  # m2 = n - n // 2
+        assert artifact["split_seed"] == 0
+
+    def test_artifact_missing_field_reports_json(self, runner, tmp_path):
+        data_path, model_path = self.fit(
+            runner, tmp_path, "kpv", n=20,
+            extra=["--lambda1", "1e-3", "--lambda2", "1e-2"])
+        artifact = json.loads(model_path.read_text())
+        artifact["coefficients"] = {"alpha": [[0.0] * 10] * 10}
+        model_path.write_text(json.dumps(artifact))
+        result = runner.invoke(main, ["ate", "--model", str(model_path),
+                                      "--data", str(data_path), "--out",
+                                      str(tmp_path / "x.csv")])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload["error"] == "ValueError"
+        assert "'coefficients.c'" in payload["message"]
+
+    @pytest.mark.parametrize("method", ["ridge", "ridge-w", "ridge-wz"])
+    def test_ridge_honours_bandwidth(self, runner, tmp_path, method):
+        # --bandwidth lists A, Z1, Z2, W1, W2 (X is empty); the
+        # regression inputs are A[, W][, Z].
+        values = [0.3, 0.4, 0.5, 0.6, 0.7]
+        _, median_path = self.fit(runner, tmp_path, method, n=40,
+                                  extra=["--lambda1", "1e-3"])
+        median_curve = read_curve(str(median_path) + ".curve.csv")[1]
+        fixed_path = tmp_path / "fixed.json"
+        run_ok(runner, ["fit", "--data", str(tmp_path / "train.csv"),
+                        "--method", method, "--lambda1", "1e-3",
+                        "--bandwidth", ",".join(map(str, values)),
+                        "--out", str(fixed_path)])
+        artifact = json.loads(fixed_path.read_text())
+        assert "bandwidths_joint" not in artifact
+        bw = artifact["bandwidths"]
+        assert [*bw["a"], *bw["z"], *bw["w"]] == values
+        fixed_curve = read_curve(str(fixed_path) + ".curve.csv")[1]
+        assert not np.allclose(fixed_curve[:, 1], median_curve[:, 1])
+        # ate rebuilds the same bandwidths from the per-group record.
+        curve_path = tmp_path / "again.csv"
+        run_ok(runner, ["ate", "--model", str(fixed_path), "--data",
+                        str(tmp_path / "train.csv"), "--out",
+                        str(curve_path)])
+        assert_curves_match(curve_path, str(fixed_path) + ".curve.csv")
+
 
 class TestExperimentAndSweep:
     def test_experiment_small_smoke(self, runner, tmp_path):

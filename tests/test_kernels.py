@@ -136,6 +136,21 @@ class TestMedianHeuristic:
         assert spec.bandwidths[0] == pytest.approx(mc, abs=0.1)
         assert mc == pytest.approx(np.sqrt(2.0) * 0.6745, abs=0.01)
 
+    @pytest.mark.parametrize("constant", [(), (1,), (0, 2), (0, 1, 2)])
+    def test_matches_always_pooled_reference(self, constant):
+        # Reference: the pooled median is always computed, then used only
+        # for zero-median columns.
+        rng = np.random.default_rng(10)
+        pts = rng.normal(size=(30, 3)) * [1.0, 4.0, 0.2]
+        pts[:, list(constant)] = 1.5
+        per_dim = [np.abs(pts[:, None, d] - pts[None, :, d])[
+            np.triu_indices(30, 1)] for d in range(3)]
+        expected = np.array([np.median(p) for p in per_dim])
+        pooled = np.median(np.concatenate(per_dim))
+        expected[expected <= 0] = pooled if pooled > 0 else 1.0
+        np.testing.assert_array_equal(median_heuristic(pts).bandwidths,
+                                      expected)
+
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="at least 2"):
             median_heuristic(np.array([[1.0]]))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from proxilearn.kpv import (
     kpv_ate,
     kpv_fit,
     kpv_h,
+    kpv_model,
     kpv_select_lambdas,
     stage1_embedding,
     stage1_fit,
@@ -193,6 +196,21 @@ class TestKpvFit:
         expansion = khatri_rao_cols(gamma2, np.eye(s2.n)) @ c
         np.testing.assert_allclose(model.nu, expansion, atol=1e-12)
 
+    def test_model_rebuilt_from_c(self):
+        s1, s2 = rng_dataset(17, 6), rng_dataset(18, 5)
+        specs = KernelSpecs.from_data(s1)
+        fit = stage1_fit(s1, specs, 1e-3)
+        model = kpv_fit(fit, s2, 1e-2)
+        assert model.c.shape == (5,)
+        rebuilt = kpv_model(fit, s2, model.c.tolist(), model.lam2)
+        np.testing.assert_array_equal(rebuilt.alpha, model.alpha)
+
+    def test_model_c_length_checked(self):
+        s1, s2 = rng_dataset(19, 4), rng_dataset(20, 3)
+        fit = stage1_fit(s1, KernelSpecs.from_data(s1), 1e-3)
+        with pytest.raises(ValueError, match="c has 4 values"):
+            kpv_model(fit, s2, np.zeros(4), 1e-2)
+
 
 class TestKpvEvaluation:
     def make_model(self, seed=17, m1=5, m2=4):
@@ -202,17 +220,14 @@ class TestKpvEvaluation:
 
     def test_h_zero_alpha(self):
         model = self.make_model()
-        zeroed = type(model)(stage1=model.stage1, sample2=model.sample2,
-                             alpha=np.zeros_like(model.alpha),
-                             lam2=model.lam2)
+        zeroed = replace(model, alpha=np.zeros_like(model.alpha))
         assert kpv_h(zeroed, 0.3, None, np.array([0.1, 0.2])) == 0.0
 
     def test_h_single_term(self):
         model = self.make_model()
         alpha = np.zeros_like(model.alpha)
         alpha[0, 0] = 1.0
-        single = type(model)(stage1=model.stage1, sample2=model.sample2,
-                             alpha=alpha, lam2=model.lam2)
+        single = replace(model, alpha=alpha)
         specs = model.stage1.specs
         a, w = 0.4, np.array([0.5, -0.5])
         expected = (
@@ -238,9 +253,7 @@ class TestKpvEvaluation:
 
     def test_ate_zero_alpha_is_zero(self):
         model = self.make_model()
-        zeroed = type(model)(stage1=model.stage1, sample2=model.sample2,
-                             alpha=np.zeros_like(model.alpha),
-                             lam2=model.lam2)
+        zeroed = replace(model, alpha=np.zeros_like(model.alpha))
         curve = kpv_ate(zeroed, [0.0, 1.0], np.empty((3, 0)),
                         np.zeros((3, 2)))
         np.testing.assert_array_equal(curve.estimate, 0.0)
@@ -372,6 +385,17 @@ class TestPipeline:
         m2 = fit_kpv(data, lam1=1e-3, lam2=1e-2, split_seed=5)
         np.testing.assert_array_equal(m1.alpha, m2.alpha)
         assert m1.stage1.m1 == 10 and m1.m2 == 10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_fit_kpv_minimum_rows(self, n):
+        with pytest.raises(ValueError,
+                           match=rf"at least 4 rows \(2 per stage\), got {n}"):
+            fit_kpv(rng_dataset(36, n))
+
+    def test_fit_kpv_four_rows_fit(self):
+        model = fit_kpv(rng_dataset(37, 4))
+        assert model.stage1.m1 == model.m2 == 2
+        assert np.isfinite(model.alpha).all()
 
     def test_woodbury_direct_equivalence_randomized(self):
         from tests.test_kpv import draw_wellposed_problem
