@@ -1,7 +1,14 @@
 """Kernel estimators for causal effect estimation with proxy variables."""
 
 from .data import Dataset, DoCurve, SchemaError
-from .kernels import KernelSpec, KernelSpecs, gram, hadamard, median_heuristic
+from .kernels import (
+    KernelSpec,
+    KernelSpecs,
+    gram,
+    hadamard,
+    median_heuristic,
+    product_gram,
+)
 from .numerics import (
     NystromFactors,
     khatri_rao_cols,
@@ -52,6 +59,7 @@ __all__ = [
     "gram",
     "hadamard",
     "median_heuristic",
+    "product_gram",
     "NystromFactors",
     "khatri_rao_cols",
     "nystrom",

@@ -2,9 +2,16 @@
 
 Every variable group carries one bandwidth per scalar coordinate, and the
 kernel over the group is the product of per-dimension Gaussian kernels
-exp(-(a_d - b_d)^2 / (2 sigma_d^2)). A group with zero columns (a null
-covariate set) has the constant kernel 1, so downstream formulas hold
+exp(-(a_d - b_d)^2 / (2 sigma_d^2)). A product over several groups is
+therefore one Gaussian over the concatenated columns with the concatenated
+bandwidths, so ``product_gram`` builds it as a single Gram matrix. A group
+with zero columns (a null covariate set) has the constant kernel 1: it
+contributes nothing to the concatenation, and downstream formulas hold
 verbatim.
+
+Bandwidths default to the median heuristic. The median of the n(n-1)/2
+pairwise distances of a column is selected exactly in O(n log n) time and
+O(n) memory from the sorted column, without forming the distances.
 """
 
 from __future__ import annotations
@@ -12,9 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from .data import Dataset
+
+# Pairs drawn per refinement round of the median selection; a bracket with
+# at most this many pairs (or 4 per point, if larger) is materialised.
+_PAIR_BUDGET = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -34,6 +44,19 @@ class KernelSpec:
         return self.bandwidths.shape[0]
 
 
+def _columns(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    return pts[:, None] if pts.ndim == 1 else pts
+
+
+def _check_dim(pa: np.ndarray, pb: np.ndarray, spec: KernelSpec) -> None:
+    if pa.shape[1] != spec.dim or pb.shape[1] != spec.dim:
+        raise ValueError(
+            f"dimension mismatch: points have {pa.shape[1]}/{pb.shape[1]} "
+            f"columns, spec has {spec.dim} bandwidths"
+        )
+
+
 def gram(points_a: np.ndarray, points_b: np.ndarray,
          spec: KernelSpec) -> np.ndarray:
     """Gram matrix of the Gaussian product kernel between two point sets.
@@ -48,30 +71,42 @@ def gram(points_a: np.ndarray, points_b: np.ndarray,
     -------
     ndarray of shape (n, m) with entries in (0, 1].
     """
-    pa = np.asarray(points_a, dtype=float)
-    pb = np.asarray(points_b, dtype=float)
-    if pa.ndim == 1:
-        pa = pa[:, None]
-    if pb.ndim == 1:
-        pb = pb[:, None]
-    if pa.shape[1] != spec.dim or pb.shape[1] != spec.dim:
-        raise ValueError(
-            f"dimension mismatch: points have {pa.shape[1]}/{pb.shape[1]} "
-            f"columns, spec has {spec.dim} bandwidths"
-        )
+    pa, pb = _columns(points_a), _columns(points_b)
+    _check_dim(pa, pb, spec)
     if spec.dim == 0:
         return np.ones((pa.shape[0], pb.shape[0]))
-    # Product of per-dimension Gaussians == Gaussian of the scaled
-    # squared Euclidean distance.
+    # Product of per-dimension Gaussians == Gaussian of the scaled squared
+    # Euclidean distance |sa|^2 - 2 sa.sb + |sb|^2, built in one n x m
+    # buffer.
     sa = pa / spec.bandwidths
     sb = pb / spec.bandwidths
-    sq = (
-        np.sum(sa**2, axis=1)[:, None]
-        - 2.0 * sa @ sb.T
-        + np.sum(sb**2, axis=1)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    return np.exp(-0.5 * sq)
+    out = sa @ sb.T
+    out *= -2.0
+    out += np.sum(sa**2, axis=1)[:, None]
+    out += np.sum(sb**2, axis=1)[None, :]
+    np.maximum(out, 0.0, out=out)
+    out *= -0.5
+    return np.exp(out, out=out)
+
+
+def product_gram(groups_a, groups_b, specs) -> np.ndarray:
+    """Gram matrix of the product kernel over several variable groups.
+
+    ``groups_a`` and ``groups_b`` hold one point block per group and
+    ``specs`` one :class:`KernelSpec` per group. The product of the group
+    kernels is the Gaussian over the concatenated columns with the
+    concatenated bandwidths, so this is one call to :func:`gram`;
+    zero-width groups (kernel 1) drop out of the concatenation.
+    """
+    blocks_a = [_columns(g) for g in groups_a]
+    blocks_b = [_columns(g) for g in groups_b]
+    if not len(blocks_a) == len(blocks_b) == len(specs):
+        raise ValueError("need one point block per group on each side and "
+                         "one spec per group")
+    for pa, pb, spec in zip(blocks_a, blocks_b, specs):
+        _check_dim(pa, pb, spec)
+    joint = KernelSpec(np.concatenate([s.bandwidths for s in specs]))
+    return gram(np.hstack(blocks_a), np.hstack(blocks_b), joint)
 
 
 def hadamard(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
@@ -87,15 +122,126 @@ def hadamard(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
     return g1 * g2
 
 
+class _PairGaps:
+    """Order statistics of the gaps cols[c, j] - cols[c, i] (i < j) over the
+    rows of ``cols``, each sorted ascending, without forming the gaps.
+
+    Flat row r = c * n + i pairs with the flat partners start[r] = r + 1 up
+    to end[r] = (c + 1) * n. A gap is the rounded difference exactly as
+    ``pdist`` forms it, and for a fixed row it grows with the partner.
+    """
+
+    def __init__(self, cols: np.ndarray):
+        self.cols = cols
+        self.flat = cols.ravel()
+        d, n = cols.shape
+        self.start = np.arange(1, d * n + 1)
+        self.end = np.repeat(np.arange(1, d + 1) * n, n)
+
+    def bounds(self, t: float) -> np.ndarray:
+        """Per flat row, one past its last partner whose gap is <= t."""
+        n = self.cols.shape[1]
+        first = np.arange(1, n + 1)
+        out = []
+        for c, x in enumerate(self.cols):
+            b = np.clip(np.searchsorted(x, x + t, side="right"), first, n)
+            # searchsorted compared each x[j] with the rounded x[i] + t, not
+            # the rounded x[j] - x[i] with t: move the boundaries across the
+            # (tied) values it misplaced.
+            while True:
+                up = np.flatnonzero(b < n)
+                up = up[x[b[up]] - x[up] <= t]
+                b[up] = np.searchsorted(x, x[b[up]], side="right")
+                down = np.flatnonzero(b > first)
+                down = down[x[b[down] - 1] - x[down] > t]
+                b[down] = np.maximum(
+                    np.searchsorted(x, x[b[down] - 1], side="left"), down + 1)
+                if not (up.size or down.size):
+                    break
+            out.append(b + c * n)
+        return np.concatenate(out)
+
+    def count(self, bounds: np.ndarray) -> int:
+        return int((bounds - self.start).sum())
+
+    def kth(self, k: int, rng: np.random.Generator) -> float:
+        """The k-th smallest gap (0-based).
+
+        Keeps a bracket of partners lo[r] <= j < hi[r] per row holding the
+        target. While it holds more pairs than the budget, a uniform sample
+        of bracket pairs proposes a narrower one, which exact counts either
+        confirm, resolve (the target equals a bracket end) or reject (a new
+        sample is drawn). The final bracket is partitioned directly.
+        """
+        lo, hi = self.start, self.end
+        budget = max(_PAIR_BUDGET, 4 * self.flat.size)
+        spread = 2.0 * np.sqrt(budget)   # 4 sd of a sample rank
+        while True:
+            sizes = hi - lo
+            total = int(sizes.sum())
+            rank = k - self.count(lo)
+            offsets = np.cumsum(sizes) - sizes
+            if total <= budget:
+                rows = np.repeat(np.arange(sizes.size), sizes)
+                j = lo[rows] + np.arange(total) - offsets[rows]
+                gaps = self.flat[j] - self.flat[rows]
+                return float(np.partition(gaps, rank)[rank])
+            # Sorted picks make the row lookup a near-linear merge.
+            picks = np.sort(rng.integers(0, total, size=budget))
+            rows = np.searchsorted(offsets, picks, side="right") - 1
+            gaps = (self.flat[lo[rows] + picks - offsets[rows]]
+                    - self.flat[rows])
+            centre = rank / total * budget
+            i_lo = int(np.floor(centre - spread))
+            i_hi = int(np.ceil(centre + spread))
+            # 4 * sqrt(budget) < budget: at least one end lies in the sample.
+            gaps = np.partition(gaps, [i for i in (i_lo, i_hi)
+                                       if 0 <= i < budget])
+            new_lo, new_hi = lo, hi
+            if i_lo >= 0:
+                t = gaps[i_lo]
+                new_lo = self.bounds(t)
+                if k < self.count(new_lo):
+                    if k >= self.count(self.bounds(np.nextafter(t, -np.inf))):
+                        return float(t)
+                    continue
+            if i_hi < budget:
+                t = gaps[i_hi]
+                new_hi = self.bounds(np.nextafter(t, -np.inf))
+                if k >= self.count(new_hi):
+                    if k < self.count(self.bounds(t)):
+                        return float(t)
+                    continue
+            lo, hi = new_lo, new_hi
+
+    def median(self) -> float:
+        """``np.median`` over all gaps' distances |gap| as ``pdist`` reports
+        them, i.e. sqrt(gap**2)."""
+        d, n = self.cols.shape
+        count = d * (n * (n - 1) // 2)
+        k = (count - 1) // 2
+        middle = [self.kth(k, np.random.default_rng(0))]
+        if count % 2 == 0:
+            b = self.bounds(middle[0])
+            if self.count(b) > k + 1:
+                middle.append(middle[0])
+            else:
+                rows = np.flatnonzero(b < self.end)
+                middle.append((self.flat[b[rows]] - self.flat[rows]).min())
+        return float(np.mean(np.sqrt(np.square(middle))))
+
+
 def median_heuristic(points: np.ndarray) -> KernelSpec:
     """Per-dimension median of pairwise absolute coordinate differences.
 
     A dimension whose median distance is zero (constant column) falls back
     to the median pooled over all dimensions, and to 1.0 if that is also
-    zero. The pooled median is computed only when such a dimension
-    exists: the distances are recomputed then rather than kept for every
-    call, which saves the concatenation and the second median over all
-    n(n-1)/2 x d pairs in the common case.
+    zero. The medians equal ``np.median`` over ``pdist`` of the column (or
+    of every column, pooled) to the last bit, but are selected from the
+    sorted columns: exact pair counts below a threshold come from
+    ``searchsorted``, a fixed-seed sample of pairs proposes ever narrower
+    brackets around the middle rank, and only a bracket of O(n) pairs is
+    ever formed. Time is O(n log n) per column and memory O(n).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -104,15 +250,13 @@ def median_heuristic(points: np.ndarray) -> KernelSpec:
         raise ValueError("median heuristic needs at least 2 points")
     if pts.shape[1] == 0:
         return KernelSpec(np.empty(0))
-    columns = range(pts.shape[1])
-
-    def pair_distances(d):
-        return pdist(pts[:, d:d + 1], metric="euclidean")
-
-    medians = np.array([np.median(pair_distances(d)) for d in columns])
+    if not np.isfinite(pts).all():
+        raise ValueError("median heuristic needs finite points")
+    cols = np.sort(pts.T, axis=1)
+    medians = np.array([_PairGaps(cols[d:d + 1]).median()
+                        for d in range(cols.shape[0])])
     if (medians <= 0.0).any():
-        pooled = np.median(np.concatenate([pair_distances(d)
-                                           for d in columns]))
+        pooled = _PairGaps(cols).median()
         medians[medians <= 0.0] = pooled if pooled > 0.0 else 1.0
     return KernelSpec(medians)
 

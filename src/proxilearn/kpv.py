@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .data import Dataset, DoCurve, query_block
-from .kernels import KernelSpecs, gram, hadamard
+from .kernels import KernelSpecs, gram, product_gram
 from .numerics import argmin_ties_larger, loo_path, psd_factor, solve_psd
 
 # Default ridge grids. The leave-one-out curves of both stages are nearly
@@ -44,9 +44,8 @@ class Stage1Fit:
 
 
 def _gram_axz(sample_left: Dataset, a, x, z, specs: KernelSpecs) -> np.ndarray:
-    out = gram(sample_left.a, a, specs.a)
-    out = hadamard(out, gram(sample_left.x, x, specs.x))
-    return hadamard(out, gram(sample_left.z, z, specs.z))
+    return product_gram((sample_left.a, sample_left.x, sample_left.z),
+                        (a, x, z), (specs.a, specs.x, specs.z))
 
 
 def stage1_fit(sample1: Dataset, specs: KernelSpecs,
@@ -112,9 +111,9 @@ class KpvModel:
 
 def _stage2_sigma(fit: Stage1Fit, sample2: Dataset):
     gamma2 = stage1_embedding(fit, sample2.a, sample2.x, sample2.z)
-    k_ax2 = hadamard(gram(sample2.a, sample2.a, fit.specs.a),
-                     gram(sample2.x, sample2.x, fit.specs.x))
-    sigma = hadamard(gamma2.T @ fit.k_ww @ gamma2, k_ax2)
+    sigma = gamma2.T @ fit.k_ww @ gamma2
+    sigma *= product_gram((sample2.a, sample2.x), (sample2.a, sample2.x),
+                          (fit.specs.a, fit.specs.x))
     return gamma2, sigma
 
 
@@ -164,8 +163,8 @@ def kpv_h(model: KpvModel, a, x, w):
     xq = query_block(x, model.sample2.x.shape[1], "x", aq.shape[0])
     wq = query_block(w, model.stage1.sample.w.shape[1], "w", aq.shape[0])
     u = gram(model.stage1.sample.w, wq, specs.w)            # m1 x nq
-    v = hadamard(gram(model.sample2.a, aq, specs.a),
-                 gram(model.sample2.x, xq, specs.x))        # m2 x nq
+    v = product_gram((model.sample2.a, model.sample2.x), (aq, xq),
+                     (specs.a, specs.x))                    # m2 x nq
     vals = np.einsum("iq,ij,jq->q", u, model.alpha, v)
     return float(vals[0]) if single else vals
 
@@ -185,8 +184,13 @@ def kpv_ate(model: KpvModel, a_grid, x_adjust, w_adjust) -> DoCurve:
         raise ValueError("adjustment sample is empty")
     a_grid = np.asarray(a_grid, dtype=float).ravel()
     b = gram(model.stage1.sample.w, wq, specs.w)             # m1 x nt
-    c2 = gram(model.sample2.x, xq, specs.x)                  # m2 x nt
-    t = ((model.alpha.T @ b) * c2).sum(axis=1) / nt          # m2
+    if specs.x.dim:
+        t = model.alpha.T @ b                                # m2 x nt
+        t *= gram(model.sample2.x, xq, specs.x)
+        t = t.mean(axis=1)                                   # m2
+    else:
+        # k(x_k, x_j) = 1: the mean over adjustment rows moves inside.
+        t = model.alpha.T @ b.mean(axis=1)
     s = gram(model.sample2.a, a_grid[:, None], specs.a)      # m2 x g
     return DoCurve(grid=a_grid, estimate=s.T @ t)
 
@@ -255,16 +259,26 @@ def kpv_select_lambdas(
     The two stages are tuned independently; ties break toward the larger
     candidate.
     """
-    lam1_grid = np.atleast_1d(np.asarray(lam1_grid, dtype=float))
-    lam2_grid = np.atleast_1d(np.asarray(lam2_grid, dtype=float))
-    if (lam1_grid <= 0).any() or (lam2_grid <= 0).any():
-        raise ValueError("grids must contain positive values")
-    lam1 = argmin_ties_larger(
-        lam1_grid, stage1_loo_scores(sample1, specs, lam1_grid))
+    lam1 = _select_lam1(sample1, specs, lam1_grid)
     fit = stage1_fit(sample1, specs, lam1)
-    lam2 = argmin_ties_larger(
-        lam2_grid, stage2_loo_scores(fit, sample2, lam2_grid))
-    return lam1, lam2
+    return lam1, _select_lam2(fit, sample2, lam2_grid)
+
+
+def _grid(values) -> np.ndarray:
+    grid = np.atleast_1d(np.asarray(values, dtype=float))
+    if (grid <= 0).any():
+        raise ValueError("grids must contain positive values")
+    return grid
+
+
+def _select_lam1(sample1: Dataset, specs: KernelSpecs, lam1_grid) -> float:
+    grid = _grid(lam1_grid)
+    return argmin_ties_larger(grid, stage1_loo_scores(sample1, specs, grid))
+
+
+def _select_lam2(fit: Stage1Fit, sample2: Dataset, lam2_grid) -> float:
+    grid = _grid(lam2_grid)
+    return argmin_ties_larger(grid, stage2_loo_scores(fit, sample2, grid))
 
 
 def fit_kpv(
@@ -280,7 +294,9 @@ def fit_kpv(
 
     The data is split 50/50 into the two stage subsamples by a seeded
     shuffle; bandwidths default to the median heuristic on the full data
-    and missing ridge parameters are grid-searched.
+    and missing ridge parameters are grid-searched by their leave-one-out
+    scores, as in ``kpv_select_lambdas``. Stage 2 is always tuned against
+    the stage-1 fit it is solved with, so stage 1 is fitted once.
     """
     if data.n < 4:
         raise ValueError(
@@ -288,10 +304,9 @@ def fit_kpv(
     if specs is None:
         specs = KernelSpecs.from_data(data)
     sample1, sample2 = data.split_half(split_seed)
-    if lam1 is None or lam2 is None:
-        sel1, sel2 = kpv_select_lambdas(
-            sample1, sample2, specs, lam1_grid, lam2_grid)
-        lam1 = sel1 if lam1 is None else lam1
-        lam2 = sel2 if lam2 is None else lam2
+    if lam1 is None:
+        lam1 = _select_lam1(sample1, specs, lam1_grid)
     fit = stage1_fit(sample1, specs, lam1)
+    if lam2 is None:
+        lam2 = _select_lam2(fit, sample2, lam2_grid)
     return kpv_fit(fit, sample2, lam2)

@@ -24,12 +24,17 @@ def psd_factor(m: np.ndarray, ridge: float):
         raise ValueError("matrix must be square")
     if not ridge > 0:
         raise ValueError("ridge must be positive")
-    eye = np.eye(m.shape[0])
+
+    def factor(diagonal):
+        # One Fortran-ordered copy, which LAPACK factors in place.
+        shifted = np.array(m, order="F")
+        shifted[np.diag_indices_from(shifted)] += diagonal
+        return scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True)
+
     try:
-        return scipy.linalg.cho_factor(m + ridge * eye, lower=True)
+        return factor(ridge)
     except np.linalg.LinAlgError:
-        jittered = ridge * (1.0 + 1e-8) + 1e-10
-        return scipy.linalg.cho_factor(m + jittered * eye, lower=True)
+        return factor(ridge * (1.0 + 1e-8) + 1e-10)
 
 
 def solve_psd(m: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
@@ -122,9 +127,9 @@ def nystrom(k: np.ndarray, rank: int, landmark_seed: int = 0) -> NystromFactors:
         raise ValueError(f"rank must be in [1, {n}], got {rank}")
     rng = np.random.default_rng(landmark_seed)
     landmarks = np.sort(rng.choice(n, size=rank, replace=False))
-    scaled = k / float(n) ** 2
-    block = scaled[np.ix_(landmarks, landmarks)]
-    eigvals, eigvecs = np.linalg.eigh(block)
+    columns = k[:, landmarks]
+    columns /= float(n) ** 2
+    eigvals, eigvecs = np.linalg.eigh(columns[landmarks])
     keep = eigvals > EIGENVALUE_FLOOR
     if not keep.any():
         raise np.linalg.LinAlgError(
@@ -132,7 +137,7 @@ def nystrom(k: np.ndarray, rank: int, landmark_seed: int = 0) -> NystromFactors:
         )
     eigvals = eigvals[keep]
     eigvecs = eigvecs[:, keep]
-    u = scaled[:, landmarks] @ (eigvecs / eigvals)
+    u = columns @ (eigvecs / eigvals)
     return NystromFactors(u=u, v=eigvals, landmarks=landmarks)
 
 

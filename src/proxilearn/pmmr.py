@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .data import Dataset, DoCurve, query_block
-from .kernels import KernelSpecs, gram, hadamard
+from .kernels import KernelSpecs, gram, product_gram
 from .numerics import (
     argmin_ties_larger,
     nystrom,
@@ -69,17 +69,15 @@ class PmmrModel:
 
 def h_side_gram(left: Dataset, right: Dataset, specs: KernelSpecs) -> np.ndarray:
     """Gram matrix of the kernel on (A, W, X) between two samples."""
-    out = gram(left.a, right.a, specs.a)
-    out = hadamard(out, gram(left.w, right.w, specs.w))
-    return hadamard(out, gram(left.x, right.x, specs.x))
+    return product_gram((left.a, left.w, left.x), (right.a, right.w, right.x),
+                        (specs.a, specs.w, specs.x))
 
 
 def instrument_gram(left: Dataset, right: Dataset,
                     specs: KernelSpecs) -> np.ndarray:
     """Gram matrix of the kernel on (A, Z, X) between two samples."""
-    out = gram(left.a, right.a, specs.a)
-    out = hadamard(out, gram(left.z, right.z, specs.z))
-    return hadamard(out, gram(left.x, right.x, specs.x))
+    return product_gram((left.a, left.z, left.x), (right.a, right.z, right.x),
+                        (specs.a, specs.z, specs.x))
 
 
 def _jitter(l_gram: np.ndarray) -> float:
@@ -88,20 +86,32 @@ def _jitter(l_gram: np.ndarray) -> float:
 
 def jittered_l(l_gram: np.ndarray) -> np.ndarray:
     """L with the stabilizing diagonal used inside the normal equations."""
-    return l_gram + _jitter(l_gram) * np.eye(l_gram.shape[0])
+    out = np.array(l_gram, dtype=float)
+    out[np.diag_indices_from(out)] += _jitter(l_gram)
+    return out
 
 
 def _reduced_system(l_gram, w_gram, y):
-    """R, R' W R and R' W y for the jittered L = R R' (R lower)."""
+    """R, R' W R and R' W y for the jittered L = R R' (R lower).
+
+    Takes over both Grams: W is released once W R is formed, and L is
+    jittered and factored in place. Its transpose is the Fortran-ordered
+    matrix whose upper triangle holds L's lower one, so LAPACK's U'U
+    factor of it, read back through the transpose, is R.
+    """
+    jitter = _jitter(l_gram)
+    l_gram[np.diag_indices_from(l_gram)] += jitter
     try:
-        factor, _ = scipy.linalg.cho_factor(jittered_l(l_gram), lower=True,
-                                            overwrite_a=True)
+        u, _ = scipy.linalg.cho_factor(l_gram.T, lower=False,
+                                       overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"h-side Gram L is not positive definite even with diagonal "
-            f"jitter {_jitter(l_gram):.3g}") from exc
-    r = np.tril(factor)
+            f"jitter {jitter:.3g}") from exc
+    r = u.T
+    r *= np.tri(*r.shape, dtype=bool)     # clear L's strict upper triangle
     wr = w_gram @ r
+    del w_gram
     return r, r.T @ wr, wr.T @ y
 
 
@@ -112,9 +122,8 @@ def pmmr_fit(data: Dataset, specs: KernelSpecs, lam: float) -> PmmrModel:
         raise ValueError("need at least 1 training point")
     if not lam > 0:
         raise ValueError("lam must be positive")
-    l_gram = h_side_gram(data, data, specs)
-    w_gram = instrument_gram(data, data, specs)
-    r, rwr, rwy = _reduced_system(l_gram, w_gram, data.y)
+    r, rwr, rwy = _reduced_system(h_side_gram(data, data, specs),
+                                  instrument_gram(data, data, specs), data.y)
     rwr[np.diag_indices_from(rwr)] += lam
     beta = scipy.linalg.cho_solve(
         scipy.linalg.cho_factor(rwr, lower=True, overwrite_a=True), rwy)
@@ -134,11 +143,10 @@ def pmmr_fit_nystrom(data: Dataset, specs: KernelSpecs, lam: float,
         raise ValueError(f"rank must be in [1, {data.n}]")
     if not lam > 0:
         raise ValueError("lam must be positive")
-    l_gram = h_side_gram(data, data, specs)
-    w_gram = instrument_gram(data, data, specs)
-    factors = nystrom(w_gram, rank, landmark_seed)
+    factors = nystrom(instrument_gram(data, data, specs), rank, landmark_seed)
     alpha = woodbury_regularized_inverse_apply(
-        jittered_l(l_gram), factors, lam / float(data.n) ** 2, data.y)
+        jittered_l(h_side_gram(data, data, specs)), factors,
+        lam / float(data.n) ** 2, data.y)
     return PmmrModel(sample=data, specs=specs, alpha=alpha, lam=lam)
 
 
@@ -171,8 +179,8 @@ def pmmr_ate(model: PmmrModel, a_grid, x_adjust, w_adjust) -> DoCurve:
     if nt == 0:
         raise ValueError("adjustment sample is empty")
     a_grid = np.asarray(a_grid, dtype=float).ravel()
-    kw = hadamard(gram(model.sample.w, wq, model.specs.w),
-                  gram(model.sample.x, xq, model.specs.x))   # n x nt
+    kw = product_gram((model.sample.w, model.sample.x), (wq, xq),
+                      (model.specs.w, model.specs.x))        # n x nt
     ka = gram(model.sample.a, a_grid[:, None], model.specs.a)  # n x g
     weights = kw.mean(axis=1) * model.alpha                  # n
     return DoCurve(grid=a_grid, estimate=ka.T @ weights)

@@ -1,8 +1,48 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
-from proxilearn.kernels import KernelSpec, KernelSpecs, gram, hadamard, median_heuristic
+from proxilearn.kernels import (
+    KernelSpec,
+    KernelSpecs,
+    gram,
+    hadamard,
+    median_heuristic,
+    product_gram,
+)
 from tests.conftest import rng_dataset
+
+
+def pdist_median_heuristic(pts):
+    """Reference: per-column median of the full pdist, with the pooled
+    median over all columns for zero-median columns."""
+    columns = [pdist(pts[:, d:d + 1]) for d in range(pts.shape[1])]
+    medians = np.array([np.median(c) for c in columns])
+    if (medians <= 0).any():
+        pooled = np.median(np.concatenate(columns))
+        medians[medians <= 0] = pooled if pooled > 0 else 1.0
+    return medians
+
+
+def median_case(kind, n, rng):
+    if kind == "normal":
+        return rng.normal(size=(n, 3)) * [1.0, 5.0, 0.01]
+    if kind == "ties":
+        return rng.integers(0, 3, size=(n, 3)).astype(float)
+    if kind == "rounded":
+        return np.round(rng.normal(size=(n, 3)), 1)
+    if kind == "offset":
+        return 1e6 + 1e-3 * rng.normal(size=(n, 3))
+    if kind == "half-constant":
+        pts = rng.normal(size=(n, 3))
+        pts[:n // 2 + 1] = 0.7
+        return pts
+    constant = int(kind[-1])           # "constant-k": k constant columns
+    pts = rng.normal(size=(n, 3))
+    pts[:, :constant] = [1.5, -2.0, 0.25][:constant]
+    return pts
 
 
 class TestGram:
@@ -75,6 +115,20 @@ class TestGram:
             gram(pa, pb, spec), gram(pa * factor, pb * factor, scaled),
             rtol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 5, 1), (40, 30, 3)])
+    def test_in_place_matches_expression(self, shape):
+        # Reference: the temporaries-allocating expression the in-place
+        # arithmetic replaced; the operations are the same, so the bits are.
+        n, m, d = shape
+        rng = np.random.default_rng(11)
+        pa, pb = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        spec = KernelSpec(rng.uniform(0.5, 2.0, size=d))
+        sa, sb = pa / spec.bandwidths, pb / spec.bandwidths
+        sq = (np.sum(sa**2, axis=1)[:, None] - 2.0 * sa @ sb.T
+              + np.sum(sb**2, axis=1)[None, :])
+        np.maximum(sq, 0.0, out=sq)
+        np.testing.assert_array_equal(gram(pa, pb, spec), np.exp(-0.5 * sq))
+
     def test_psd_via_jittered_cholesky(self):
         rng = np.random.default_rng(6)
         pts = rng.normal(size=(20, 2))
@@ -103,6 +157,27 @@ class TestHadamard:
         g2 = gram(p2, p2, KernelSpec([0.5, 2.0]))
         product = hadamard(g1, g2)
         assert np.linalg.eigvalsh(product).min() >= -1e-8
+
+
+class TestProductGram:
+    @pytest.mark.parametrize("widths", [(1, 0, 2), (1, 2, 3), (0, 0, 0)])
+    def test_matches_hadamard_of_group_grams(self, widths):
+        rng = np.random.default_rng(12)
+        left = [rng.normal(size=(9, d)) for d in widths]
+        right = [rng.normal(size=(6, d)) for d in widths]
+        specs = [KernelSpec(rng.uniform(0.5, 2.0, size=d)) for d in widths]
+        expected = np.ones((9, 6))
+        for pa, pb, spec in zip(left, right, specs):
+            expected = hadamard(expected, gram(pa, pb, spec))
+        np.testing.assert_allclose(product_gram(left, right, specs),
+                                   expected, rtol=1e-12)
+
+    def test_group_width_checked_per_group(self):
+        # Concatenated widths agree (3 == 3), but each group's does not.
+        pts = [np.ones((2, 2)), np.ones((2, 1))]
+        specs = [KernelSpec([1.0]), KernelSpec([1.0, 1.0])]
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            product_gram(pts, pts, specs)
 
 
 class TestMedianHeuristic:
@@ -150,6 +225,30 @@ class TestMedianHeuristic:
         expected[expected <= 0] = pooled if pooled > 0 else 1.0
         np.testing.assert_array_equal(median_heuristic(pts).bandwidths,
                                       expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 50, 2000])
+    @pytest.mark.parametrize("kind", [
+        "normal", "ties", "rounded", "offset", "half-constant",
+        "constant-0", "constant-1", "constant-2", "constant-3"])
+    def test_matches_pdist_median_exactly(self, kind, n):
+        pts = median_case(kind, n, np.random.default_rng(n))
+        np.testing.assert_array_equal(median_heuristic(pts).bandwidths,
+                                      pdist_median_heuristic(pts))
+
+    def test_memory_is_linear_in_n(self):
+        # pdist would need 1.6 GB for one column at n = 20000.
+        pts = np.random.default_rng(13).normal(size=(20_000, 1))
+        tracemalloc.start()
+        try:
+            median_heuristic(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+    def test_nonfinite_points_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            median_heuristic(np.array([[0.0], [np.nan], [1.0]]))
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError, match="at least 2"):

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from proxilearn import kpv
 from proxilearn.data import Dataset
 from proxilearn.kernels import KernelSpec, KernelSpecs, gram, hadamard
 from proxilearn.kpv import (
@@ -18,7 +19,7 @@ from proxilearn.kpv import (
     stage1_predict_w,
     stage2_loo_scores,
 )
-from proxilearn.numerics import khatri_rao_cols
+from proxilearn.numerics import argmin_ties_larger, khatri_rao_cols
 from tests.conftest import rng_dataset
 
 
@@ -378,6 +379,37 @@ class TestPipeline:
         model = kpv_fit(fit, data, 1e-2)
         assert np.isfinite(model.nu).all()
         assert model.stage1.m1 == model.m2 == 12
+
+    def test_fit_kpv_tunes_lam2_against_given_lam1(self):
+        # The stage-1 search would pick 0.1 here; stage 2 must be scored
+        # against the stage-1 fit at the given lam1 = 1, which it is
+        # solved with.
+        data = rng_dataset(40, 40)
+        grid1, grid2 = np.logspace(-6, 0, 7), np.logspace(-4, 1, 11)
+        specs = KernelSpecs.from_data(data)
+        s1, s2 = data.split_half(0)
+        searched = argmin_ties_larger(grid1,
+                                      stage1_loo_scores(s1, specs, grid1))
+        assert searched != 1.0
+        expected = argmin_ties_larger(
+            grid2, stage2_loo_scores(stage1_fit(s1, specs, 1.0), s2, grid2))
+        model = fit_kpv(data, lam1=1.0, lam1_grid=grid1, lam2_grid=grid2)
+        assert model.stage1.lam1 == 1.0
+        assert model.lam2 == expected
+
+    @pytest.mark.parametrize("lam1, lam2", [(None, None), (1.0, None),
+                                            (None, 1e-2), (1e-3, 1e-2)])
+    def test_fit_kpv_fits_stage1_once(self, monkeypatch, lam1, lam2):
+        calls = []
+        real = kpv.stage1_fit
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kpv, "stage1_fit", counted)
+        fit_kpv(rng_dataset(41, 20), lam1=lam1, lam2=lam2)
+        assert len(calls) == 1
 
     def test_fit_kpv_splits_and_is_deterministic(self):
         data = rng_dataset(34, 20)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from proxilearn.kernels import KernelSpec, gram
 from proxilearn.numerics import (
@@ -7,6 +8,7 @@ from proxilearn.numerics import (
     khatri_rao_cols,
     loo_path,
     nystrom,
+    psd_factor,
     solve_psd,
     woodbury_regularized_inverse_apply,
 )
@@ -48,6 +50,18 @@ class TestSolvePsd:
         m = np.diag([1.0, -5.0])
         with pytest.raises(np.linalg.LinAlgError):
             solve_psd(m, 1e-3, np.ones(2))
+
+    def test_factor_matches_identity_shift(self):
+        # Reference: the factor of m + ridge * I formed with an n x n
+        # identity; the diagonal shift of one copy factors the same matrix.
+        rng = np.random.default_rng(3)
+        pts = rng.normal(size=(40, 2))
+        m = gram(pts, pts, KernelSpec([0.7, 1.3]))
+        factor, lower = psd_factor(m, 1e-6)
+        expected, _ = scipy.linalg.cho_factor(m + 1e-6 * np.eye(40),
+                                              lower=True)
+        assert lower
+        np.testing.assert_array_equal(np.tril(factor), np.tril(expected))
 
 
 def dense_loo_scores(eigvals, eigvecs, y, lam_grid):
@@ -158,6 +172,20 @@ class TestNystrom:
         rel = (np.linalg.norm(scaled - factors.reconstruct())
                / np.linalg.norm(scaled))
         assert rel <= 1e-8
+
+    def test_matches_fully_scaled_reference(self):
+        # Reference: scale the whole matrix by 1/n^2, then take the
+        # landmark block and columns; scaling only those gives the same bits.
+        rng = np.random.default_rng(6)
+        k = _rbf_gram(rng.normal(size=(40, 1)))
+        factors = nystrom(k, rank=12, landmark_seed=3)
+        scaled = k / 40.0**2
+        lm = factors.landmarks
+        eigvals, eigvecs = np.linalg.eigh(scaled[np.ix_(lm, lm)])
+        keep = eigvals > 1e-12
+        np.testing.assert_array_equal(factors.v, eigvals[keep])
+        np.testing.assert_array_equal(
+            factors.u, scaled[:, lm] @ (eigvecs[:, keep] / eigvals[keep]))
 
     def test_rank_one_matrix(self):
         v = np.array([1.0, 2.0, -1.5, 0.7])

@@ -6,6 +6,7 @@ from proxilearn.data import Dataset
 from proxilearn.kernels import KernelSpecs
 from proxilearn.pmmr import (
     DEFAULT_LAMBDA_GRID,
+    _reduced_system,
     fit_pmmr,
     h_side_gram,
     instrument_gram,
@@ -108,6 +109,26 @@ class TestPmmrFit:
         rel = (np.linalg.norm(l_jit @ model.alpha - expected)
                / np.linalg.norm(expected))
         assert rel <= 1e-9
+
+    def test_jittered_l_matches_identity_shift(self):
+        data = rng_dataset(4, 12)
+        l_gram = h_side_gram(data, data, KernelSpecs.from_data(data))
+        jitter = 1e-8 * np.trace(l_gram) / 12
+        np.testing.assert_array_equal(jittered_l(l_gram),
+                                      l_gram + jitter * np.eye(12))
+
+    def test_reduced_system_factors_l_in_place(self):
+        data = rng_dataset(4, 12)
+        specs = KernelSpecs.from_data(data)
+        l_gram = h_side_gram(data, data, specs)
+        l_jit = jittered_l(l_gram)
+        w_gram = instrument_gram(data, data, specs)
+        r, rwr, rwy = _reduced_system(l_gram, w_gram.copy(), data.y)
+        assert np.shares_memory(r, l_gram)
+        np.testing.assert_array_equal(r, np.tril(r))
+        np.testing.assert_allclose(r @ r.T, l_jit, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rwr, r.T @ w_gram @ r, atol=1e-12)
+        np.testing.assert_allclose(rwy, r.T @ w_gram @ data.y, atol=1e-12)
 
     def test_first_order_stationarity(self):
         data = rng_dataset(5, 9)
