@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset, DoCurve
 from .kernels import KernelSpec, KernelSpecs, gram, median_heuristic
-from .numerics import argmin_ties_larger, loo_path, solve_psd
+from .numerics import argmin_ties_larger, eigh_in_place, loo_path, solve_psd
 
 DEFAULT_RIDGE_GRID = np.logspace(-7, 1, 25)
 
@@ -52,8 +52,7 @@ def ridge_loo_scores(inputs: np.ndarray, y: np.ndarray, spec: KernelSpec,
     if inputs.ndim == 1:
         inputs = inputs[:, None]
     y = np.asarray(y, dtype=float).ravel()
-    k = gram(inputs, inputs, spec)
-    eigvals, eigvecs = np.linalg.eigh(k)
+    eigvals, eigvecs = eigh_in_place(gram(inputs, inputs, spec))
     return loo_path(eigvals, eigvecs, y, lam_grid)
 
 

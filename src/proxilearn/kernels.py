@@ -9,6 +9,10 @@ with zero columns (a null covariate set) has the constant kernel 1: it
 contributes nothing to the concatenation, and downstream formulas hold
 verbatim.
 
+A Gram matrix is filled one block of rows at a time, each block small
+enough (about 1 MiB) to stay in cache through the whole distance-to-kernel
+sequence, so the n x m result passes through main memory once.
+
 Bandwidths default to the median heuristic. The median of the n(n-1)/2
 pairwise distances of a column is selected exactly in O(n log n) time and
 O(n) memory from the sorted column, without forming the distances.
@@ -21,6 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
+
+# Bytes of output filled per block of rows in ``gram``: about L2-sized.
+_BLOCK_BYTES = 1 << 20
 
 # Pairs drawn per refinement round of the median selection; a bracket with
 # at most this many pairs (or 4 per point, if larger) is materialised.
@@ -76,17 +83,28 @@ def gram(points_a: np.ndarray, points_b: np.ndarray,
     if spec.dim == 0:
         return np.ones((pa.shape[0], pb.shape[0]))
     # Product of per-dimension Gaussians == Gaussian of the scaled squared
-    # Euclidean distance |sa|^2 - 2 sa.sb + |sb|^2, built in one n x m
-    # buffer.
+    # Euclidean distance |sa|^2 - 2 sa.sb + |sb|^2. Each block of rows runs
+    # the whole sequence while it is in cache. Blocks hold at least two
+    # rows, so every block is a matrix product, as the whole Gram would be.
     sa = pa / spec.bandwidths
     sb = pb / spec.bandwidths
-    out = sa @ sb.T
-    out *= -2.0
-    out += np.sum(sa**2, axis=1)[:, None]
-    out += np.sum(sb**2, axis=1)[None, :]
-    np.maximum(out, 0.0, out=out)
-    out *= -0.5
-    return np.exp(out, out=out)
+    sq_a = np.sum(sa**2, axis=1)[:, None]
+    sq_b = np.sum(sb**2, axis=1)
+    n, m = sa.shape[0], sb.shape[0]
+    out = np.empty((n, m))
+    rows = max(2, _BLOCK_BYTES // (8 * max(m, 1)))
+    blocks = max(1, n // rows)     # each has >= rows rows, or all n
+    edges = [n * i // blocks for i in range(blocks + 1)]
+    for lo, hi in zip(edges, edges[1:]):
+        block = out[lo:hi]
+        np.matmul(sa[lo:hi], sb.T, out=block)
+        block *= -2.0
+        block += sq_a[lo:hi]
+        block += sq_b
+        np.maximum(block, 0.0, out=block)
+        block *= -0.5
+        np.exp(block, out=block)
+    return out
 
 
 def product_gram(groups_a, groups_b, specs) -> np.ndarray:

@@ -18,7 +18,13 @@ import scipy.sparse.linalg
 
 from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, gram, product_gram
-from .numerics import argmin_ties_larger, loo_path, psd_factor, solve_psd
+from .numerics import (
+    argmin_ties_larger,
+    eigh_in_place,
+    loo_path,
+    psd_factor,
+    solve_psd,
+)
 
 # Default ridge grids. The leave-one-out curves of both stages are nearly
 # flat on the over-smoothing side (stage 1) and favor interpolation when
@@ -110,6 +116,8 @@ class KpvModel:
 
 
 def _stage2_sigma(fit: Stage1Fit, sample2: Dataset):
+    """The stage-1 embedding Gamma of ``sample2`` and the stage-2 matrix
+    Sigma_qp = (Gamma_q' K_WW Gamma_p) * k(a_q, a_p) * k(x_q, x_p)."""
     gamma2 = stage1_embedding(fit, sample2.a, sample2.x, sample2.z)
     sigma = gamma2.T @ fit.k_ww @ gamma2
     sigma *= product_gram((sample2.a, sample2.x), (sample2.a, sample2.x),
@@ -135,18 +143,21 @@ def kpv_model(fit: Stage1Fit, sample2: Dataset, c, lam2: float,
                     lam2=lam2, c=c)
 
 
-def kpv_fit(fit: Stage1Fit, sample2: Dataset, lam2: float) -> KpvModel:
+def kpv_fit(fit: Stage1Fit, sample2: Dataset, lam2: float,
+            system=None) -> KpvModel:
     """Second-stage ridge solution from the m2 x m2 system.
 
     Solves (m2*lam2*I + Sigma) c = y with
     Sigma_qp = (Gamma_q' K_WW Gamma_p) * k(a_q, a_p) * k(x_q, x_p) and
-    expands c into alpha with ``kpv_model``.
+    expands c into alpha with ``kpv_model``. ``system`` is the pair
+    (Gamma, Sigma) of ``fit`` on ``sample2``, built here when not given;
+    it is not modified.
     """
     if not lam2 > 0:
         raise ValueError("lam2 must be positive")
     if sample2.n < 1:
         raise ValueError("stage 2 needs at least 1 point")
-    gamma2, sigma = _stage2_sigma(fit, sample2)
+    gamma2, sigma = _stage2_sigma(fit, sample2) if system is None else system
     c = solve_psd(sigma, sample2.n * lam2, sample2.y)
     return kpv_model(fit, sample2, c, lam2, gamma2=gamma2)
 
@@ -165,7 +176,7 @@ def kpv_h(model: KpvModel, a, x, w):
     u = gram(model.stage1.sample.w, wq, specs.w)            # m1 x nq
     v = product_gram((model.sample2.a, model.sample2.x), (aq, xq),
                      (specs.a, specs.x))                    # m2 x nq
-    vals = np.einsum("iq,ij,jq->q", u, model.alpha, v)
+    vals = ((model.alpha @ v) * u).sum(axis=0)
     return float(vals[0]) if single else vals
 
 
@@ -211,7 +222,7 @@ def stage1_loo_scores(sample1: Dataset, specs: KernelSpecs,
         raise ValueError("stage 1 needs at least 2 points")
     k_axz = _gram_axz(sample1, sample1.a, sample1.x, sample1.z, specs)
     k_ww = gram(sample1.w, sample1.w, specs.w)
-    eigvals, eigvecs = np.linalg.eigh(k_axz)
+    eigvals, eigvecs = eigh_in_place(k_axz)
     c = eigvecs.T @ k_ww @ eigvecs
     sq = eigvecs * eigvecs
     # A fixed start vector keeps the scores independent of ARPACK's
@@ -236,14 +247,18 @@ def stage1_loo_scores(sample1: Dataset, specs: KernelSpecs,
 
 
 def stage2_loo_scores(fit: Stage1Fit, sample2: Dataset,
-                      lam2_grid) -> np.ndarray:
+                      lam2_grid, system=None) -> np.ndarray:
     """Closed-form leave-one-out score of each stage-2 ridge candidate.
 
     score(lam) = ||T^{-1} H y||_2^2 / m2 with the m2 x m2 residual
     operator H = I - Sigma (m2 lam I + Sigma)^{-1} and T = diag(H).
+    ``system`` is as in ``kpv_fit``; its Sigma is copied, not modified.
     """
-    _, sigma = _stage2_sigma(fit, sample2)
-    eigvals, eigvecs = np.linalg.eigh(sigma)
+    if system is None:
+        _, sigma = _stage2_sigma(fit, sample2)
+    else:
+        sigma = system[1].copy()
+    eigvals, eigvecs = eigh_in_place(sigma)
     return loo_path(eigvals, eigvecs, sample2.y, lam2_grid)
 
 
@@ -276,9 +291,11 @@ def _select_lam1(sample1: Dataset, specs: KernelSpecs, lam1_grid) -> float:
     return argmin_ties_larger(grid, stage1_loo_scores(sample1, specs, grid))
 
 
-def _select_lam2(fit: Stage1Fit, sample2: Dataset, lam2_grid) -> float:
+def _select_lam2(fit: Stage1Fit, sample2: Dataset, lam2_grid,
+                 system=None) -> float:
     grid = _grid(lam2_grid)
-    return argmin_ties_larger(grid, stage2_loo_scores(fit, sample2, grid))
+    return argmin_ties_larger(
+        grid, stage2_loo_scores(fit, sample2, grid, system))
 
 
 def fit_kpv(
@@ -296,7 +313,8 @@ def fit_kpv(
     shuffle; bandwidths default to the median heuristic on the full data
     and missing ridge parameters are grid-searched by their leave-one-out
     scores, as in ``kpv_select_lambdas``. Stage 2 is always tuned against
-    the stage-1 fit it is solved with, so stage 1 is fitted once.
+    the stage-1 fit it is solved with, so stage 1 is fitted once, and the
+    stage-2 system is built once for the search and the solve.
     """
     if data.n < 4:
         raise ValueError(
@@ -307,6 +325,7 @@ def fit_kpv(
     if lam1 is None:
         lam1 = _select_lam1(sample1, specs, lam1_grid)
     fit = stage1_fit(sample1, specs, lam1)
+    system = _stage2_sigma(fit, sample2)
     if lam2 is None:
-        lam2 = _select_lam2(fit, sample2, lam2_grid)
-    return kpv_fit(fit, sample2, lam2)
+        lam2 = _select_lam2(fit, sample2, lam2_grid, system)
+    return kpv_fit(fit, sample2, lam2, system)

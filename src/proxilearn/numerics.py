@@ -1,7 +1,7 @@
-"""Linear-algebra substrate: regularized PSD solves, closed-form
-leave-one-out scores over a ridge path, the grid selection rule, column-wise
-Khatri-Rao products, Nystrom factorization and the low-rank regularized
-inverse built on it."""
+"""Linear-algebra substrate: regularized PSD solves, an in-place symmetric
+eigensolve, closed-form leave-one-out scores over a ridge path, the grid
+selection rule, column-wise Khatri-Rao products, Nystrom factorization and
+the low-rank regularized inverse built on it."""
 
 from __future__ import annotations
 
@@ -40,6 +40,30 @@ def psd_factor(m: np.ndarray, ridge: float):
 def solve_psd(m: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (m + ridge*I) r = rhs for symmetric PSD ``m`` via Cholesky."""
     return scipy.linalg.cho_solve(psd_factor(m, ridge), np.asarray(rhs, float))
+
+
+def eigh_in_place(m: np.ndarray):
+    """Eigenvalues and eigenvectors of the symmetric matrix whose lower
+    triangle is stored in ``m``, computed in ``m``'s own memory.
+
+    ``m`` must be a contiguous float64 array the caller owns: LAPACK's
+    divide-and-conquer solver (``syevd``) reads only the lower triangle and
+    overwrites the buffer with the eigenvectors, which are returned as the
+    columns of a view of it. The strict upper triangle is never read, and
+    no finiteness check is made.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.dtype != np.float64:
+        raise ValueError("need a square float64 matrix")
+    if m.flags.f_contiguous:
+        a, lower = m, True
+    elif m.flags.c_contiguous:
+        # The Fortran view of a C-ordered matrix is its transpose, whose
+        # upper triangle holds m's lower one.
+        a, lower = m.T, False
+    else:
+        raise ValueError("matrix must be contiguous")
+    return scipy.linalg.eigh(a, lower=lower, driver="evd", overwrite_a=True,
+                             check_finite=False)
 
 
 def loo_path(eigvals: np.ndarray, eigvecs: np.ndarray, y: np.ndarray,
@@ -111,24 +135,29 @@ class NystromFactors:
         return (self.u * self.v) @ self.u.T
 
 
-def nystrom(k: np.ndarray, rank: int, landmark_seed: int = 0) -> NystromFactors:
-    """Nystrom factorization of k/n^2 from uniformly sampled landmarks.
-
-    Landmarks are drawn uniformly without replacement. The landmark block
-    is eigendecomposed and eigenvalues at or below ``EIGENVALUE_FLOOR`` are
-    dropped; with ``rank == n`` and a well-conditioned input the
-    factorization is exact.
-    """
-    k = np.asarray(k, dtype=float)
-    n = k.shape[0]
-    if k.ndim != 2 or k.shape[1] != n:
-        raise ValueError("kernel matrix must be square")
+def nystrom_landmarks(n: int, rank: int, landmark_seed: int = 0) -> np.ndarray:
+    """``rank`` of ``n`` row indices drawn uniformly without replacement,
+    sorted."""
     if not 1 <= rank <= n:
         raise ValueError(f"rank must be in [1, {n}], got {rank}")
     rng = np.random.default_rng(landmark_seed)
-    landmarks = np.sort(rng.choice(n, size=rank, replace=False))
-    columns = k[:, landmarks]
-    columns /= float(n) ** 2
+    return np.sort(rng.choice(n, size=rank, replace=False))
+
+
+def nystrom_from_columns(columns: np.ndarray,
+                         landmarks: np.ndarray) -> NystromFactors:
+    """Nystrom factorization of k/n^2 from its landmark columns.
+
+    ``columns`` is the n x r block k[:, landmarks] of a symmetric PSD k,
+    so k itself is never needed. The landmark block is eigendecomposed and
+    eigenvalues at or below ``EIGENVALUE_FLOOR`` are dropped.
+    """
+    columns = np.asarray(columns, dtype=float)
+    landmarks = np.asarray(landmarks)
+    n = columns.shape[0]
+    if columns.ndim != 2 or columns.shape[1] != landmarks.size:
+        raise ValueError("need one column per landmark")
+    columns = columns / float(n) ** 2
     eigvals, eigvecs = np.linalg.eigh(columns[landmarks])
     keep = eigvals > EIGENVALUE_FLOOR
     if not keep.any():
@@ -139,6 +168,21 @@ def nystrom(k: np.ndarray, rank: int, landmark_seed: int = 0) -> NystromFactors:
     eigvecs = eigvecs[:, keep]
     u = columns @ (eigvecs / eigvals)
     return NystromFactors(u=u, v=eigvals, landmarks=landmarks)
+
+
+def nystrom(k: np.ndarray, rank: int, landmark_seed: int = 0) -> NystromFactors:
+    """Nystrom factorization of k/n^2 from uniformly sampled landmarks.
+
+    Landmarks come from ``nystrom_landmarks`` and the factors from
+    ``nystrom_from_columns``; with ``rank == n`` and a well-conditioned
+    input the factorization is exact.
+    """
+    k = np.asarray(k, dtype=float)
+    n = k.shape[0]
+    if k.ndim != 2 or k.shape[1] != n:
+        raise ValueError("kernel matrix must be square")
+    landmarks = nystrom_landmarks(n, rank, landmark_seed)
+    return nystrom_from_columns(k[:, landmarks], landmarks)
 
 
 def woodbury_regularized_inverse_apply(

@@ -17,6 +17,11 @@ smallest default ridge, L alpha agrees with a 60-digit solve to about
 1e-11, where a Cholesky solve of L W L + lam L agrees to about 1e-6. The
 ridge search eigendecomposes R' W R = V diag(d) V' once, after which each
 candidate costs O(n^2).
+
+Every n x n step works in the Grams' own memory. L is factored in place,
+and R' W R is formed from W by two triangular multiplies (BLAS ``trmm``,
+n^3 flops each) that overwrite W. The fit factors R' W R + lam I in that
+buffer, and the search eigendecomposes R' W R there.
 """
 
 from __future__ import annotations
@@ -25,12 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import dtrmm
 
 from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, gram, product_gram
 from .numerics import (
     argmin_ties_larger,
-    nystrom,
+    eigh_in_place,
+    nystrom_from_columns,
+    nystrom_landmarks,
     woodbury_regularized_inverse_apply,
 )
 
@@ -80,27 +88,31 @@ def instrument_gram(left: Dataset, right: Dataset,
                         (specs.a, specs.z, specs.x))
 
 
-def _jitter(l_gram: np.ndarray) -> float:
-    return _JITTER_SCALE * np.trace(l_gram) / l_gram.shape[0]
+def _add_jitter(l_gram: np.ndarray) -> float:
+    """Add the stabilizing diagonal to L in place; returns it."""
+    jitter = _JITTER_SCALE * np.trace(l_gram) / l_gram.shape[0]
+    l_gram[np.diag_indices_from(l_gram)] += jitter
+    return jitter
 
 
 def jittered_l(l_gram: np.ndarray) -> np.ndarray:
     """L with the stabilizing diagonal used inside the normal equations."""
     out = np.array(l_gram, dtype=float)
-    out[np.diag_indices_from(out)] += _jitter(l_gram)
+    _add_jitter(out)
     return out
 
 
 def _reduced_system(l_gram, w_gram, y):
     """R, R' W R and R' W y for the jittered L = R R' (R lower).
 
-    Takes over both Grams: W is released once W R is formed, and L is
-    jittered and factored in place. Its transpose is the Fortran-ordered
-    matrix whose upper triangle holds L's lower one, so LAPACK's U'U
-    factor of it, read back through the transpose, is R.
+    Takes over both Grams. L's transpose is the Fortran-ordered matrix
+    whose upper triangle holds L's lower one, so LAPACK's in-place U'U
+    factor of it is U = R', and R is read back through the transpose.
+    W is symmetric, so its Fortran-ordered transpose stands in for it:
+    W R and then R' W R overwrite that buffer, and the returned R' W R is
+    W's memory in Fortran order, where LAPACK factors it without a copy.
     """
-    jitter = _jitter(l_gram)
-    l_gram[np.diag_indices_from(l_gram)] += jitter
+    jitter = _add_jitter(l_gram)
     try:
         u, _ = scipy.linalg.cho_factor(l_gram.T, lower=False,
                                        overwrite_a=True)
@@ -110,9 +122,10 @@ def _reduced_system(l_gram, w_gram, y):
             f"jitter {jitter:.3g}") from exc
     r = u.T
     r *= np.tri(*r.shape, dtype=bool)     # clear L's strict upper triangle
-    wr = w_gram @ r
-    del w_gram
-    return r, r.T @ wr, wr.T @ y
+    wr = dtrmm(1.0, u, w_gram.T, side=1, trans_a=1, overwrite_b=1)  # W R
+    rwy = wr.T @ y
+    rwr = dtrmm(1.0, u, wr, overwrite_b=1)                          # R'W R
+    return r, rwr, rwy
 
 
 def pmmr_fit(data: Dataset, specs: KernelSpecs, lam: float) -> PmmrModel:
@@ -127,7 +140,7 @@ def pmmr_fit(data: Dataset, specs: KernelSpecs, lam: float) -> PmmrModel:
     rwr[np.diag_indices_from(rwr)] += lam
     beta = scipy.linalg.cho_solve(
         scipy.linalg.cho_factor(rwr, lower=True, overwrite_a=True), rwy)
-    alpha = scipy.linalg.solve_triangular(r, beta, trans="T", lower=True)
+    alpha = scipy.linalg.solve_triangular(r.T, beta, lower=False)
     return PmmrModel(sample=data, specs=specs, alpha=alpha, lam=lam)
 
 
@@ -135,6 +148,7 @@ def pmmr_fit_nystrom(data: Dataset, specs: KernelSpecs, lam: float,
                      rank: int, landmark_seed: int = 0) -> PmmrModel:
     """Low-rank fit via Nystrom factors of the instrument Gram over n^2.
 
+    Only the n x rank landmark columns of the instrument Gram are built.
     With ``rank == n`` this reproduces :func:`pmmr_fit`. The ridge handed
     to the low-rank solver is lam / n^2, matching the V-statistic
     normalization baked into the factored matrix.
@@ -143,10 +157,13 @@ def pmmr_fit_nystrom(data: Dataset, specs: KernelSpecs, lam: float,
         raise ValueError(f"rank must be in [1, {data.n}]")
     if not lam > 0:
         raise ValueError("lam must be positive")
-    factors = nystrom(instrument_gram(data, data, specs), rank, landmark_seed)
+    landmarks = nystrom_landmarks(data.n, rank, landmark_seed)
+    factors = nystrom_from_columns(
+        instrument_gram(data, data.subset(landmarks), specs), landmarks)
+    l_gram = h_side_gram(data, data, specs)
+    _add_jitter(l_gram)
     alpha = woodbury_regularized_inverse_apply(
-        jittered_l(h_side_gram(data, data, specs)), factors,
-        lam / float(data.n) ** 2, data.y)
+        l_gram, factors, lam / float(data.n) ** 2, data.y)
     return PmmrModel(sample=data, specs=specs, alpha=alpha, lam=lam)
 
 
@@ -231,9 +248,10 @@ def pmmr_validation_scores(train: Dataset, validate: Dataset,
     r, rwr, rwy = _reduced_system(h_side_gram(train, train, specs),
                                   instrument_gram(train, train, specs),
                                   train.y)
-    d, v = np.linalg.eigh(rwr)
+    d, v = eigh_in_place(rwr)
     g = v.T @ rwy
-    q = v.T @ scipy.linalg.solve_triangular(r, l_cross, lower=True)
+    q = v.T @ scipy.linalg.solve_triangular(r.T, l_cross, trans="T",
+                                            lower=False)
     lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float))
     # d >= 0 up to round-off; clipping keeps d + lam > 0 for every lam > 0.
     coeffs = g / (np.maximum(d, 0.0) + lam_grid[:, None])   # grid x n_train

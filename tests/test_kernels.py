@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.distance import pdist
 
 from proxilearn.kernels import (
+    _BLOCK_BYTES,
     KernelSpec,
     KernelSpecs,
     gram,
@@ -128,6 +129,45 @@ class TestGram:
               + np.sum(sb**2, axis=1)[None, :])
         np.maximum(sq, 0.0, out=sq)
         np.testing.assert_array_equal(gram(pa, pb, spec), np.exp(-0.5 * sq))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("rows", ["empty-a", "empty-b", "one", "ragged",
+                                      "wide", "wide-odd"])
+    def test_blocked_matches_one_buffer_expression(self, rows, d):
+        # Reference: the whole Gram as one buffer, as before row blocks.
+        # Every entry runs the same operations on the same inputs, but the
+        # cross term sa.sb is a length-d BLAS dot product whose rounding
+        # (order and fusion of the d multiply-adds) can depend on where the
+        # entry falls in the BLAS tiling of a block, so for d > 1 only the
+        # error bound of that sum is guaranteed; for d = 1 it is one exact
+        # product and the bits must agree.
+        m = 2000
+        per_block = _BLOCK_BYTES // (8 * m)
+        wide = _BLOCK_BYTES // 8 + 7       # one row exceeds the budget
+        n, m = {"empty-a": (0, 9), "empty-b": (9, 0), "one": (1, m),
+                "ragged": (3 * per_block + 1, m + 3), "wide": (2, wide),
+                "wide-odd": (5, wide)}[rows]
+        rng = np.random.default_rng(21)
+        pa, pb = rng.normal(size=(n, d)), rng.normal(size=(m, d))
+        spec = KernelSpec(rng.uniform(0.5, 2.0, size=d))
+        sa, sb = pa / spec.bandwidths, pb / spec.bandwidths
+        expected = sa @ sb.T
+        expected *= -2.0
+        expected += np.sum(sa**2, axis=1)[:, None]
+        expected += np.sum(sb**2, axis=1)[None, :]
+        np.maximum(expected, 0.0, out=expected)
+        expected *= -0.5
+        np.exp(expected, out=expected)
+        got = gram(pa, pb, spec)
+        assert got.shape == (n, m) and got.flags.c_contiguous
+        if d == 1:
+            np.testing.assert_array_equal(got, expected)
+        else:
+            # |d sq| <= (d + 2) eps (|sa|^2 + |sb|^2); exp adds 2 ulp.
+            eps = np.finfo(float).eps
+            scale = np.sum(sa**2, axis=1)[:, None] + np.sum(sb**2, axis=1)
+            bound = expected * (d + 2) * eps * scale + 2 * np.spacing(expected)
+            assert (np.abs(got - expected) <= bound).all()
 
     def test_psd_via_jittered_cholesky(self):
         rng = np.random.default_rng(6)

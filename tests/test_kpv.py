@@ -411,6 +411,39 @@ class TestPipeline:
         fit_kpv(rng_dataset(41, 20), lam1=lam1, lam2=lam2)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("lam2", [None, 1e-2])
+    def test_fit_kpv_embeds_stage2_once(self, monkeypatch, lam2):
+        # Gamma and Sigma are built once for the lambda2 search and the
+        # solve, so sample 2 is embedded once.
+        calls = []
+        real = kpv.stage1_embedding
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kpv, "stage1_embedding", counted)
+        fit_kpv(rng_dataset(42, 20), lam1=1e-3, lam2=lam2)
+        assert len(calls) == 1
+
+    def test_shared_stage2_system_gives_same_bits(self):
+        data = rng_dataset(43, 30)
+        specs = KernelSpecs.from_data(data)
+        s1, s2 = data.split_half(0)
+        fit = stage1_fit(s1, specs, 1e-3)
+        grid = np.logspace(-3, 0, 7)
+        system = kpv._stage2_sigma(fit, s2)
+        sigma = system[1].copy()
+        np.testing.assert_array_equal(
+            stage2_loo_scores(fit, s2, grid, system),
+            stage2_loo_scores(fit, s2, grid))
+        np.testing.assert_array_equal(system[1], sigma)
+        model = fit_kpv(data, specs, lam1=1e-3, lam2_grid=grid)
+        np.testing.assert_array_equal(
+            model.c, kpv_fit(fit, s2, model.lam2).c)
+        np.testing.assert_array_equal(
+            model.alpha, kpv_fit(fit, s2, model.lam2, system).alpha)
+
     def test_fit_kpv_splits_and_is_deterministic(self):
         data = rng_dataset(34, 20)
         m1 = fit_kpv(data, lam1=1e-3, lam2=1e-2, split_seed=5)

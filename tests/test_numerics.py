@@ -5,9 +5,12 @@ import scipy.linalg
 from proxilearn.kernels import KernelSpec, gram
 from proxilearn.numerics import (
     argmin_ties_larger,
+    eigh_in_place,
     khatri_rao_cols,
     loo_path,
     nystrom,
+    nystrom_from_columns,
+    nystrom_landmarks,
     psd_factor,
     solve_psd,
     woodbury_regularized_inverse_apply,
@@ -74,6 +77,30 @@ def dense_loo_scores(eigvals, eigvecs, y, lam_grid):
         resid = (h @ y) / np.diag(h)
         scores[i] = np.dot(resid, resid) / m
     return scores
+
+
+class TestEighInPlace:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_reads_lower_triangle_and_overwrites_input(self, order):
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=(30, 30))
+        sym = a @ a.T
+        m = np.array(sym, order=order)
+        m[np.triu_indices(30, 1)] = np.nan    # the strict upper is not read
+        eigvals, eigvecs = eigh_in_place(m)
+        assert np.shares_memory(eigvecs, m)
+        np.testing.assert_allclose(eigvals, np.linalg.eigvalsh(sym),
+                                   rtol=0, atol=1e-12 * eigvals.max())
+        np.testing.assert_allclose((eigvecs * eigvals) @ eigvecs.T, sym,
+                                   rtol=0, atol=1e-12 * eigvals.max())
+        np.testing.assert_allclose(eigvecs.T @ eigvecs, np.eye(30),
+                                   rtol=0, atol=1e-12)
+
+    def test_rejects_strided_and_non_square_input(self):
+        with pytest.raises(ValueError, match="contiguous"):
+            eigh_in_place(np.eye(6)[::2, ::2])
+        with pytest.raises(ValueError, match="square"):
+            eigh_in_place(np.ones((2, 3)))
 
 
 class TestLooPath:
@@ -228,6 +255,27 @@ class TestNystrom:
     def test_all_eigenvalues_below_floor(self):
         with pytest.raises(np.linalg.LinAlgError, match="floor"):
             nystrom(np.zeros((3, 3)), rank=2, landmark_seed=0)
+
+    def test_factors_from_landmark_columns_only(self):
+        # The split steps give nystrom's bits from the n x rank columns.
+        rng = np.random.default_rng(7)
+        k = _rbf_gram(rng.normal(size=(50, 1)))
+        landmarks = nystrom_landmarks(50, 15, landmark_seed=4)
+        split = nystrom_from_columns(k[:, landmarks], landmarks)
+        whole = nystrom(k, 15, landmark_seed=4)
+        np.testing.assert_array_equal(split.landmarks, whole.landmarks)
+        np.testing.assert_array_equal(split.v, whole.v)
+        np.testing.assert_array_equal(split.u, whole.u)
+
+    def test_landmarks_sorted_distinct_and_bounded(self):
+        landmarks = nystrom_landmarks(40, 12, landmark_seed=2)
+        assert landmarks.size == 12 == np.unique(landmarks).size
+        np.testing.assert_array_equal(landmarks, np.sort(landmarks))
+        assert 0 <= landmarks.min() and landmarks.max() < 40
+        with pytest.raises(ValueError, match="rank"):
+            nystrom_landmarks(4, 0)
+        with pytest.raises(ValueError, match="one column per landmark"):
+            nystrom_from_columns(np.ones((4, 2)), np.arange(3))
 
 
 class TestWoodburyApply:

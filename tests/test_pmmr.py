@@ -20,7 +20,8 @@ from proxilearn.pmmr import (
     pmmr_validation_scores,
     vstat_risk,
 )
-from proxilearn import synthdata
+from proxilearn import pmmr, synthdata
+from proxilearn.numerics import nystrom, woodbury_regularized_inverse_apply
 from tests.conftest import rng_dataset
 
 
@@ -130,6 +131,17 @@ class TestPmmrFit:
         np.testing.assert_allclose(rwr, r.T @ w_gram @ r, atol=1e-12)
         np.testing.assert_allclose(rwy, r.T @ w_gram @ data.y, atol=1e-12)
 
+    def test_reduced_system_forms_rwr_in_w(self):
+        data = rng_dataset(4, 12)
+        specs = KernelSpecs.from_data(data)
+        w_gram = instrument_gram(data, data, specs)
+        w_ref = w_gram.copy()
+        r, rwr, rwy = _reduced_system(h_side_gram(data, data, specs),
+                                      w_gram, data.y)
+        assert np.shares_memory(rwr, w_gram)
+        np.testing.assert_allclose(rwr, r.T @ w_ref @ r, atol=1e-12)
+        np.testing.assert_allclose(rwy, r.T @ w_ref @ data.y, atol=1e-12)
+
     def test_first_order_stationarity(self):
         data = rng_dataset(5, 9)
         specs = KernelSpecs.from_data(data)
@@ -196,6 +208,28 @@ class TestPmmrNystrom:
                                            model.alpha) - base)
             gaps.append(np.mean(vals))
         assert all(gaps[i + 1] <= gaps[i] + 1e-12 for i in range(3))
+
+    def test_builds_only_landmark_columns(self, monkeypatch):
+        # Reference: Nystrom factors of the full n x n instrument Gram.
+        data = synthdata.gen_main(120, seed=2).data
+        specs = KernelSpecs.from_data(data)
+        lam, rank = 1e-2, 30
+        expected = woodbury_regularized_inverse_apply(
+            jittered_l(h_side_gram(data, data, specs)),
+            nystrom(instrument_gram(data, data, specs), rank, 5),
+            lam / 120.0**2, data.y)
+        shapes = []
+
+        def recording(left, right, specs):
+            out = instrument_gram(left, right, specs)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(pmmr, "instrument_gram", recording)
+        model = pmmr_fit_nystrom(data, specs, lam, rank, landmark_seed=5)
+        assert shapes == [(120, rank)]
+        np.testing.assert_allclose(model.alpha, expected, rtol=1e-9,
+                                   atol=1e-9 * np.abs(expected).max())
 
     def test_rank_bounds(self):
         data = rng_dataset(9, 6)

@@ -1,0 +1,40 @@
+"""Selected ridges on the benchmark's n = 2000 draws stay where they were.
+
+The expected grid positions were recorded with the searches built on
+``np.linalg.eigh`` and general matrix products. The in-place eigensolves
+and the triangular PMMR reduction move the scores by round-off only, so
+every fit must still select the same value, as ``evaluation.fit_method``
+calls it (split seed = data seed).
+"""
+
+import pytest
+
+from proxilearn import baselines, kpv, pmmr, synthdata
+from proxilearn.kernels import KernelSpecs
+
+# data seed -> (index into pmmr.DEFAULT_LAMBDA_GRID,
+#               index into baselines.DEFAULT_RIDGE_GRID for ridge-w)
+EXPECTED = {
+    0: (36, 7), 1000: (0, 8), 2000: (49, 8), 3000: (41, 8), 4000: (32, 8),
+    5000: (49, 8), 6000: (45, 7), 7000: (39, 7), 8000: (49, 7),
+    9000: (49, 8),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", sorted(EXPECTED))
+def test_fits_select_recorded_ridges(seed):
+    data = synthdata.gen_main(2000, seed=seed).data
+    specs = KernelSpecs.from_data(data)
+    pmmr_index, ridge_index = EXPECTED[seed]
+
+    model = kpv.fit_kpv(data, specs, split_seed=seed)
+    # KPV picks grid edges on every draw (see ROADMAP, KPV selection).
+    assert model.stage1.lam1 == kpv.DEFAULT_LAMBDA1_GRID[-1]
+    assert model.lam2 == kpv.DEFAULT_LAMBDA2_GRID[0]
+
+    model = pmmr.fit_pmmr(data, specs, split_seed=seed)
+    assert model.lam == pmmr.DEFAULT_LAMBDA_GRID[pmmr_index]
+
+    model, _ = baselines.fit_ridge_baseline(data, "w", specs=specs)
+    assert model.lam == baselines.DEFAULT_RIDGE_GRID[ridge_index]
