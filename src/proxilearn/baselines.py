@@ -1,5 +1,12 @@
 """Comparison estimators: kernel ridge regressions with and without proxy
-adjustment, and a linear two-stage method."""
+adjustment, and a linear two-stage method.
+
+A ridge regression on (A, V) averaged over an adjustment sample of V has
+the effect curve k_A(a, A)' w with the n curve weights
+w = beta * (mean over adjustment rows of k_V) of
+``adjusted_curve_weights``. The linear two-stage curve is affine in a
+and needs only the adjustment sample's W mean.
+"""
 
 from __future__ import annotations
 
@@ -7,8 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, DoCurve
-from .kernels import KernelSpec, KernelSpecs, gram, median_heuristic
+from .data import Dataset, DoCurve, query_block
+from .kernels import (
+    KernelSpec,
+    KernelSpecs,
+    effect_curve,
+    gram,
+    median_heuristic,
+)
 from .numerics import argmin_ties_larger, eigh_in_place, loo_path, solve_psd
 
 DEFAULT_RIDGE_GRID = np.logspace(-7, 1, 25)
@@ -61,18 +74,16 @@ def select_ridge_lambda(inputs, y, spec, lam_grid=DEFAULT_RIDGE_GRID) -> float:
                                                          lam_grid))
 
 
-def adjusted_ate(model: RidgeModel, a_grid, adjustment: np.ndarray) -> DoCurve:
-    """Average the regression over an adjustment sample.
+def adjusted_curve_weights(model: RidgeModel,
+                           adjustment: np.ndarray) -> np.ndarray:
+    """Curve weights beta * (mean over adjustment rows of k_V): the n
+    values w with effect curve k_A(a, A)' w.
 
     The model's first input column is the treatment and the remaining
-    columns match ``adjustment``; a single zero-width row recovers plain
-    pointwise prediction for a model regressing on the treatment alone.
-    The Gaussian product kernel separates, so the curve is
-    k_A(a, A) @ (mean_t k_V(v_t, V) * beta): one adjustment-by-training
-    Gram averaged over its rows and one grid-by-training treatment Gram,
-    not one joint Gram per grid point.
+    columns V match ``adjustment``; a single zero-width row gives
+    w = beta, plain pointwise prediction for a model regressing on the
+    treatment alone.
     """
-    a_grid = np.asarray(a_grid, dtype=float).ravel()
     adjustment = np.asarray(adjustment, dtype=float)
     if adjustment.ndim == 1:
         adjustment = adjustment[:, None]
@@ -83,11 +94,22 @@ def adjusted_ate(model: RidgeModel, a_grid, adjustment: np.ndarray) -> DoCurve:
         raise ValueError(
             f"adjustment has {adjustment.shape[1]} columns, the model "
             f"adjusts over {width} (its inputs minus the treatment)")
-    bw = model.spec.bandwidths
-    kv = gram(adjustment, model.inputs[:, 1:], KernelSpec(bw[1:]))
-    ka = gram(a_grid[:, None], model.inputs[:, :1], KernelSpec(bw[:1]))
-    return DoCurve(grid=a_grid,
-                   estimate=ka @ (kv.mean(axis=0) * model.beta))
+    kv = gram(adjustment, model.inputs[:, 1:],
+              KernelSpec(model.spec.bandwidths[1:]))
+    return kv.mean(axis=0) * model.beta
+
+
+def adjusted_ate(model: RidgeModel, a_grid, adjustment: np.ndarray) -> DoCurve:
+    """Average the regression over an adjustment sample.
+
+    The Gaussian product kernel separates, so the curve is
+    k_A(a, A)' (mean_t k_V(v_t, V) * beta): one adjustment-by-training
+    Gram averaged over its rows and one training-by-grid treatment Gram,
+    not one joint Gram per grid point.
+    """
+    return effect_curve(model.inputs[:, :1],
+                        KernelSpec(model.spec.bandwidths[:1]),
+                        adjusted_curve_weights(model, adjustment), a_grid)
 
 
 def ridge_groups(adjust: str) -> tuple[str, ...]:
@@ -143,11 +165,12 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     return model, ridge_adjustment(data, adjust)
 
 
-def linear_two_stage(data: Dataset, a_grid) -> DoCurve:
+def linear_two_stage(data: Dataset, a_grid, w_adjust=None) -> DoCurve:
     """Two-stage least squares with intercepts.
 
     Stage 1 regresses W on (A, Z); stage 2 regresses Y on (A, W-hat). The
-    curve is intercept + coef_a * a + coef_w . mean(W).
+    curve is intercept + coef_a * a + coef_w . mean(W), the mean taken
+    over the adjustment sample ``w_adjust`` (default: ``data.w``).
     """
     a_grid = np.asarray(a_grid, dtype=float).ravel()
     n = data.n
@@ -170,5 +193,9 @@ def linear_two_stage(data: Dataset, a_grid) -> DoCurve:
     intercept = coef2[0]
     coef_a = float(coef2[1])
     coef_w = coef2[2:]
-    level = intercept + float(coef_w @ data.w.mean(axis=0))
+    w_adjust = (data.w if w_adjust is None
+                else query_block(w_adjust, data.w.shape[1], "w"))
+    if w_adjust.shape[0] == 0:
+        raise ValueError("adjustment sample is empty")
+    level = intercept + float(coef_w @ w_adjust.mean(axis=0))
     return DoCurve(grid=a_grid, estimate=level + coef_a * a_grid)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, baselines, evaluation, kpv, pmmr, synthdata
 from .data import Dataset, DoCurve
-from .kernels import KernelSpec, KernelSpecs
+from .kernels import KernelSpec, KernelSpecs, effect_curve
 from .numerics import argmin_ties_larger
 
 FIT_METHODS = ("kpv", "pmmr", "pmmr-nystrom", "ridge", "ridge-w",
@@ -137,17 +137,38 @@ def _default_grid_for(data: Dataset) -> np.ndarray:
     return np.linspace(lo, hi, evaluation.GRID_POINTS)
 
 
+# The ridge baselines' adjustment groups, by method name.
+_RIDGE_ADJUST = {"ridge": "", "ridge-w": "w", "ridge-wz": "wz"}
+
+# The coefficient field each kernel method's artifact stores.
+_COEFFICIENTS = {"kpv": "c", "pmmr": "alpha", "pmmr-nystrom": "alpha",
+                 **{m: "beta" for m in _RIDGE_ADJUST}}
+
+
+def _check_flags(method, lambda1, lambda2, lambda_grid, rank) -> None:
+    """Reject the ``fit`` flags that ``method`` never reads."""
+    unused = [flag for flag, given, readers in (
+        ("--lambda1", lambda1, set(FIT_METHODS) - {"linear2s"}),
+        ("--lambda2", lambda2, {"kpv"}),
+        ("--lambda-grid", lambda_grid, set(FIT_METHODS) - {"kpv", "linear2s"}),
+        ("--rank", rank, {"pmmr-nystrom"}),
+    ) if given is not None and method not in readers]
+    if unused:
+        raise ValueError(f"--method {method} does not use "
+                         f"{', '.join(unused)}")
+
+
 def _fit_model(method, data, specs, lambda1, lambda2, lam_grid, rank, seed):
-    """Fit one method; returns (payload-dict, curve-callable)."""
+    """Fit one method; returns (payload-dict, model), the model None for
+    linear2s."""
     if method == "kpv":
         model = kpv.fit_kpv(data, specs=specs, lam1=lambda1, lam2=lambda2,
                             split_seed=seed)
-        payload = {
+        return {
             "lambdas": {"lambda1": model.stage1.lam1, "lambda2": model.lam2},
             "split_seed": seed,
             "coefficients": {"c": model.c.tolist()},
-        }
-        return payload, lambda grid: kpv.kpv_ate(model, grid, data.x, data.w)
+        }, model
     if method in ("pmmr", "pmmr-nystrom"):
         use_rank = (max(1, data.n // 2) if rank is None else rank) \
             if method == "pmmr-nystrom" else None
@@ -156,30 +177,37 @@ def _fit_model(method, data, specs, lambda1, lambda2, lam_grid, rank, seed):
         model = pmmr.fit_pmmr(data, specs=specs, lam=lambda1,
                               lam_grid=lam_grid, rank=use_rank,
                               split_seed=seed, landmark_seed=seed)
-        payload = {
+        return {
             "lambdas": {"lambda": model.lam},
             "rank": use_rank,
             "coefficients": {"alpha": model.alpha.tolist()},
-        }
-        return payload, lambda grid: pmmr.pmmr_ate(model, grid, data.x,
-                                                   data.w)
-    if method in ("ridge", "ridge-w", "ridge-wz"):
-        adjust = {"ridge": "", "ridge-w": "w", "ridge-wz": "wz"}[method]
-        model, adjustment = baselines.fit_ridge_baseline(
-            data, adjust, lam=lambda1,
+        }, model
+    if method in _RIDGE_ADJUST:
+        model, _ = baselines.fit_ridge_baseline(
+            data, _RIDGE_ADJUST[method], lam=lambda1,
             lam_grid=lam_grid if lam_grid is not None
             else baselines.DEFAULT_RIDGE_GRID, specs=specs)
-        payload = {
+        return {
             "lambdas": {"lambda": model.lam},
-            "adjust": adjust,
+            "adjust": _RIDGE_ADJUST[method],
             "coefficients": {"beta": model.beta.tolist()},
-        }
-        return payload, lambda grid: baselines.adjusted_ate(model, grid,
-                                                            adjustment)
+        }, model
     if method == "linear2s":
-        return {"lambdas": {}, "coefficients": {}}, \
-            lambda grid: baselines.linear_two_stage(data, grid)
+        return {"lambdas": {}, "coefficients": {}}, None
     raise ValueError(f"unknown method {method!r}")
+
+
+def _curve_weights(method, model, adjust: Dataset):
+    """The treatment sample A_s and the weights w of a fitted kernel
+    model's effect curve k_A(a, A_s)' w over the adjustment sample."""
+    if method == "kpv":
+        return model.sample2.a, kpv.kpv_curve_weights(model, adjust.x,
+                                                      adjust.w)
+    if method in ("pmmr", "pmmr-nystrom"):
+        return model.sample.a, pmmr.pmmr_curve_weights(model, adjust.x,
+                                                       adjust.w)
+    return model.inputs[:, :1], baselines.adjusted_curve_weights(
+        model, baselines.ridge_adjustment(adjust, _RIDGE_ADJUST[method]))
 
 
 @main.command()
@@ -204,7 +232,11 @@ def _fit_model(method, data, specs, lambda1, lambda2, lam_grid, rank, seed):
 @_cli_errors
 def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
         a_grid_text, seed, out):
-    """Fit an estimator and write the model plus its effect curve."""
+    """Fit an estimator and write the model plus its effect curve.
+
+    Kernel methods store their curve weights in the model, so ``ate``
+    evaluates the curve on any grid without refitting."""
+    _check_flags(method, lambda1, lambda2, lambda_grid, rank)
     data = Dataset.from_csv(data_path)
     specs = _parse_bandwidth(bandwidth, data)
     lam_grid = _parse_grid(lambda_grid) if lambda_grid else None
@@ -217,9 +249,14 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
         "bandwidth": bandwidth, "rank": rank, "seed": seed,
         "a_grid": a_grid.tolist(), "out": str(out),
     }
-    payload, curve_fn = _fit_model(method, data, specs, lambda1, lambda2,
-                                   lam_grid, rank, seed)
-    curve = curve_fn(a_grid)
+    payload, model = _fit_model(method, data, specs, lambda1, lambda2,
+                                lam_grid, rank, seed)
+    if model is None:
+        curve = baselines.linear_two_stage(data, a_grid)
+    else:
+        a_sample, weights = _curve_weights(method, model, data)
+        payload["curve_weights"] = weights.tolist()
+        curve = effect_curve(a_sample, specs.a, weights, a_grid)
     artifact = {
         "proxilearn_version": __version__,
         "config": config,
@@ -253,42 +290,67 @@ def _field(artifact, path: str):
     return value
 
 
+def _vector(artifact, path: str, size: int) -> np.ndarray:
+    """The ``size`` floats at ``path``; a missing or misshapen field is a
+    ValueError naming it."""
+    value = _field(artifact, path)
+    try:
+        vector = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        vector = None
+    if vector is None or vector.shape != (size,):
+        raise ValueError(f"model artifact field {path!r} is not a list of "
+                         f"{size} numbers; refit the model with this version")
+    return vector
+
+
 def _specs_from_artifact(artifact) -> KernelSpecs:
     return KernelSpecs(**{
         g: KernelSpec(np.array(_field(artifact, f"bandwidths.{g}")))
         for g in ("a", "x", "z", "w")})
 
 
-def _curve_from_artifact(artifact, data: Dataset, adjust: Dataset,
-                         a_grid: np.ndarray) -> DoCurve:
-    method = _field(artifact, "method")
+def _model_from_artifact(artifact, method, data: Dataset, coefficients):
+    """The fitted kernel model with the artifact's ``coefficients``."""
+    specs = _specs_from_artifact(artifact)
     if method == "kpv":
         sample1, sample2 = data.split_half(_field(artifact, "split_seed"))
-        fit1 = kpv.stage1_fit(sample1, _specs_from_artifact(artifact),
+        fit1 = kpv.stage1_fit(sample1, specs,
                               _field(artifact, "lambdas.lambda1"))
-        model = kpv.kpv_model(fit1, sample2,
-                              _field(artifact, "coefficients.c"),
-                              _field(artifact, "lambdas.lambda2"))
-        return kpv.kpv_ate(model, a_grid, adjust.x, adjust.w)
+        return kpv.kpv_model(fit1, sample2, coefficients,
+                             _field(artifact, "lambdas.lambda2"))
     if method in ("pmmr", "pmmr-nystrom"):
-        model = pmmr.PmmrModel(
-            sample=data, specs=_specs_from_artifact(artifact),
-            alpha=np.array(_field(artifact, "coefficients.alpha")),
-            lam=_field(artifact, "lambdas.lambda"))
-        return pmmr.pmmr_ate(model, a_grid, adjust.x, adjust.w)
-    if method in ("ridge", "ridge-w", "ridge-wz"):
-        adjust_kind = _field(artifact, "adjust")
-        model = baselines.RidgeModel(
-            inputs=baselines.ridge_inputs(data, adjust_kind),
-            spec=baselines.ridge_spec(data, adjust_kind,
-                                      _specs_from_artifact(artifact)),
-            lam=_field(artifact, "lambdas.lambda"),
-            beta=np.array(_field(artifact, "coefficients.beta")))
-        return baselines.adjusted_ate(
-            model, a_grid, baselines.ridge_adjustment(adjust, adjust_kind))
+        return pmmr.PmmrModel(sample=data, specs=specs, alpha=coefficients,
+                              lam=_field(artifact, "lambdas.lambda"))
+    adjust_kind = _RIDGE_ADJUST[method]
+    return baselines.RidgeModel(
+        inputs=baselines.ridge_inputs(data, adjust_kind),
+        spec=baselines.ridge_spec(data, adjust_kind, specs),
+        lam=_field(artifact, "lambdas.lambda"), beta=coefficients)
+
+
+def _curve_from_artifact(artifact, data: Dataset, adjust: Dataset | None,
+                         a_grid: np.ndarray) -> DoCurve:
+    """The artifact's effect curve on ``a_grid``: from its stored curve
+    weights, or from weights its coefficients give over ``adjust``."""
+    method = _field(artifact, "method")
     if method == "linear2s":
-        return baselines.linear_two_stage(data, a_grid)
-    raise ValueError(f"unknown method {method!r}")
+        return baselines.linear_two_stage(
+            data, a_grid, None if adjust is None else adjust.w)
+    if method not in _COEFFICIENTS:
+        raise ValueError(f"unknown method {method!r}")
+    a_sample = (data.split_half(_field(artifact, "split_seed"))[1].a
+                if method == "kpv" else data.a)
+    coefficients = _vector(artifact,
+                           f"coefficients.{_COEFFICIENTS[method]}",
+                           a_sample.shape[0])
+    weights = _vector(artifact, "curve_weights", a_sample.shape[0])
+    if adjust is not None:
+        model = _model_from_artifact(artifact, method, data, coefficients)
+        weights = _curve_weights(method, model, adjust)[1]
+    return effect_curve(a_sample,
+                        KernelSpec(np.array(_field(artifact, "bandwidths.a"))),
+                        weights, a_grid)
 
 
 @main.command()
@@ -297,12 +359,19 @@ def _curve_from_artifact(artifact, data: Dataset, adjust: Dataset,
 @click.option("--data", "data_path", type=click.Path(exists=True),
               required=True, help="The training CSV (hash-checked).")
 @click.option("--adjust", "adjust_path", type=click.Path(exists=True),
-              default=None, help="Adjustment sample CSV (default: --data).")
+              default=None,
+              help="Adjustment sample CSV; recomputes the curve weights "
+                   "from the coefficients (default: the stored weights "
+                   "over --data).")
 @click.option("--a-grid", "a_grid_text", type=str, default=None)
 @click.option("--out", type=click.Path(), required=True)
 @_cli_errors
 def ate(model_path, data_path, adjust_path, a_grid_text, out):
-    """Evaluate a fitted model's effect curve on a treatment grid."""
+    """Evaluate a fitted model's effect curve on a treatment grid.
+
+    Without --adjust, a kernel method's curve comes from the weights the
+    artifact stores, in O(n * grid) time and without refitting anything;
+    linear2s refits its two regressions."""
     artifact = json.loads(Path(model_path).read_text())
     recorded = _field(artifact, "training_data.sha256")
     actual = _sha256(data_path)
@@ -312,7 +381,7 @@ def ate(model_path, data_path, adjust_path, a_grid_text, out):
             f"{recorded[:12]}..., got {actual[:12]}..."
         )
     data = Dataset.from_csv(data_path)
-    adjust = Dataset.from_csv(adjust_path) if adjust_path else data
+    adjust = Dataset.from_csv(adjust_path) if adjust_path else None
     a_grid = (_parse_a_grid(a_grid_text) if a_grid_text
               else np.array(_field(artifact, "config.a_grid")))
     curve = _curve_from_artifact(artifact, data, adjust, a_grid)

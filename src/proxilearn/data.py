@@ -57,6 +57,36 @@ def query_block(values, dim: int, name: str, n_queries: int | None = None):
     return arr
 
 
+def _parse_rows(path, header: list[str], rows: list[list[str]]):
+    """The cells of ``rows`` as an (n, len(header)) float array.
+
+    One numpy conversion parses every cell. Only when it fails does the
+    cell-by-cell pass run, to name the row or cell in the SchemaError.
+    """
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError:
+        data = None
+    if data is not None and data.shape == (len(rows), len(header)):
+        return data
+    data = np.empty((len(rows), len(header)))
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise SchemaError(
+                f"{path}: row {i + 2} has {len(row)} cells, "
+                f"expected {len(header)}"
+            )
+        for j, cell in enumerate(row):
+            try:
+                data[i, j] = float(cell)
+            except ValueError:
+                raise SchemaError(
+                    f"{path}: non-numeric cell at row {i + 2}, "
+                    f"column {header[j]!r}: {cell!r}"
+                ) from None
+    return data
+
+
 @dataclass(frozen=True)
 class Dataset:
     """One tabular sample of treatment, covariates, proxies and outcome.
@@ -123,8 +153,8 @@ class Dataset:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.column_names())
-            for row in table:
-                writer.writerow([repr(float(v)) for v in row])
+            for row in table.tolist():
+                writer.writerow([repr(v) for v in row])
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":
@@ -149,21 +179,7 @@ class Dataset:
             if not groups[key]:
                 raise SchemaError(f"{path}: missing column group {key!r}")
 
-        data = np.empty((len(rows), len(header)))
-        for i, row in enumerate(rows):
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: row {i + 2} has {len(row)} cells, "
-                    f"expected {len(header)}"
-                )
-            for j, cell in enumerate(row):
-                try:
-                    data[i, j] = float(cell)
-                except ValueError:
-                    raise SchemaError(
-                        f"{path}: non-numeric cell at row {i + 2}, "
-                        f"column {header[j]!r}: {cell!r}"
-                    ) from None
+        data = _parse_rows(path, header, rows)
 
         def block(key):
             cols = [c for _, c in sorted(groups[key])]

@@ -13,6 +13,11 @@ A Gram matrix is filled one block of rows at a time, each block small
 enough (about 1 MiB) to stay in cache through the whole distance-to-kernel
 sequence, so the n x m result passes through main memory once.
 
+Every kernel estimator's effect curve E[Y | do(A = a)] is
+k_A(a, A_s)' w for one weight vector w over a treatment sample A_s: the
+product kernel separates the treatment from the averaged-out groups.
+``effect_curve`` evaluates that form on a grid in O(n g).
+
 Bandwidths default to the median heuristic. The median of the n(n-1)/2
 pairwise distances of a column is selected exactly in O(n log n) time and
 O(n) memory from the sorted column, without forming the distances.
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, DoCurve
 
 # Bytes of output filled per block of rows in ``gram``: about L2-sized.
 _BLOCK_BYTES = 1 << 20
@@ -125,6 +130,23 @@ def product_gram(groups_a, groups_b, specs) -> np.ndarray:
         _check_dim(pa, pb, spec)
     joint = KernelSpec(np.concatenate([s.bandwidths for s in specs]))
     return gram(np.hstack(blocks_a), np.hstack(blocks_b), joint)
+
+
+def effect_curve(a_sample: np.ndarray, spec_a: KernelSpec, weights,
+                 a_grid) -> DoCurve:
+    """The curve k_A(a, A_s)' w over ``a_grid``.
+
+    ``a_sample`` holds the treatment values A_s the weights are attached
+    to (n rows) and ``weights`` the n curve weights.
+    """
+    a_sample = _columns(a_sample)
+    weights = np.asarray(weights, dtype=float).ravel()
+    if weights.shape != (a_sample.shape[0],):
+        raise ValueError(f"{weights.size} curve weights for "
+                         f"{a_sample.shape[0]} treatment values")
+    a_grid = np.asarray(a_grid, dtype=float).ravel()
+    k_a = gram(a_sample, a_grid[:, None], spec_a)               # n x g
+    return DoCurve(grid=a_grid, estimate=k_a.T @ weights)
 
 
 def hadamard(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:

@@ -6,6 +6,13 @@ vectorized ridge problem over the second subsample whose efficient form
 only inverts an m2 x m2 matrix; the full coefficient matrix alpha
 (m1 x m2) follows by a column-wise Khatri-Rao expansion against the
 identity, which collapses to scaling the columns of Gamma.
+
+The effect curve averages h over an adjustment sample. Its treatment
+factor is k_A(a, A_2) over the stage-2 treatments, so the curve is
+k_A(a, A_2)' t with the m2 curve weights
+t = mean over adjustment rows of (alpha' k_W) * k_X of
+``kpv_curve_weights``. Once t is known, no stage-1 quantity is needed to
+evaluate the curve on any grid.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .data import Dataset, DoCurve, query_block
-from .kernels import KernelSpecs, gram, product_gram
+from .kernels import KernelSpecs, effect_curve, gram, product_gram
 from .numerics import (
     argmin_ties_larger,
     eigh_in_place,
@@ -180,30 +187,34 @@ def kpv_h(model: KpvModel, a, x, w):
     return float(vals[0]) if single else vals
 
 
-def kpv_ate(model: KpvModel, a_grid, x_adjust, w_adjust) -> DoCurve:
-    """Causal-effect curve: h averaged over the adjustment sample.
+def kpv_curve_weights(model: KpvModel, x_adjust, w_adjust) -> np.ndarray:
+    """Curve weights t = mean over adjustment rows k of
+    (alpha' k_W(w_k)) * k_X(x_k): the m2 values with effect curve
+    k_A(a, A_2)' t over stage-2 treatments A_2.
 
-    Implements the vectorized triple sum
-    (1/nt) sum_{i,j,k} alpha_ij k(a, a_j) k(x_k, x_j) k(w_k, w_i), which
-    is the mean of ``kpv_h`` over the adjustment rows.
+    This is the triple sum
+    (1/nt) sum_{i,j,k} alpha_ij k(a, a_j) k(x_k, x_j) k(w_k, w_i), the
+    mean of ``kpv_h`` over the adjustment rows, without its treatment
+    factor.
     """
     specs = model.stage1.specs
     wq = query_block(w_adjust, model.stage1.sample.w.shape[1], "w")
     xq = query_block(x_adjust, model.sample2.x.shape[1], "x", wq.shape[0])
-    nt = wq.shape[0]
-    if nt == 0:
+    if wq.shape[0] == 0:
         raise ValueError("adjustment sample is empty")
-    a_grid = np.asarray(a_grid, dtype=float).ravel()
     b = gram(model.stage1.sample.w, wq, specs.w)             # m1 x nt
     if specs.x.dim:
         t = model.alpha.T @ b                                # m2 x nt
         t *= gram(model.sample2.x, xq, specs.x)
-        t = t.mean(axis=1)                                   # m2
-    else:
-        # k(x_k, x_j) = 1: the mean over adjustment rows moves inside.
-        t = model.alpha.T @ b.mean(axis=1)
-    s = gram(model.sample2.a, a_grid[:, None], specs.a)      # m2 x g
-    return DoCurve(grid=a_grid, estimate=s.T @ t)
+        return t.mean(axis=1)
+    # k(x_k, x_j) = 1: the mean over adjustment rows moves inside.
+    return model.alpha.T @ b.mean(axis=1)
+
+
+def kpv_ate(model: KpvModel, a_grid, x_adjust, w_adjust) -> DoCurve:
+    """Causal-effect curve: h averaged over the adjustment sample."""
+    return effect_curve(model.sample2.a, model.stage1.specs.a,
+                        kpv_curve_weights(model, x_adjust, w_adjust), a_grid)
 
 
 def stage1_loo_scores(sample1: Dataset, specs: KernelSpecs,

@@ -22,6 +22,12 @@ Every n x n step works in the Grams' own memory. L is factored in place,
 and R' W R is formed from W by two triangular multiplies (BLAS ``trmm``,
 n^3 flops each) that overwrite W. The fit factors R' W R + lam I in that
 buffer, and the search eigendecomposes R' W R there.
+
+The effect curve is the mean of h over an adjustment sample. The kernel
+on (A, W, X) separates, so it is k_A(a, A)' w with the n curve weights
+w = alpha * (mean over adjustment rows of k_{W,X}) of
+``pmmr_curve_weights``; ``pmmr_ate`` evaluates them with
+``kernels.effect_curve``.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import scipy.linalg
 from scipy.linalg.blas import dtrmm
 
 from .data import Dataset, DoCurve, query_block
-from .kernels import KernelSpecs, gram, product_gram
+from .kernels import KernelSpecs, effect_curve, product_gram
 from .numerics import (
     argmin_ties_larger,
     eigh_in_place,
@@ -188,19 +194,22 @@ def _query_dataset(train: Dataset, a, w, x) -> Dataset:
                    w=wq, y=np.zeros(nq))
 
 
-def pmmr_ate(model: PmmrModel, a_grid, x_adjust, w_adjust) -> DoCurve:
-    """Causal-effect curve: mean of h over the adjustment sample."""
+def pmmr_curve_weights(model: PmmrModel, x_adjust, w_adjust) -> np.ndarray:
+    """Curve weights alpha * (mean over adjustment rows of k_{W,X}): the
+    n values w with effect curve k_A(a, A)' w."""
     wq = query_block(w_adjust, model.sample.w.shape[1], "w")
     xq = query_block(x_adjust, model.sample.x.shape[1], "x", wq.shape[0])
-    nt = wq.shape[0]
-    if nt == 0:
+    if wq.shape[0] == 0:
         raise ValueError("adjustment sample is empty")
-    a_grid = np.asarray(a_grid, dtype=float).ravel()
     kw = product_gram((model.sample.w, model.sample.x), (wq, xq),
                       (model.specs.w, model.specs.x))        # n x nt
-    ka = gram(model.sample.a, a_grid[:, None], model.specs.a)  # n x g
-    weights = kw.mean(axis=1) * model.alpha                  # n
-    return DoCurve(grid=a_grid, estimate=ka.T @ weights)
+    return kw.mean(axis=1) * model.alpha
+
+
+def pmmr_ate(model: PmmrModel, a_grid, x_adjust, w_adjust) -> DoCurve:
+    """Causal-effect curve: mean of h over the adjustment sample."""
+    return effect_curve(model.sample.a, model.specs.a,
+                        pmmr_curve_weights(model, x_adjust, w_adjust), a_grid)
 
 
 def pmmr_objective(l_gram: np.ndarray, w_gram: np.ndarray, y: np.ndarray,

@@ -193,6 +193,24 @@ class TestLinearTwoStage:
         with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
             linear_two_stage(data, [0.0])
 
+    def test_level_uses_adjustment_w_mean(self):
+        # w = 1 + 2a - z and y = 3 + 0.5a + 2w exactly, so the curve over
+        # an adjustment sample is 3 + 0.5a + 2 mean(W_adjust).
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=50)
+        z = rng.normal(size=50)
+        w = 1.0 + 2.0 * a - z
+        data = Dataset(a=a, x=np.empty((50, 0)), z=z, w=w,
+                       y=3.0 + 0.5 * a + 2.0 * w)
+        grid = np.array([-1.0, 0.0, 1.0])
+        w_adjust = w[:, None] + 3.0
+        curve = linear_two_stage(data, grid, w_adjust)
+        np.testing.assert_allclose(
+            curve.estimate, 3.0 + 0.5 * grid + 2.0 * w_adjust.mean(),
+            atol=1e-8)
+        with pytest.raises(ValueError, match="empty"):
+            linear_two_stage(data, grid, np.empty((0, 1)))
+
     def test_needs_enough_rows(self):
         data = rng_dataset(13, 3)
         with pytest.raises(ValueError, match="more rows"):

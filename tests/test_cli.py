@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from proxilearn import __version__
+from proxilearn import __version__, baselines, kpv, pmmr
 from proxilearn.cli import main
 from proxilearn.data import Dataset
+from proxilearn.kernels import KernelSpecs
 from proxilearn.synthdata import gen_main
 
 
@@ -219,6 +220,173 @@ class TestFitAndAte:
                         str(tmp_path / "train.csv"), "--out",
                         str(curve_path)])
         assert_curves_match(curve_path, str(fixed_path) + ".curve.csv")
+
+
+# Fixed hyperparameters for each kernel method, as fit flags and as the
+# matching library fit of the same training data.
+KERNEL_FITS = {
+    "kpv": (["--lambda1", "1e-3", "--lambda2", "1e-2"],
+            lambda d, s: kpv.fit_kpv(d, specs=s, lam1=1e-3, lam2=1e-2)),
+    "pmmr": (["--lambda1", "0.1"],
+             lambda d, s: pmmr.fit_pmmr(d, specs=s, lam=0.1)),
+    "pmmr-nystrom": (["--lambda1", "0.1", "--rank", "20"],
+                     lambda d, s: pmmr.fit_pmmr(d, specs=s, lam=0.1,
+                                                rank=20)),
+    "ridge-w": (["--lambda1", "1e-3"],
+                lambda d, s: baselines.fit_ridge_baseline(
+                    d, "w", lam=1e-3, specs=s)[0]),
+}
+
+
+def library_ate(method, model, grid, adjust: Dataset):
+    if method == "kpv":
+        return kpv.kpv_ate(model, grid, adjust.x, adjust.w)
+    if method == "ridge-w":
+        return baselines.adjusted_ate(
+            model, grid, baselines.ridge_adjustment(adjust, "w"))
+    return pmmr.pmmr_ate(model, grid, adjust.x, adjust.w)
+
+
+class TestAteWeightSources:
+    """``ate`` evaluates the stored curve weights, or with ``--adjust``
+    weights recomputed from the coefficients over another sample."""
+
+    def fit(self, runner, tmp_path, method, n=60):
+        data_path = tmp_path / "train.csv"
+        gen_main(n, seed=2).data.to_csv(data_path)
+        model_path = tmp_path / f"{method}.json"
+        run_ok(runner, ["fit", "--data", str(data_path), "--method", method,
+                        "--out", str(model_path),
+                        *KERNEL_FITS.get(method, ([],))[0]])
+        return data_path, model_path
+
+    def ate(self, runner, model_path, data_path, out, *extra):
+        run_ok(runner, ["ate", "--model", str(model_path), "--data",
+                        str(data_path), "--out", str(out), *extra])
+        return read_curve(out)[1]
+
+    @pytest.mark.parametrize("method", [*KERNEL_FITS, "linear2s"])
+    def test_ate_reproduces_fit_curve_bytes(self, runner, tmp_path, method):
+        data_path, model_path = self.fit(runner, tmp_path, method)
+        out = tmp_path / "again.csv"
+        self.ate(runner, model_path, data_path, out)
+        assert out.read_bytes() == \
+            (tmp_path / f"{method}.json.curve.csv").read_bytes()
+
+    @pytest.mark.parametrize("method,size", [
+        ("kpv", 30), ("pmmr", 60), ("pmmr-nystrom", 60), ("ridge-w", 60)])
+    def test_artifact_stores_curve_weights(self, runner, tmp_path, method,
+                                           size):
+        _, model_path = self.fit(runner, tmp_path, method)
+        weights = json.loads(model_path.read_text())["curve_weights"]
+        assert len(weights) == size  # KPV: m2 = n - n // 2
+
+    @pytest.mark.parametrize("method", KERNEL_FITS)
+    def test_stored_weights_need_no_refit(self, runner, tmp_path, method,
+                                          monkeypatch):
+        data_path, model_path = self.fit(runner, tmp_path, method)
+
+        def refit(*args, **kwargs):
+            raise AssertionError("ate refitted the model")
+
+        for module, name in ((kpv, "stage1_fit"), (kpv, "kpv_curve_weights"),
+                             (pmmr, "pmmr_curve_weights"),
+                             (baselines, "adjusted_curve_weights")):
+            monkeypatch.setattr(module, name, refit)
+        out = tmp_path / "again.csv"
+        self.ate(runner, model_path, data_path, out)
+        assert out.read_bytes() == \
+            (tmp_path / f"{method}.json.curve.csv").read_bytes()
+
+    @pytest.mark.parametrize("method", KERNEL_FITS)
+    def test_adjust_over_training_data_matches_stored_weights(
+            self, runner, tmp_path, method):
+        data_path, model_path = self.fit(runner, tmp_path, method)
+        plain = self.ate(runner, model_path, data_path, tmp_path / "p.csv")
+        adjusted = self.ate(runner, model_path, data_path,
+                            tmp_path / "a.csv", "--adjust", str(data_path))
+        np.testing.assert_allclose(adjusted, plain, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("method", KERNEL_FITS)
+    def test_adjust_over_other_sample_matches_library(self, runner,
+                                                      tmp_path, method):
+        data_path, model_path = self.fit(runner, tmp_path, method)
+        other_path = tmp_path / "other.csv"
+        gen_main(45, seed=7).data.to_csv(other_path)
+        curve = self.ate(runner, model_path, data_path, tmp_path / "a.csv",
+                         "--adjust", str(other_path))
+        data = Dataset.from_csv(data_path)
+        model = KERNEL_FITS[method][1](data, KernelSpecs.from_data(data))
+        expected = library_ate(method, model, curve[:, 0],
+                               Dataset.from_csv(other_path))
+        np.testing.assert_allclose(curve[:, 1], expected.estimate,
+                                   rtol=1e-12, atol=0)
+        stored = read_curve(tmp_path / f"{method}.json.curve.csv")[1]
+        assert not np.allclose(curve[:, 1], stored[:, 1])
+
+    def test_linear2s_adjust_uses_adjustment_w(self, runner, tmp_path):
+        data_path, model_path = self.fit(runner, tmp_path, "linear2s")
+        data = Dataset.from_csv(data_path)
+        shifted = Dataset(a=data.a, x=data.x, z=data.z, w=data.w + 3.0,
+                          y=data.y)
+        shifted_path = tmp_path / "shifted.csv"
+        shifted.to_csv(shifted_path)
+        curve = self.ate(runner, model_path, data_path, tmp_path / "a.csv",
+                         "--adjust", str(shifted_path))
+        training = baselines.linear_two_stage(data, curve[:, 0])
+        assert not np.allclose(curve[:, 1], training.estimate)
+        expected = baselines.linear_two_stage(data, curve[:, 0], shifted.w)
+        np.testing.assert_allclose(curve[:, 1], expected.estimate,
+                                   rtol=1e-12)
+
+    @pytest.mark.parametrize("adjust", [False, True])
+    @pytest.mark.parametrize("field, edit", [
+        ("curve_weights", lambda art: art.pop("curve_weights")),
+        ("curve_weights", lambda art: art["curve_weights"].pop()),
+        ("curve_weights", lambda art: art.update(curve_weights="oops")),
+        ("coefficients.alpha",
+         lambda art: art["coefficients"]["alpha"].append(0.0)),
+    ])
+    def test_bad_weight_fields_report_json(self, runner, tmp_path, field,
+                                           edit, adjust):
+        data_path, model_path = self.fit(runner, tmp_path, "pmmr")
+        artifact = json.loads(model_path.read_text())
+        edit(artifact)
+        model_path.write_text(json.dumps(artifact))
+        extra = ["--adjust", str(data_path)] if adjust else []
+        result = runner.invoke(main, ["ate", "--model", str(model_path),
+                                      "--data", str(data_path), "--out",
+                                      str(tmp_path / "x.csv"), *extra])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload["error"] == "ValueError"
+        assert repr(field) in payload["message"]
+
+
+UNUSED_FLAGS = (
+    [(m, ["--lambda2", "5"]) for m in
+     ("pmmr", "pmmr-nystrom", "ridge", "ridge-w", "ridge-wz", "linear2s")]
+    + [(m, ["--rank", "7"]) for m in
+       ("kpv", "pmmr", "ridge", "ridge-w", "ridge-wz", "linear2s")]
+    + [(m, ["--lambda-grid", "0.1,1"]) for m in ("kpv", "linear2s")]
+    + [("linear2s", ["--lambda1", "0.1"])]
+)
+
+
+@pytest.mark.parametrize("method, flag", UNUSED_FLAGS)
+def test_fit_rejects_flags_the_method_ignores(runner, tmp_path, method,
+                                              flag):
+    data_path = tmp_path / "train.csv"
+    gen_main(20, seed=1).data.to_csv(data_path)
+    model_path = tmp_path / "m.json"
+    result = runner.invoke(main, ["fit", "--data", str(data_path),
+                                  "--method", method, *flag,
+                                  "--out", str(model_path)])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr or result.output)
+    assert payload["error"] == "ValueError"
+    assert f"--method {method} does not use {flag[0]}" in payload["message"]
+    assert not model_path.exists()
 
 
 class TestExperimentAndSweep:

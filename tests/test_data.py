@@ -46,6 +46,45 @@ class TestDataset:
         np.testing.assert_array_equal(loaded.y, data.y)
         assert loaded.x.shape == (17, 0)
 
+    def test_from_csv_matches_cell_by_cell_parse(self, tmp_path):
+        # Values written in other spellings still parse as float() does.
+        path = tmp_path / "d.csv"
+        cells = [["0.1", " -2.5e-300 ", "1_000", "+3", "-0.0"],
+                 ["4.9e-324", "1e308", "7.", "  8  ", "0"]]
+        path.write_text("A,Z1,W1,W2,Y\n"
+                        + "".join(",".join(r) + "\n" for r in cells))
+        loaded = Dataset.from_csv(path)
+        table = np.column_stack([loaded.a, loaded.z, loaded.w, loaded.y])
+        expected = np.array([[float(c) for c in r] for r in cells])
+        assert table.tobytes() == expected.tobytes()
+
+    def test_to_csv_writes_repr_of_each_value(self, tmp_path):
+        data = gen_main(9, seed=4).data
+        path = tmp_path / "d.csv"
+        data.to_csv(path)
+        table = np.column_stack([data.a, data.x, data.z, data.w, data.y])
+        expected = ",".join(data.column_names()) + "\r\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\r\n" for row in table)
+        assert path.read_bytes() == expected.encode()
+
+    def test_header_only_csv_has_no_rows(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("A,Z1,W1,Y\n")
+        data = Dataset.from_csv(path)
+        assert data.n == 0 and data.w.shape == (0, 1)
+
+    @pytest.mark.parametrize("body, where", [
+        ("1,2,3,4\n1,2,3\n", "row 3 has 3 cells"),
+        ("1,2,3\n1,2,3\n", "row 2 has 3 cells"),
+        ("1,2,3,4\n\n", "row 3 has 0 cells"),
+        ("1,2,,4\n", "row 2, column 'W1'"),
+    ])
+    def test_bad_rows_reported_with_location(self, tmp_path, body, where):
+        path = tmp_path / "bad.csv"
+        path.write_text("A,Z1,W1,Y\n" + body)
+        with pytest.raises(SchemaError, match=where):
+            Dataset.from_csv(path)
+
     def test_header_names(self):
         data = gen_main(3, seed=0).data
         assert data.column_names() == ["A", "Z1", "Z2", "W1", "W2", "Y"]

@@ -8,6 +8,7 @@ from proxilearn.kernels import (
     _BLOCK_BYTES,
     KernelSpec,
     KernelSpecs,
+    effect_curve,
     gram,
     hadamard,
     median_heuristic,
@@ -174,6 +175,26 @@ class TestGram:
         pts = rng.normal(size=(20, 2))
         k = gram(pts, pts, KernelSpec([1.0, 1.0]))
         np.linalg.cholesky(k + 1e-10 * np.eye(20))
+
+
+class TestEffectCurve:
+    def test_matches_weighted_kernel_sum(self):
+        rng = np.random.default_rng(4)
+        a_sample = rng.normal(size=(13, 1))
+        weights = rng.normal(size=13)
+        grid = np.linspace(-1.0, 1.0, 5)
+        spec = KernelSpec(np.array([0.7]))
+        curve = effect_curve(a_sample, spec, weights, grid)
+        expected = [sum(w * np.exp(-(a - s) ** 2 / (2 * 0.7 ** 2))
+                        for s, w in zip(a_sample[:, 0], weights))
+                    for a in grid]
+        np.testing.assert_allclose(curve.estimate, expected, rtol=1e-13)
+        np.testing.assert_array_equal(curve.grid, grid)
+
+    def test_weight_count_checked(self):
+        with pytest.raises(ValueError, match="4 curve weights for 3"):
+            effect_curve(np.zeros((3, 1)), KernelSpec(np.array([1.0])),
+                         np.ones(4), [0.0])
 
 
 class TestHadamard:
