@@ -24,7 +24,6 @@ from .kpv import (
     kpv_fit,
     kpv_h,
     kpv_model,
-    kpv_select_lambdas,
     stage1_embedding,
     stage1_fit,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "kpv_fit",
     "kpv_h",
     "kpv_model",
-    "kpv_select_lambdas",
     "stage1_embedding",
     "stage1_fit",
     "PmmrModel",

@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__, baselines, evaluation, kpv, pmmr, synthdata
 from .data import Dataset, DoCurve
 from .kernels import KernelSpec, KernelSpecs, effect_curve
-from .numerics import argmin_ties_larger
 
 FIT_METHODS = ("kpv", "pmmr", "pmmr-nystrom", "ridge", "ridge-w",
                "ridge-wz", "linear2s")
@@ -68,12 +67,17 @@ def _parse_a_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _check_ridges(flag: str, values) -> None:
+    bad = [v for v in values if not (np.isfinite(v) and v > 0)]
+    if bad:
+        raise ValueError(f"{flag} must be positive and finite, got {bad[0]}")
+
+
 def _parse_grid(text: str) -> np.ndarray:
     values = np.array([float(v) for v in text.split(",") if v.strip()])
     if values.size == 0:
         raise ValueError("--lambda-grid is empty")
-    if not (values > 0).all():
-        raise ValueError("--lambda-grid values must be positive")
+    _check_ridges("--lambda-grid", values)
     return values
 
 
@@ -215,9 +219,10 @@ def _curve_weights(method, model, adjust: Dataset):
               required=True)
 @click.option("--method", type=click.Choice(FIT_METHODS), required=True)
 @click.option("--lambda1", type=float, default=None,
-              help="Stage-1 ridge (kpv) or fixed ridge (pmmr/ridge).")
+              help="Stage-1 ridge (kpv, default 1e-3) or fixed ridge "
+                   "(pmmr/ridge, default: selected).")
 @click.option("--lambda2", type=float, default=None,
-              help="Stage-2 ridge (kpv only).")
+              help="Stage-2 ridge (kpv only, default 1e-2).")
 @click.option("--lambda-grid", "lambda_grid", type=str, default=None,
               help="Comma-separated ridge grid (pmmr/ridge selection).")
 @click.option("--bandwidth", type=str, default="median", show_default=True,
@@ -237,9 +242,12 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
     Kernel methods store their curve weights in the model, so ``ate``
     evaluates the curve on any grid without refitting."""
     _check_flags(method, lambda1, lambda2, lambda_grid, rank)
+    for flag, value in (("--lambda1", lambda1), ("--lambda2", lambda2)):
+        if value is not None:
+            _check_ridges(flag, [value])
+    lam_grid = _parse_grid(lambda_grid) if lambda_grid else None
     data = Dataset.from_csv(data_path)
     specs = _parse_bandwidth(bandwidth, data)
-    lam_grid = _parse_grid(lambda_grid) if lambda_grid else None
     a_grid = (_parse_a_grid(a_grid_text) if a_grid_text
               else _default_grid_for(data))
     config = {
@@ -442,33 +450,26 @@ def experiment(n_values, seeds, methods, out):
 @click.option("--out", type=click.Path(), required=True)
 @_cli_errors
 def sweep(data_path, method, lambda_grid, bandwidth, seed, out):
-    """Write the hyperparameter score curves used for selection."""
+    """Write PMMR's validation score curve over its ridge grid.
+
+    KPV fits at fixed ridges, so ``--method kpv`` is refused."""
+    if method == "kpv":
+        raise ValueError(
+            f"kpv has no ridge search to sweep: it fits at the fixed ridges "
+            f"lambda1 = {kpv.DEFAULT_LAMBDA1:g} and lambda2 = "
+            f"{kpv.DEFAULT_LAMBDA2:g}; fit --lambda1/--lambda2 overrides them")
+    grid = (_parse_grid(lambda_grid) if lambda_grid
+            else pmmr.DEFAULT_LAMBDA_GRID)
     data = Dataset.from_csv(data_path)
     specs = _parse_bandwidth(bandwidth, data)
-    rows = []
-    if method == "kpv":
-        grid1 = (_parse_grid(lambda_grid) if lambda_grid
-                 else kpv.DEFAULT_LAMBDA1_GRID)
-        grid2 = (_parse_grid(lambda_grid) if lambda_grid
-                 else kpv.DEFAULT_LAMBDA2_GRID)
-        sample1, sample2 = data.split_half(seed)
-        scores1 = kpv.stage1_loo_scores(sample1, specs, grid1)
-        lam1 = argmin_ties_larger(grid1, scores1)
-        fit1 = kpv.stage1_fit(sample1, specs, lam1)
-        scores2 = kpv.stage2_loo_scores(fit1, sample2, grid2)
-        rows += [("stage1", lam, s) for lam, s in zip(grid1, scores1)]
-        rows += [("stage2", lam, s) for lam, s in zip(grid2, scores2)]
-    else:
-        grid = (_parse_grid(lambda_grid) if lambda_grid
-                else pmmr.DEFAULT_LAMBDA_GRID)
-        train, validate = data.split_half(seed)
-        scores = pmmr.pmmr_validation_scores(train, validate, specs, grid)
-        rows += [("validation", lam, s) for lam, s in zip(grid, scores)]
+    train, validate = data.split_half(seed)
+    scores = pmmr.pmmr_validation_scores(train, validate, specs, grid)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["stage", "lambda", "score"])
-        for stage, lam, score in rows:
-            writer.writerow([stage, repr(float(lam)), repr(float(score))])
+        for lam, score in zip(grid, scores):
+            writer.writerow(["validation", repr(float(lam)),
+                             repr(float(score))])
     _write_meta(out, {"command": "sweep", "method": method,
                       "data": str(data_path), "bandwidth": bandwidth,
                       "lambda_grid": lambda_grid, "seed": seed,

@@ -42,7 +42,7 @@ def default_a_grid(n_points: int = GRID_POINTS,
 
 def fit_method(name: str, data: Dataset, a_grid: np.ndarray,
                seed: int = 0) -> DoCurve:
-    """Fit one method on ``data`` (hyperparameters re-selected) and return
+    """Fit one method on ``data`` (searched ridges re-selected) and return
     its effect curve over ``a_grid``."""
     if name == "kpv":
         model = kpv.fit_kpv(data, split_seed=seed)

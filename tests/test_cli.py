@@ -123,6 +123,11 @@ class TestFitAndAte:
         values = np.array([float(r[1]) for r in rows[1:]])
         assert np.isfinite(values).all()
 
+    def test_kpv_default_ridges_recorded(self, runner, tmp_path):
+        _, model_path = self.fit(runner, tmp_path, "kpv", n=40)
+        artifact = json.loads(model_path.read_text())
+        assert artifact["lambdas"] == {"lambda1": 0.001, "lambda2": 0.01}
+
     def test_kpv_round_trip(self, runner, tmp_path):
         data_path, model_path = self.fit(
             runner, tmp_path, "kpv", n=60,
@@ -431,33 +436,18 @@ class TestExperimentAndSweep:
         assert rows[0] == ["stage", "lambda", "score"]
         assert len(rows) == 4
 
-    def test_sweep_kpv_two_stages(self, runner, tmp_path):
+    def test_sweep_kpv_refused_with_json_error(self, runner, tmp_path):
         data_path = tmp_path / "train.csv"
         gen_main(60, seed=1).data.to_csv(data_path)
         out = tmp_path / "scores.csv"
-        run_ok(runner, ["sweep", "--data", str(data_path), "--method",
-                        "kpv", "--out", str(out)])
-        stages = {row[0] for row in list(csv.reader(open(out)))[1:]}
-        assert stages == {"stage1", "stage2"}
-
-    def test_sweep_breaks_stage1_ties_like_fit(self, runner, tmp_path,
-                                               monkeypatch):
-        from proxilearn import kpv
-
-        fitted = []
-        stage1_fit = kpv.stage1_fit
-        monkeypatch.setattr(kpv, "stage1_loo_scores",
-                            lambda sample, specs, grid: np.ones(len(grid)))
-        monkeypatch.setattr(
-            kpv, "stage1_fit",
-            lambda sample, specs, lam1: fitted.append(lam1)
-            or stage1_fit(sample, specs, lam1))
-        data_path = tmp_path / "train.csv"
-        gen_main(60, seed=1).data.to_csv(data_path)
-        run_ok(runner, ["sweep", "--data", str(data_path), "--method",
-                        "kpv", "--lambda-grid", "1e-5,1e-4,1e-3",
-                        "--out", str(tmp_path / "scores.csv")])
-        assert fitted == [1e-3]
+        result = runner.invoke(main, ["sweep", "--data", str(data_path),
+                                      "--method", "kpv", "--out", str(out)])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload["error"] == "ValueError"
+        assert "lambda1 = 0.001 and lambda2 = 0.01" in payload["message"]
+        assert "fit --lambda1/--lambda2" in payload["message"]
+        assert not out.exists()
 
 
 class TestErrors:
@@ -500,3 +490,29 @@ class TestErrors:
         assert result.exit_code == 1
         payload = json.loads(result.stderr or result.output)
         assert "positive" in payload["message"]
+
+    @pytest.mark.parametrize("command, method, flag, value", [
+        ("sweep", "pmmr", "--lambda-grid", "1e-3,inf"),
+        ("sweep", "pmmr", "--lambda-grid", "nan"),
+        ("fit", "ridge-w", "--lambda-grid", "1e-3,inf"),
+        ("fit", "pmmr", "--lambda1", "inf"),
+        ("fit", "ridge", "--lambda1", "0"),
+        ("fit", "kpv", "--lambda1", "nan"),
+        ("fit", "kpv", "--lambda2", "inf"),
+        ("fit", "kpv", "--lambda2", "-1e-2"),
+    ])
+    def test_nonfinite_or_nonpositive_ridge_reports_flag(
+            self, runner, tmp_path, command, method, flag, value):
+        data_path = tmp_path / "train.csv"
+        gen_main(20, seed=1).data.to_csv(data_path)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--data", str(data_path),
+                                      "--method", method, f"{flag}={value}",
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload["error"] == "ValueError"
+        bad = value.split(",")[-1]
+        assert payload["message"] == (f"{flag} must be positive and finite, "
+                                      f"got {float(bad)}")
+        assert not out.exists()

@@ -12,14 +12,11 @@ from proxilearn.kpv import (
     kpv_fit,
     kpv_h,
     kpv_model,
-    kpv_select_lambdas,
     stage1_embedding,
     stage1_fit,
-    stage1_loo_scores,
     stage1_predict_w,
-    stage2_loo_scores,
 )
-from proxilearn.numerics import argmin_ties_larger, khatri_rao_cols
+from proxilearn.numerics import khatri_rao_cols
 from tests.conftest import rng_dataset
 
 
@@ -283,94 +280,6 @@ class TestKpvEvaluation:
             kpv_ate(model, [0.0], np.empty((0, 0)), np.empty((0, 2)))
 
 
-class TestSelection:
-    def test_single_point_grids(self):
-        s1, s2 = rng_dataset(25, 10), rng_dataset(26, 10)
-        specs = KernelSpecs.from_data(s1)
-        lam1, lam2 = kpv_select_lambdas(s1, s2, specs, [0.37], [0.11])
-        assert (lam1, lam2) == (0.37, 0.11)
-
-    def test_noiseless_deterministic_w_picks_grid_minimum(self):
-        # W a deterministic function of Z: stage-1 smoothing is pure bias,
-        # so the LOO curve decreases toward the smallest ridge.
-        rng = np.random.default_rng(27)
-        n = 40
-        z = rng.normal(size=(n, 1))
-        data = Dataset(a=rng.normal(size=n), x=np.empty((n, 0)), z=z,
-                       w=2.0 * z, y=rng.normal(size=n))
-        specs = KernelSpecs.from_data(data)
-        grid = np.logspace(-6, -1, 8)
-        scores = stage1_loo_scores(data, specs, grid)
-        assert int(np.argmin(scores)) == 0
-        lam1, _ = kpv_select_lambdas(data, data, specs, grid, [1e-2])
-        assert lam1 == pytest.approx(grid[0])
-
-    def test_selected_scores_are_argmin(self):
-        s1, s2 = rng_dataset(29, 12), rng_dataset(30, 12)
-        specs = KernelSpecs.from_data(s1)
-        grid1 = np.logspace(-6, -1, 6)
-        grid2 = np.logspace(-4, 0, 6)
-        lam1, lam2 = kpv_select_lambdas(s1, s2, specs, grid1, grid2)
-        scores1 = stage1_loo_scores(s1, specs, grid1)
-        assert scores1[list(grid1).index(lam1)] <= scores1.min() + 1e-12
-        fit = stage1_fit(s1, specs, lam1)
-        scores2 = stage2_loo_scores(fit, s2, grid2)
-        assert scores2[list(grid2).index(lam2)] <= scores2.min() + 1e-12
-
-    @pytest.mark.parametrize("m1", [2, 3, 40])
-    def test_stage1_scores_match_dense_spectral_norm(self, m1):
-        data = rng_dataset(36 + m1, m1)
-        specs = KernelSpecs.from_data(data)
-        grid = np.logspace(-6, -1, 6)
-        k_axz = hadamard(gram(data.a, data.a, specs.a),
-                         hadamard(gram(data.x, data.x, specs.x),
-                                  gram(data.z, data.z, specs.z)))
-        k_ww = gram(data.w, data.w, specs.w)
-        expected = []
-        for lam in grid:
-            h = np.eye(m1) - k_axz @ np.linalg.inv(k_axz + m1 * lam
-                                                   * np.eye(m1))
-            hs = h / np.diag(h)[:, None]
-            expected.append(np.linalg.norm(hs @ k_ww @ hs.T, 2) / m1)
-        np.testing.assert_allclose(stage1_loo_scores(data, specs, grid),
-                                   expected, rtol=1e-8)
-
-    def test_stage1_scores_independent_of_earlier_eigsh_calls(self):
-        import scipy.sparse.linalg
-
-        data = rng_dataset(39, 30)
-        specs = KernelSpecs.from_data(data)
-        grid = np.logspace(-6, -1, 6)
-        first = stage1_loo_scores(data, specs, grid)
-        scipy.sparse.linalg.eigsh(np.diag(np.arange(1.0, 21.0)), k=2)
-        np.testing.assert_array_equal(
-            stage1_loo_scores(data, specs, grid), first)
-
-    def test_stage1_scores_need_two_points(self):
-        data = rng_dataset(40, 1)
-        with pytest.raises(ValueError, match="at least 2"):
-            stage1_loo_scores(data, KernelSpecs.from_data(rng_dataset(41, 8)),
-                              [1e-3])
-
-    def test_ties_break_toward_larger(self):
-        from proxilearn.numerics import argmin_ties_larger
-
-        assert argmin_ties_larger([1.0, 2.0, 3.0], [5.0, 5.0, 7.0]) == 2.0
-        assert argmin_ties_larger([3.0, 1.0, 2.0], [7.0, 5.0, 5.0]) == 2.0
-
-    def test_all_nonfinite_scores_rejected(self):
-        from proxilearn.numerics import argmin_ties_larger
-
-        with pytest.raises(ValueError, match="non-finite"):
-            argmin_ties_larger([1.0, 2.0], [np.inf, np.nan])
-
-    def test_positive_grids_required(self):
-        s1, s2 = rng_dataset(31, 6), rng_dataset(32, 6)
-        specs = KernelSpecs.from_data(s1)
-        with pytest.raises(ValueError, match="positive"):
-            kpv_select_lambdas(s1, s2, specs, [0.0, 1.0], [1.0])
-
-
 class TestPipeline:
     def test_same_sample_both_stages_supported(self):
         data = rng_dataset(33, 12)
@@ -380,22 +289,18 @@ class TestPipeline:
         assert np.isfinite(model.nu).all()
         assert model.stage1.m1 == model.m2 == 12
 
-    def test_fit_kpv_tunes_lam2_against_given_lam1(self):
-        # The stage-1 search would pick 0.1 here; stage 2 must be scored
-        # against the stage-1 fit at the given lam1 = 1, which it is
-        # solved with.
-        data = rng_dataset(40, 40)
-        grid1, grid2 = np.logspace(-6, 0, 7), np.logspace(-4, 1, 11)
+    @pytest.mark.parametrize("split_seed", [0, 7])
+    def test_fit_kpv_defaults_are_the_fixed_ridges(self, split_seed):
+        data = rng_dataset(43, 30)
         specs = KernelSpecs.from_data(data)
-        s1, s2 = data.split_half(0)
-        searched = argmin_ties_larger(grid1,
-                                      stage1_loo_scores(s1, specs, grid1))
-        assert searched != 1.0
-        expected = argmin_ties_larger(
-            grid2, stage2_loo_scores(stage1_fit(s1, specs, 1.0), s2, grid2))
-        model = fit_kpv(data, lam1=1.0, lam1_grid=grid1, lam2_grid=grid2)
-        assert model.stage1.lam1 == 1.0
-        assert model.lam2 == expected
+        s1, s2 = data.split_half(split_seed)
+        expected = kpv_fit(stage1_fit(s1, specs, kpv.DEFAULT_LAMBDA1), s2,
+                           kpv.DEFAULT_LAMBDA2)
+        model = fit_kpv(data, split_seed=split_seed)
+        assert (model.stage1.lam1, model.lam2) == (kpv.DEFAULT_LAMBDA1,
+                                                   kpv.DEFAULT_LAMBDA2)
+        np.testing.assert_array_equal(model.c, expected.c)
+        np.testing.assert_array_equal(model.alpha, expected.alpha)
 
     @pytest.mark.parametrize("lam1, lam2", [(None, None), (1.0, None),
                                             (None, 1e-2), (1e-3, 1e-2)])
@@ -413,8 +318,8 @@ class TestPipeline:
 
     @pytest.mark.parametrize("lam2", [None, 1e-2])
     def test_fit_kpv_embeds_stage2_once(self, monkeypatch, lam2):
-        # Gamma and Sigma are built once for the lambda2 search and the
-        # solve, so sample 2 is embedded once.
+        # Gamma and Sigma are built once, for the solve, so sample 2 is
+        # embedded once.
         calls = []
         real = kpv.stage1_embedding
 
@@ -425,24 +330,6 @@ class TestPipeline:
         monkeypatch.setattr(kpv, "stage1_embedding", counted)
         fit_kpv(rng_dataset(42, 20), lam1=1e-3, lam2=lam2)
         assert len(calls) == 1
-
-    def test_shared_stage2_system_gives_same_bits(self):
-        data = rng_dataset(43, 30)
-        specs = KernelSpecs.from_data(data)
-        s1, s2 = data.split_half(0)
-        fit = stage1_fit(s1, specs, 1e-3)
-        grid = np.logspace(-3, 0, 7)
-        system = kpv._stage2_sigma(fit, s2)
-        sigma = system[1].copy()
-        np.testing.assert_array_equal(
-            stage2_loo_scores(fit, s2, grid, system),
-            stage2_loo_scores(fit, s2, grid))
-        np.testing.assert_array_equal(system[1], sigma)
-        model = fit_kpv(data, specs, lam1=1e-3, lam2_grid=grid)
-        np.testing.assert_array_equal(
-            model.c, kpv_fit(fit, s2, model.lam2).c)
-        np.testing.assert_array_equal(
-            model.alpha, kpv_fit(fit, s2, model.lam2, system).alpha)
 
     def test_fit_kpv_splits_and_is_deterministic(self):
         data = rng_dataset(34, 20)

@@ -1,10 +1,12 @@
-"""Selected ridges on the benchmark's n = 2000 draws stay where they were.
+"""Ridges on the benchmark's n = 2000 draws stay where they were.
 
-The expected grid positions were recorded with the searches built on
-``np.linalg.eigh`` and general matrix products. The in-place eigensolves
-and the triangular PMMR reduction move the scores by round-off only, so
-every fit must still select the same value, as ``evaluation.fit_method``
-calls it (split seed = data seed).
+PMMR and ridge-w select their ridge by a search. The expected grid
+positions were recorded with the searches built on ``np.linalg.eigh`` and
+general matrix products. The in-place eigensolves and the triangular PMMR
+reduction move the scores by round-off only, so every fit must still
+select the same value, as ``evaluation.fit_method`` calls it (split seed =
+data seed). KPV fits at its fixed ridges, the values its former
+leave-one-out search picked on every one of these draws.
 """
 
 import pytest
@@ -29,9 +31,8 @@ def test_fits_select_recorded_ridges(seed):
     pmmr_index, ridge_index = EXPECTED[seed]
 
     model = kpv.fit_kpv(data, specs, split_seed=seed)
-    # KPV picks grid edges on every draw (see ROADMAP, KPV selection).
-    assert model.stage1.lam1 == kpv.DEFAULT_LAMBDA1_GRID[-1]
-    assert model.lam2 == kpv.DEFAULT_LAMBDA2_GRID[0]
+    assert model.stage1.lam1 == kpv.DEFAULT_LAMBDA1
+    assert model.lam2 == kpv.DEFAULT_LAMBDA2
 
     model = pmmr.fit_pmmr(data, specs, split_seed=seed)
     assert model.lam == pmmr.DEFAULT_LAMBDA_GRID[pmmr_index]
