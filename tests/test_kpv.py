@@ -16,7 +16,8 @@ from proxilearn.kpv import (
     stage1_fit,
     stage1_predict_w,
 )
-from proxilearn.numerics import khatri_rao_cols
+from proxilearn.numerics import argmin_ties_larger, khatri_rao_cols, solve_psd
+from proxilearn.synthdata import gen_main
 from tests.conftest import rng_dataset
 
 
@@ -280,6 +281,58 @@ class TestKpvEvaluation:
             kpv_ate(model, [0.0], np.empty((0, 0)), np.empty((0, 2)))
 
 
+class TestSelection:
+    """The fixed ridges against the leave-one-out criteria they replace,
+    and the tie rule the remaining ridge searches share."""
+
+    @staticmethod
+    def dense_stage1_loo_scores(sample, specs, grid):
+        # ||T^{-1} H K_WW H T^{-1}||_2 / m1 with
+        # H = m1 lam (K_AXZ + m1 lam I)^{-1} and T = diag(H).
+        m1 = sample.n
+        k_axz = kpv._gram_axz(sample, sample.a, sample.x, sample.z, specs)
+        k_ww = gram(sample.w, sample.w, specs.w)
+        scores = []
+        for lam in grid:
+            h = m1 * lam * np.linalg.inv(k_axz + m1 * lam * np.eye(m1))
+            hs = h / np.diag(h)[:, None]
+            scores.append(np.linalg.norm(hs @ k_ww @ hs.T, 2) / m1)
+        return np.array(scores)
+
+    @staticmethod
+    def dense_stage2_loo_scores(fit, sample2, grid):
+        # ||T^{-1} H y||^2 / m2 with H = m2 lam (Sigma + m2 lam I)^{-1}.
+        m2 = sample2.n
+        _, sigma = kpv._stage2_sigma(fit, sample2)
+        scores = []
+        for lam in grid:
+            h = m2 * lam * np.linalg.inv(sigma + m2 * lam * np.eye(m2))
+            scores.append(np.sum((h @ sample2.y / np.diag(h)) ** 2) / m2)
+        return np.array(scores)
+
+    def test_selected_scores_are_argmin(self):
+        # The fixed ridges are what the closed-form leave-one-out searches
+        # over logspace(-8, -3, 11) and logspace(-2, 0, 9) selected, as the
+        # kpv module docstring records.
+        data = gen_main(100, seed=0).data
+        specs = KernelSpecs.from_data(data)
+        s1, s2 = data.split_half(0)
+        grid1, grid2 = np.logspace(-8, -3, 11), np.logspace(-2, 0, 9)
+        scores1 = self.dense_stage1_loo_scores(s1, specs, grid1)
+        assert argmin_ties_larger(grid1, scores1) == kpv.DEFAULT_LAMBDA1
+        fit = stage1_fit(s1, specs, kpv.DEFAULT_LAMBDA1)
+        scores2 = self.dense_stage2_loo_scores(fit, s2, grid2)
+        assert argmin_ties_larger(grid2, scores2) == kpv.DEFAULT_LAMBDA2
+
+    def test_ties_break_toward_larger(self):
+        assert argmin_ties_larger([1.0, 2.0, 3.0], [5.0, 5.0, 7.0]) == 2.0
+        assert argmin_ties_larger([3.0, 1.0, 2.0], [7.0, 5.0, 5.0]) == 2.0
+
+    def test_all_nonfinite_scores_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            argmin_ties_larger([1.0, 2.0], [np.inf, np.nan])
+
+
 class TestPipeline:
     def test_same_sample_both_stages_supported(self):
         data = rng_dataset(33, 12)
@@ -330,6 +383,23 @@ class TestPipeline:
         monkeypatch.setattr(kpv, "stage1_embedding", counted)
         fit_kpv(rng_dataset(42, 20), lam1=1e-3, lam2=lam2)
         assert len(calls) == 1
+
+    def test_shared_stage2_system_gives_same_bits(self):
+        # kpv_fit expands c with the Gamma its stage-2 system was built
+        # from; recomputing Gamma in kpv_model gives the same bits.
+        data = rng_dataset(43, 30)
+        specs = KernelSpecs.from_data(data)
+        s1, s2 = data.split_half(0)
+        fit = stage1_fit(s1, specs, 1e-3)
+        model = fit_kpv(data, specs, lam1=1e-3)
+        gamma2, sigma = kpv._stage2_sigma(fit, s2)
+        expected = kpv_model(fit, s2, model.c, model.lam2)
+        np.testing.assert_array_equal(model.alpha, expected.alpha)
+        np.testing.assert_array_equal(
+            kpv_model(fit, s2, model.c, model.lam2, gamma2=gamma2).alpha,
+            expected.alpha)
+        np.testing.assert_array_equal(
+            model.c, solve_psd(sigma, s2.n * model.lam2, s2.y))
 
     def test_fit_kpv_splits_and_is_deterministic(self):
         data = rng_dataset(34, 20)

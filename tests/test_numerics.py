@@ -145,14 +145,6 @@ class TestArgminTiesLarger:
         assert argmin_ties_larger([1.0, 2.0, 3.0],
                                   [np.nan, 4.0, np.inf]) == 2.0
 
-    def test_ties_break_toward_larger(self):
-        assert argmin_ties_larger([1.0, 2.0, 3.0], [5.0, 5.0, 7.0]) == 2.0
-        assert argmin_ties_larger([3.0, 1.0, 2.0], [7.0, 5.0, 5.0]) == 2.0
-
-    def test_all_nonfinite_scores_rejected(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            argmin_ties_larger([1.0, 2.0], [np.inf, np.nan])
-
 
 class TestKhatriRao:
     def test_hand_expansion(self):
