@@ -22,7 +22,13 @@ from .kernels import (
     gram,
     median_heuristic,
 )
-from .numerics import argmin_ties_larger, eigh_in_place, loo_path, solve_psd
+from .numerics import (
+    argmin_ties_larger,
+    eigh_in_place,
+    loo_path,
+    ridge_grid,
+    solve_psd,
+)
 
 DEFAULT_RIDGE_GRID = np.logspace(-7, 1, 25)
 
@@ -57,6 +63,15 @@ def kernel_ridge_predict(model: RidgeModel, queries: np.ndarray) -> np.ndarray:
     return gram(queries, model.inputs, model.spec) @ model.beta
 
 
+def _loo_spectrum(inputs: np.ndarray, y: np.ndarray, spec: KernelSpec,
+                  lam_grid):
+    """K = U diag(e) U' over the inputs and the leave-one-out score of
+    every ridge on ``lam_grid``: the search's one O(n^3) step."""
+    lam_grid = ridge_grid(lam_grid)
+    eigvals, eigvecs = eigh_in_place(gram(inputs, inputs, spec))
+    return eigvals, eigvecs, loo_path(eigvals, eigvecs, y, lam_grid)
+
+
 def ridge_loo_scores(inputs: np.ndarray, y: np.ndarray, spec: KernelSpec,
                      lam_grid) -> np.ndarray:
     """Closed-form leave-one-out error (1/n)||T^{-1} H y||^2 per ridge,
@@ -65,13 +80,7 @@ def ridge_loo_scores(inputs: np.ndarray, y: np.ndarray, spec: KernelSpec,
     if inputs.ndim == 1:
         inputs = inputs[:, None]
     y = np.asarray(y, dtype=float).ravel()
-    eigvals, eigvecs = eigh_in_place(gram(inputs, inputs, spec))
-    return loo_path(eigvals, eigvecs, y, lam_grid)
-
-
-def select_ridge_lambda(inputs, y, spec, lam_grid=DEFAULT_RIDGE_GRID) -> float:
-    return argmin_ties_larger(lam_grid, ridge_loo_scores(inputs, y, spec,
-                                                         lam_grid))
+    return _loo_spectrum(inputs, y, spec, lam_grid)[2]
 
 
 def adjusted_curve_weights(model: RidgeModel,
@@ -155,13 +164,24 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     matching adjustment sample columns.
 
     ``adjust`` is "" (treatment only), "w", or "wz"; bandwidths come from
-    ``specs`` as in ``ridge_spec``.
+    ``specs`` as in ``ridge_spec``. A given ``lam`` is fit by one Cholesky
+    solve (``kernel_ridge_fit``). Otherwise the leave-one-out search
+    eigendecomposes K = U diag(e) U' once, picks the ridge with
+    ``argmin_ties_larger`` and takes beta = U (U'y / (e + n lam)) from the
+    same eigenpairs, so the searched fit factors nothing else.
     """
     inputs = ridge_inputs(data, adjust)
     spec = ridge_spec(data, adjust, specs)
-    if lam is None:
-        lam = select_ridge_lambda(inputs, data.y, spec, lam_grid)
-    model = kernel_ridge_fit(inputs, data.y, spec, lam)
+    if lam is not None:
+        model = kernel_ridge_fit(inputs, data.y, spec, lam)
+    else:
+        eigvals, eigvecs, scores = _loo_spectrum(inputs, data.y, spec,
+                                                 lam_grid)
+        lam = argmin_ties_larger(lam_grid, scores)
+        # e >= 0 up to round-off; clipping keeps e + n lam > 0.
+        beta = eigvecs @ ((eigvecs.T @ data.y)
+                          / (np.maximum(eigvals, 0.0) + data.n * lam))
+        model = RidgeModel(inputs=inputs, spec=spec, lam=lam, beta=beta)
     return model, ridge_adjustment(data, adjust)
 
 

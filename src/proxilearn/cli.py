@@ -2,8 +2,9 @@
 experiments and hyperparameter sweeps.
 
 Every invocation writes its primary outputs plus a ``<out>.meta.json``
-sidecar carrying the full run configuration and library version; model
-artifacts embed both directly. Errors leave a machine-readable JSON
+sidecar carrying the full run configuration and library version (for
+``fit``, also the ridges the model was fitted with); model artifacts
+embed both directly. Errors leave a machine-readable JSON
 object on stderr and a nonzero exit code.
 """
 
@@ -51,8 +52,8 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _write_meta(out_path, config: dict) -> None:
-    meta = {"proxilearn_version": __version__, "config": config}
+def _write_meta(out_path, config: dict, **fields) -> None:
+    meta = {"proxilearn_version": __version__, "config": config, **fields}
     Path(str(out_path) + ".meta.json").write_text(json.dumps(meta, indent=2))
 
 
@@ -282,7 +283,7 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
     Path(out).write_text(json.dumps(artifact, indent=2))
     curve_path = str(out) + ".curve.csv"
     _write_curve(curve_path, curve)
-    _write_meta(out, config)
+    _write_meta(out, config, lambdas=payload["lambdas"])
     click.echo(f"wrote model to {out} and curve to {curve_path}")
 
 

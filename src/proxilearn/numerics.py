@@ -87,6 +87,20 @@ def loo_path(eigvals: np.ndarray, eigvecs: np.ndarray, y: np.ndarray,
     return np.where(np.isfinite(scores), scores, np.inf)
 
 
+def ridge_grid(lam_grid) -> np.ndarray:
+    """A ridge search's grid as a float vector; raises ``ValueError`` naming
+    the first value that is not finite and positive, or if it is empty.
+    This is the grid rule of every ridge search."""
+    lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float)).ravel()
+    if lam_grid.size == 0:
+        raise ValueError("ridge grid is empty")
+    bad = lam_grid[~(np.isfinite(lam_grid) & (lam_grid > 0))]
+    if bad.size:
+        raise ValueError(
+            f"ridge grid values must be positive and finite, got {bad[0]}")
+    return lam_grid
+
+
 def argmin_ties_larger(grid, scores) -> float:
     """Grid value with the smallest finite score; ties go to the larger
     value. This is the selection rule of every ridge search."""

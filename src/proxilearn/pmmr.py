@@ -15,8 +15,10 @@ matrix is positive definite for every lam > 0, and its conditioning is
 that of L rather than its square: on n = 60 synthetic draws at the
 smallest default ridge, L alpha agrees with a 60-digit solve to about
 1e-11, where a Cholesky solve of L W L + lam L agrees to about 1e-6. The
-ridge search eigendecomposes R' W R = V diag(d) V' once, after which each
-candidate costs O(n^2).
+ridge search eigendecomposes R' W R = V diag(d) V' once; the coefficient
+path alpha(lam) = R'^{-1} V (V' R' W y / (d + lam)) then costs one
+triangular solve with a right-hand side per candidate, and each
+candidate's validation predictions O(n^2).
 
 Every n x n step works in the Grams' own memory. L is factored in place,
 and R' W R is formed from W by two triangular multiplies (BLAS ``trmm``,
@@ -45,6 +47,7 @@ from .numerics import (
     eigh_in_place,
     nystrom_from_columns,
     nystrom_landmarks,
+    ridge_grid,
     woodbury_regularized_inverse_apply,
 )
 
@@ -237,9 +240,6 @@ def pmmr_select_lambda(
     scores the validation residuals with the validation-side instrument
     Gram; ties break toward the larger ridge.
     """
-    lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float))
-    if (lam_grid <= 0).any():
-        raise ValueError("grid must contain positive values")
     scores = pmmr_validation_scores(train, validate, specs, lam_grid)
     return argmin_ties_larger(lam_grid, scores)
 
@@ -248,23 +248,24 @@ def pmmr_validation_scores(train: Dataset, validate: Dataset,
                            specs: KernelSpecs, lam_grid) -> np.ndarray:
     """Validation V-statistic risk for every ridge candidate.
 
-    With R' W R = V diag(d) V', the fit at ridge lam predicts
-    (g / (d + lam)) @ Q on the validation points, where g = V' R' W y and
-    Q = V' R^{-1} L_cross are computed once.
+    With R' W R = V diag(d) V' and g = V' R' W y, the fit at ridge lam is
+    alpha(lam) = R'^{-1} V (g / (d + lam)), the alpha of ``pmmr_fit``. All
+    grid points take one triangular solve with one right-hand side per
+    ridge, and their validation predictions alpha(lam)' L_cross cost
+    O(grid * n^2), so the eigendecomposition is the search's only O(n^3)
+    step.
     """
-    l_cross = h_side_gram(train, validate, specs)
-    w_val = instrument_gram(validate, validate, specs)
+    lam_grid = ridge_grid(lam_grid)
     r, rwr, rwy = _reduced_system(h_side_gram(train, train, specs),
                                   instrument_gram(train, train, specs),
                                   train.y)
     d, v = eigh_in_place(rwr)
-    g = v.T @ rwy
-    q = v.T @ scipy.linalg.solve_triangular(r.T, l_cross, trans="T",
-                                            lower=False)
-    lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float))
     # d >= 0 up to round-off; clipping keeps d + lam > 0 for every lam > 0.
-    coeffs = g / (np.maximum(d, 0.0) + lam_grid[:, None])   # grid x n_train
-    resid = validate.y - coeffs @ q                         # grid x n_val
+    coeffs = (v.T @ rwy) / (np.maximum(d, 0.0) + lam_grid[:, None])
+    alphas = scipy.linalg.solve_triangular(r.T, v @ coeffs.T,
+                                           lower=False)   # n_train x grid
+    resid = validate.y - alphas.T @ h_side_gram(train, validate, specs)
+    w_val = instrument_gram(validate, validate, specs)
     scores = ((resid @ w_val) * resid).sum(axis=1) / float(validate.n) ** 2
     return np.where(np.isfinite(scores), scores, np.inf)
 

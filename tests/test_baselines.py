@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from proxilearn.baselines import (
     adjusted_ate,
@@ -10,8 +11,8 @@ from proxilearn.baselines import (
     ridge_inputs,
     ridge_loo_scores,
     ridge_spec,
-    select_ridge_lambda,
 )
+from proxilearn import baselines, numerics, synthdata
 from proxilearn.data import Dataset
 from proxilearn.kernels import KernelSpec, KernelSpecs, gram
 from tests.conftest import rng_dataset
@@ -54,11 +55,68 @@ class TestKernelRidge:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(20, 1))
         y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=20)
-        spec = KernelSpec([1.0])
+        data = Dataset(a=x, x=np.empty((20, 0)), z=rng.normal(size=(20, 1)),
+                       w=rng.normal(size=(20, 1)), y=y)
+        one = KernelSpec([1.0])
+        specs = KernelSpecs(a=one, x=KernelSpec([]), z=one, w=one)
         grid = np.logspace(-6, 1, 8)
-        lam = select_ridge_lambda(x, y, spec, grid)
-        scores = ridge_loo_scores(x, y, spec, grid)
+        lam = fit_ridge_baseline(data, "", lam_grid=grid, specs=specs)[0].lam
+        scores = ridge_loo_scores(x, y, one, grid)
         assert scores[np.argmin(np.abs(grid - lam))] <= scores.min() + 1e-15
+
+
+class TestSearchedFit:
+    """A searched fit takes beta from the eigenpairs that score the grid."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return synthdata.gen_main(300, seed=0).data
+
+    @pytest.mark.parametrize("adjust", ["", "w", "wz"])
+    def test_lambda_is_loo_argmin(self, data, adjust):
+        grid = baselines.DEFAULT_RIDGE_GRID
+        model, _ = fit_ridge_baseline(data, adjust)
+        scores = ridge_loo_scores(ridge_inputs(data, adjust), data.y,
+                                  ridge_spec(data, adjust), grid)
+        assert model.lam == numerics.argmin_ties_larger(grid, scores)
+
+    @pytest.mark.parametrize("adjust", ["", "w", "wz"])
+    def test_beta_matches_cholesky_fit(self, data, adjust):
+        model, _ = fit_ridge_baseline(data, adjust)
+        fixed, _ = fit_ridge_baseline(data, adjust, lam=model.lam)
+        # Both solves are backward stable, so they agree to round-off
+        # relative to the largest coefficient; the atol covers the entries
+        # that are 1e4 times smaller (plain ridge on this draw).
+        np.testing.assert_allclose(model.beta, fixed.beta, rtol=1e-9,
+                                   atol=1e-12 * np.abs(fixed.beta).max())
+        np.testing.assert_array_equal(model.inputs, fixed.inputs)
+        np.testing.assert_array_equal(model.spec.bandwidths,
+                                      fixed.spec.bandwidths)
+
+    def test_one_eigendecomposition_and_no_cholesky(self, data,
+                                                    monkeypatch):
+        calls = {"eigh": 0, "psd_factor": 0, "cho_factor": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(baselines, "eigh_in_place",
+                            counting("eigh", numerics.eigh_in_place))
+        monkeypatch.setattr(numerics, "psd_factor",
+                            counting("psd_factor", numerics.psd_factor))
+        monkeypatch.setattr(scipy.linalg, "cho_factor",
+                            counting("cho_factor", scipy.linalg.cho_factor))
+        fit_ridge_baseline(data, "w")
+        assert calls == {"eigh": 1, "psd_factor": 0, "cho_factor": 0}
+
+    @pytest.mark.parametrize("bad", [-1e-2, 0.0, np.nan, np.inf])
+    def test_invalid_grid_value_rejected(self, bad):
+        data = rng_dataset(14, 20)
+        with pytest.raises(ValueError, match="positive and finite"):
+            fit_ridge_baseline(data, "w", lam_grid=[bad, 0.1])
 
 
 class TestAdjustedAte:

@@ -128,6 +128,21 @@ class TestFitAndAte:
         artifact = json.loads(model_path.read_text())
         assert artifact["lambdas"] == {"lambda1": 0.001, "lambda2": 0.01}
 
+    def test_sidecar_records_fitted_ridges(self, runner, tmp_path):
+        # The sidecar says how the model was fitted, also when no ridge
+        # flag was given: KPV's fixed ridges, a search's chosen value.
+        _, model_path = self.fit(runner, tmp_path, "kpv", n=40)
+        meta = json.loads(
+            model_path.with_name(model_path.name + ".meta.json").read_text())
+        assert meta["config"]["lambda1"] is None
+        assert meta["lambdas"] == {"lambda1": 0.001, "lambda2": 0.01}
+        _, model_path = self.fit(runner, tmp_path, "ridge-w", n=60)
+        artifact = json.loads(model_path.read_text())
+        meta = json.loads(
+            model_path.with_name(model_path.name + ".meta.json").read_text())
+        assert meta["lambdas"] == artifact["lambdas"]
+        assert artifact["lambdas"]["lambda"] in baselines.DEFAULT_RIDGE_GRID
+
     def test_kpv_round_trip(self, runner, tmp_path):
         data_path, model_path = self.fit(
             runner, tmp_path, "kpv", n=60,

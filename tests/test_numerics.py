@@ -12,6 +12,7 @@ from proxilearn.numerics import (
     nystrom_from_columns,
     nystrom_landmarks,
     psd_factor,
+    ridge_grid,
     solve_psd,
     woodbury_regularized_inverse_apply,
 )
@@ -144,6 +145,21 @@ class TestArgminTiesLarger:
     def test_skips_nonfinite_scores(self):
         assert argmin_ties_larger([1.0, 2.0, 3.0],
                                   [np.nan, 4.0, np.inf]) == 2.0
+
+
+class TestRidgeGrid:
+    def test_returns_float_vector(self):
+        np.testing.assert_array_equal(ridge_grid(0.5), [0.5])
+        np.testing.assert_array_equal(ridge_grid([1, 2]), [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan, np.inf, -np.inf])
+    def test_names_first_bad_value(self, bad):
+        with pytest.raises(ValueError, match=f"got {bad}"):
+            ridge_grid([0.1, bad, -5.0])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            ridge_grid([])
 
 
 class TestKhatriRao:

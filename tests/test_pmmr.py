@@ -332,6 +332,23 @@ class TestSelection:
             pmmr_validation_scores(train, validate, specs, grid), expected,
             rtol=1e-9)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scores_match_refit_over_default_grid(self, seed):
+        data = synthdata.gen_main(400, seed=seed).data
+        specs = KernelSpecs.from_data(data)
+        train, validate = data.split_half(seed)
+        l_cross = h_side_gram(train, validate, specs)
+        w_val = instrument_gram(validate, validate, specs)
+        expected = [
+            vstat_risk(validate.y - pmmr_fit(train, specs, lam).alpha
+                       @ l_cross, w_val)
+            for lam in DEFAULT_LAMBDA_GRID
+        ]
+        np.testing.assert_allclose(
+            pmmr_validation_scores(train, validate, specs,
+                                   DEFAULT_LAMBDA_GRID),
+            expected, rtol=1e-7)
+
     def test_interior_minimum_on_synthetic_data(self):
         data = synthdata.gen_main(500, seed=0).data
         specs = KernelSpecs.from_data(data)
@@ -351,6 +368,13 @@ class TestSelection:
         specs = KernelSpecs.from_data(train)
         with pytest.raises(ValueError, match="positive"):
             pmmr_select_lambda(train, validate, specs, [-1.0])
+
+    @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
+    def test_invalid_grid_value_rejected(self, bad):
+        train, validate = rng_dataset(21, 6), rng_dataset(22, 6)
+        specs = KernelSpecs.from_data(train)
+        with pytest.raises(ValueError, match="positive and finite"):
+            pmmr_select_lambda(train, validate, specs, [bad, 0.1])
 
 
 class TestCmrSanity:
