@@ -5,14 +5,12 @@ from .kernels import (
     KernelSpec,
     KernelSpecs,
     gram,
-    hadamard,
     median_heuristic,
     product_gram,
 )
 from .numerics import (
     NystromFactors,
     khatri_rao_cols,
-    nystrom,
     solve_psd,
     woodbury_regularized_inverse_apply,
 )
@@ -35,7 +33,6 @@ from .pmmr import (
     pmmr_fit_nystrom,
     pmmr_h,
     pmmr_select_lambda,
-    vstat_risk,
 )
 from .baselines import (
     RidgeModel,
@@ -56,12 +53,10 @@ __all__ = [
     "KernelSpec",
     "KernelSpecs",
     "gram",
-    "hadamard",
     "median_heuristic",
     "product_gram",
     "NystromFactors",
     "khatri_rao_cols",
-    "nystrom",
     "solve_psd",
     "woodbury_regularized_inverse_apply",
     "KpvModel",
@@ -80,7 +75,6 @@ __all__ = [
     "pmmr_fit_nystrom",
     "pmmr_h",
     "pmmr_select_lambda",
-    "vstat_risk",
     "RidgeModel",
     "adjusted_ate",
     "kernel_ridge_fit",

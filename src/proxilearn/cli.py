@@ -20,12 +20,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, baselines, evaluation, kpv, pmmr, synthdata
+from . import __version__, evaluation, kpv, pmmr, synthdata
 from .data import Dataset, DoCurve
 from .kernels import KernelSpec, KernelSpecs, effect_curve
-
-FIT_METHODS = ("kpv", "pmmr", "pmmr-nystrom", "ridge", "ridge-w",
-               "ridge-wz", "linear2s")
 
 
 def _fail(exc: BaseException) -> None:
@@ -58,13 +55,16 @@ def _write_meta(out_path, config: dict, **fields) -> None:
 
 
 def _parse_a_grid(text: str) -> np.ndarray:
-    """Parse 'min:max:count' into an equispaced grid."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"--a-grid expects min:max:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError("--a-grid count must be at least 1")
+    """Parse 'min:max:count' into an equispaced grid: finite bounds and an
+    integer count of at least 1."""
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        lo = hi = count = 0
+    if count < 1 or not np.isfinite([lo, hi, hi - lo]).all():
+        raise ValueError(f"--a-grid expects min:max:count with finite "
+                         f"bounds and an integer count >= 1, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -142,83 +142,11 @@ def _default_grid_for(data: Dataset) -> np.ndarray:
     return np.linspace(lo, hi, evaluation.GRID_POINTS)
 
 
-# The ridge baselines' adjustment groups, by method name.
-_RIDGE_ADJUST = {"ridge": "", "ridge-w": "w", "ridge-wz": "wz"}
-
-# The coefficient field each kernel method's artifact stores.
-_COEFFICIENTS = {"kpv": "c", "pmmr": "alpha", "pmmr-nystrom": "alpha",
-                 **{m: "beta" for m in _RIDGE_ADJUST}}
-
-
-def _check_flags(method, lambda1, lambda2, lambda_grid, rank) -> None:
-    """Reject the ``fit`` flags that ``method`` never reads."""
-    unused = [flag for flag, given, readers in (
-        ("--lambda1", lambda1, set(FIT_METHODS) - {"linear2s"}),
-        ("--lambda2", lambda2, {"kpv"}),
-        ("--lambda-grid", lambda_grid, set(FIT_METHODS) - {"kpv", "linear2s"}),
-        ("--rank", rank, {"pmmr-nystrom"}),
-    ) if given is not None and method not in readers]
-    if unused:
-        raise ValueError(f"--method {method} does not use "
-                         f"{', '.join(unused)}")
-
-
-def _fit_model(method, data, specs, lambda1, lambda2, lam_grid, rank, seed):
-    """Fit one method; returns (payload-dict, model), the model None for
-    linear2s."""
-    if method == "kpv":
-        model = kpv.fit_kpv(data, specs=specs, lam1=lambda1, lam2=lambda2,
-                            split_seed=seed)
-        return {
-            "lambdas": {"lambda1": model.stage1.lam1, "lambda2": model.lam2},
-            "split_seed": seed,
-            "coefficients": {"c": model.c.tolist()},
-        }, model
-    if method in ("pmmr", "pmmr-nystrom"):
-        use_rank = (max(1, data.n // 2) if rank is None else rank) \
-            if method == "pmmr-nystrom" else None
-        if lam_grid is None:
-            lam_grid = pmmr.DEFAULT_LAMBDA_GRID
-        model = pmmr.fit_pmmr(data, specs=specs, lam=lambda1,
-                              lam_grid=lam_grid, rank=use_rank,
-                              split_seed=seed, landmark_seed=seed)
-        return {
-            "lambdas": {"lambda": model.lam},
-            "rank": use_rank,
-            "coefficients": {"alpha": model.alpha.tolist()},
-        }, model
-    if method in _RIDGE_ADJUST:
-        model, _ = baselines.fit_ridge_baseline(
-            data, _RIDGE_ADJUST[method], lam=lambda1,
-            lam_grid=lam_grid if lam_grid is not None
-            else baselines.DEFAULT_RIDGE_GRID, specs=specs)
-        return {
-            "lambdas": {"lambda": model.lam},
-            "adjust": _RIDGE_ADJUST[method],
-            "coefficients": {"beta": model.beta.tolist()},
-        }, model
-    if method == "linear2s":
-        return {"lambdas": {}, "coefficients": {}}, None
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _curve_weights(method, model, adjust: Dataset):
-    """The treatment sample A_s and the weights w of a fitted kernel
-    model's effect curve k_A(a, A_s)' w over the adjustment sample."""
-    if method == "kpv":
-        return model.sample2.a, kpv.kpv_curve_weights(model, adjust.x,
-                                                      adjust.w)
-    if method in ("pmmr", "pmmr-nystrom"):
-        return model.sample.a, pmmr.pmmr_curve_weights(model, adjust.x,
-                                                       adjust.w)
-    return model.inputs[:, :1], baselines.adjusted_curve_weights(
-        model, baselines.ridge_adjustment(adjust, _RIDGE_ADJUST[method]))
-
-
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True),
               required=True)
-@click.option("--method", type=click.Choice(FIT_METHODS), required=True)
+@click.option("--method", type=click.Choice(tuple(evaluation.ESTIMATORS)),
+              required=True)
 @click.option("--lambda1", type=float, default=None,
               help="Stage-1 ridge (kpv, default 1e-3) or fixed ridge "
                    "(pmmr/ridge, default: selected).")
@@ -242,15 +170,25 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
 
     Kernel methods store their curve weights in the model, so ``ate``
     evaluates the curve on any grid without refitting."""
-    _check_flags(method, lambda1, lambda2, lambda_grid, rank)
+    est = evaluation.ESTIMATORS[method]
+    flags = {"lambda1": lambda1, "lambda2": lambda2,
+             "lambda_grid": lambda_grid, "rank": rank}
+    unused = [f"--{name.replace('_', '-')}" for name, value in flags.items()
+              if value is not None and name not in est.reads]
+    if unused:
+        raise ValueError(f"--method {method} does not use "
+                         f"{', '.join(unused)}")
     for flag, value in (("--lambda1", lambda1), ("--lambda2", lambda2)):
         if value is not None:
             _check_ridges(flag, [value])
     lam_grid = _parse_grid(lambda_grid) if lambda_grid else None
+    options = {name: value for name, value in
+               {**flags, "lambda_grid": lam_grid}.items() if value is not None}
+    a_grid = _parse_a_grid(a_grid_text) if a_grid_text else None
     data = Dataset.from_csv(data_path)
     specs = _parse_bandwidth(bandwidth, data)
-    a_grid = (_parse_a_grid(a_grid_text) if a_grid_text
-              else _default_grid_for(data))
+    if a_grid is None:
+        a_grid = _default_grid_for(data)
     config = {
         "command": "fit", "method": method, "data": str(data_path),
         "lambda1": lambda1, "lambda2": lambda2,
@@ -258,14 +196,16 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
         "bandwidth": bandwidth, "rank": rank, "seed": seed,
         "a_grid": a_grid.tolist(), "out": str(out),
     }
-    payload, model = _fit_model(method, data, specs, lambda1, lambda2,
-                                lam_grid, rank, seed)
-    if model is None:
-        curve = baselines.linear_two_stage(data, a_grid)
+    model = est.fit(data, specs, seed, options)
+    payload = {**est.record(model, seed, options), "coefficients": {}}
+    if est.weights is None:
+        curve = est.curve(model, data, a_grid)
     else:
-        a_sample, weights = _curve_weights(method, model, data)
+        *sample, weights = est.weights(model, data)
+        payload["coefficients"] = {
+            est.coefficients: getattr(model, est.coefficients).tolist()}
         payload["curve_weights"] = weights.tolist()
-        curve = effect_curve(a_sample, specs.a, weights, a_grid)
+        curve = effect_curve(*sample, weights, a_grid)
     artifact = {
         "proxilearn_version": __version__,
         "config": config,
@@ -319,46 +259,23 @@ def _specs_from_artifact(artifact) -> KernelSpecs:
         for g in ("a", "x", "z", "w")})
 
 
-def _model_from_artifact(artifact, method, data: Dataset, coefficients):
-    """The fitted kernel model with the artifact's ``coefficients``."""
-    specs = _specs_from_artifact(artifact)
-    if method == "kpv":
-        sample1, sample2 = data.split_half(_field(artifact, "split_seed"))
-        fit1 = kpv.stage1_fit(sample1, specs,
-                              _field(artifact, "lambdas.lambda1"))
-        return kpv.kpv_model(fit1, sample2, coefficients,
-                             _field(artifact, "lambdas.lambda2"))
-    if method in ("pmmr", "pmmr-nystrom"):
-        return pmmr.PmmrModel(sample=data, specs=specs, alpha=coefficients,
-                              lam=_field(artifact, "lambdas.lambda"))
-    adjust_kind = _RIDGE_ADJUST[method]
-    return baselines.RidgeModel(
-        inputs=baselines.ridge_inputs(data, adjust_kind),
-        spec=baselines.ridge_spec(data, adjust_kind, specs),
-        lam=_field(artifact, "lambdas.lambda"), beta=coefficients)
-
-
 def _curve_from_artifact(artifact, data: Dataset, adjust: Dataset | None,
                          a_grid: np.ndarray) -> DoCurve:
     """The artifact's effect curve on ``a_grid``: from its stored curve
     weights, or from weights its coefficients give over ``adjust``."""
-    method = _field(artifact, "method")
-    if method == "linear2s":
-        return baselines.linear_two_stage(
-            data, a_grid, None if adjust is None else adjust.w)
-    if method not in _COEFFICIENTS:
-        raise ValueError(f"unknown method {method!r}")
-    a_sample = (data.split_half(_field(artifact, "split_seed"))[1].a
-                if method == "kpv" else data.a)
-    coefficients = _vector(artifact,
-                           f"coefficients.{_COEFFICIENTS[method]}",
+    est = evaluation.estimator(_field(artifact, "method"))
+    read = functools.partial(_field, artifact)
+    if est.weights is None:
+        return est.curve(data, data if adjust is None else adjust, a_grid)
+    a_sample = est.sample(data, read).a
+    coefficients = _vector(artifact, f"coefficients.{est.coefficients}",
                            a_sample.shape[0])
     weights = _vector(artifact, "curve_weights", a_sample.shape[0])
     if adjust is not None:
-        model = _model_from_artifact(artifact, method, data, coefficients)
-        weights = _curve_weights(method, model, adjust)[1]
-    return effect_curve(a_sample,
-                        KernelSpec(np.array(_field(artifact, "bandwidths.a"))),
+        model = est.rebuild(read, data, _specs_from_artifact(artifact),
+                            coefficients)
+        return est.curve(model, adjust, a_grid)
+    return effect_curve(a_sample, KernelSpec(np.array(read("bandwidths.a"))),
                         weights, a_grid)
 
 
@@ -381,6 +298,7 @@ def ate(model_path, data_path, adjust_path, a_grid_text, out):
     Without --adjust, a kernel method's curve comes from the weights the
     artifact stores, in O(n * grid) time and without refitting anything;
     linear2s refits its two regressions."""
+    a_grid = _parse_a_grid(a_grid_text) if a_grid_text else None
     artifact = json.loads(Path(model_path).read_text())
     recorded = _field(artifact, "training_data.sha256")
     actual = _sha256(data_path)
@@ -391,8 +309,8 @@ def ate(model_path, data_path, adjust_path, a_grid_text, out):
         )
     data = Dataset.from_csv(data_path)
     adjust = Dataset.from_csv(adjust_path) if adjust_path else None
-    a_grid = (_parse_a_grid(a_grid_text) if a_grid_text
-              else np.array(_field(artifact, "config.a_grid")))
+    if a_grid is None:
+        a_grid = np.array(_field(artifact, "config.a_grid"))
     curve = _curve_from_artifact(artifact, data, adjust, a_grid)
     _write_curve(out, curve)
     _write_meta(out, {"command": "ate", "model": str(model_path),
@@ -408,7 +326,7 @@ def ate(model_path, data_path, adjust_path, a_grid_text, out):
 @click.option("--seeds", type=int, default=20, show_default=True,
               help="Number of seeds (0..seeds-1).")
 @click.option("--methods", type=str,
-              default="kpv,pmmr,ridge,ridge-w,ridge-wz,linear2s",
+              default=",".join(evaluation.DEFAULT_METHODS),
               show_default=True)
 @click.option("--out", type=click.Path(), required=True,
               help="Output prefix; writes <out>.csv and <out>.json.")

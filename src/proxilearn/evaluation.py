@@ -1,4 +1,5 @@
-"""c-MAE metric and the multi-seed synthetic comparison harness."""
+"""c-MAE metric, the method registry and the multi-seed synthetic
+comparison harness."""
 
 from __future__ import annotations
 
@@ -8,19 +9,18 @@ import os
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import baselines, kpv, pmmr, synthdata
 from .data import Dataset, DoCurve
+from .kernels import KernelSpec, effect_curve
 
 ORACLE_SEED = 20_210_601
 ORACLE_MC_SAMPLES = 1_000_000
 GRID_POINTS = 9
 MAX_FAILURE_FRACTION = 0.25
-
-METHOD_NAMES = ("kpv", "pmmr", "pmmr-nystrom", "ridge", "ridge-w",
-                "ridge-wz", "linear2s")
 
 
 def cmae(estimate: DoCurve, truth: DoCurve) -> float:
@@ -40,28 +40,133 @@ def default_a_grid(n_points: int = GRID_POINTS,
     return np.linspace(lo, hi, n_points)
 
 
+@dataclass(frozen=True)
+class Estimator:
+    """One method, as ``fit_method`` and the CLI's ``fit`` and ``ate`` run it.
+
+    - ``fit(data, specs, seed, options)``: the fitted model. ``specs``
+      None means median-heuristic bandwidths; ``options`` holds the
+      ``fit`` flags given, by the names in ``reads``.
+    - ``record(model, seed, options)``: the artifact's ``lambdas`` and
+      method fields. Its coefficients are the model attribute named
+      ``coefficients``.
+    - ``weights(model, adjust)``: A_s, the A kernel and the weights w of
+      the effect curve k_A(a, A_s)' w over an adjustment sample.
+    - ``sample(data, read)``: the training rows whose treatments are A_s.
+    - ``rebuild(read, data, specs, coefficients)``: the model again from
+      an artifact, whose dotted paths ``read`` looks up.
+
+    ``linear2s`` has no kernel model: its model is the training data, it
+    has no weights, and its curve refits the two regressions.
+    """
+
+    fit: Callable
+    reads: tuple[str, ...]
+    record: Callable
+    coefficients: str = ""
+    weights: Callable | None = None
+    sample: Callable = lambda data, read: data
+    rebuild: Callable | None = None
+    compared: bool = True   # one of ``run_table``'s default methods
+
+    def curve(self, model, adjust: Dataset, a_grid) -> DoCurve:
+        """The fitted model's effect curve over the sample ``adjust``."""
+        if self.weights is None:
+            return baselines.linear_two_stage(model, a_grid, adjust.w)
+        return effect_curve(*self.weights(model, adjust), a_grid)
+
+
+def _kpv_rebuild(read, data, specs, c):
+    sample1, sample2 = data.split_half(read("split_seed"))
+    stage1 = kpv.stage1_fit(sample1, specs, read("lambdas.lambda1"))
+    return kpv.kpv_model(stage1, sample2, c, read("lambdas.lambda2"))
+
+
+def _pmmr(nystrom: bool) -> Estimator:
+    def rank(n, options):
+        return options.get("rank", max(1, n // 2)) if nystrom else None
+
+    return Estimator(
+        fit=lambda data, specs, seed, o: pmmr.fit_pmmr(
+            data, specs=specs, lam=o.get("lambda1"),
+            lam_grid=o.get("lambda_grid", pmmr.DEFAULT_LAMBDA_GRID),
+            rank=rank(data.n, o), split_seed=seed, landmark_seed=seed),
+        reads=("lambda1", "lambda_grid") + (("rank",) if nystrom else ()),
+        record=lambda m, seed, o: {"lambdas": {"lambda": m.lam},
+                                   "rank": rank(m.n, o)},
+        coefficients="alpha",
+        weights=lambda m, adjust: (
+            m.sample.a, m.specs.a,
+            pmmr.pmmr_curve_weights(m, adjust.x, adjust.w)),
+        rebuild=lambda read, data, specs, alpha: pmmr.PmmrModel(
+            sample=data, specs=specs, alpha=alpha,
+            lam=read("lambdas.lambda")),
+        compared=not nystrom)
+
+
+def _ridge(groups: str) -> Estimator:
+    return Estimator(
+        fit=lambda data, specs, seed, o: baselines.fit_ridge_baseline(
+            data, groups, lam=o.get("lambda1"),
+            lam_grid=o.get("lambda_grid", baselines.DEFAULT_RIDGE_GRID),
+            specs=specs)[0],
+        reads=("lambda1", "lambda_grid"),
+        record=lambda m, seed, o: {"lambdas": {"lambda": m.lam},
+                                   "adjust": groups},
+        coefficients="beta",
+        weights=lambda m, adjust: (
+            m.inputs[:, :1], KernelSpec(m.spec.bandwidths[:1]),
+            baselines.adjusted_curve_weights(
+                m, baselines.ridge_adjustment(adjust, groups))),
+        rebuild=lambda read, data, specs, beta: baselines.RidgeModel(
+            inputs=baselines.ridge_inputs(data, groups),
+            spec=baselines.ridge_spec(data, groups, specs),
+            lam=read("lambdas.lambda"), beta=beta))
+
+
+# The entries call estimator functions through their modules at call time,
+# so a rebound module attribute (a test double, a tracing span) is seen.
+ESTIMATORS = {
+    "kpv": Estimator(
+        fit=lambda data, specs, seed, o: kpv.fit_kpv(
+            data, specs=specs, lam1=o.get("lambda1"), lam2=o.get("lambda2"),
+            split_seed=seed),
+        reads=("lambda1", "lambda2"),
+        record=lambda m, seed, o: {
+            "lambdas": {"lambda1": m.stage1.lam1, "lambda2": m.lam2},
+            "split_seed": seed},
+        coefficients="c",
+        weights=lambda m, adjust: (
+            m.sample2.a, m.stage1.specs.a,
+            kpv.kpv_curve_weights(m, adjust.x, adjust.w)),
+        sample=lambda data, read: data.split_half(read("split_seed"))[1],
+        rebuild=_kpv_rebuild),
+    "pmmr": _pmmr(nystrom=False),
+    "pmmr-nystrom": _pmmr(nystrom=True),
+    "ridge": _ridge(""),
+    "ridge-w": _ridge("w"),
+    "ridge-wz": _ridge("wz"),
+    "linear2s": Estimator(fit=lambda data, specs, seed, o: data, reads=(),
+                          record=lambda m, seed, o: {"lambdas": {}}),
+}
+
+DEFAULT_METHODS = tuple(m for m, e in ESTIMATORS.items() if e.compared)
+
+
+def estimator(name: str) -> Estimator:
+    """The registry entry of method ``name``."""
+    if name not in ESTIMATORS:
+        raise ValueError(f"unknown method {name!r}; expected one of "
+                         f"{tuple(ESTIMATORS)}")
+    return ESTIMATORS[name]
+
+
 def fit_method(name: str, data: Dataset, a_grid: np.ndarray,
                seed: int = 0) -> DoCurve:
     """Fit one method on ``data`` (searched ridges re-selected) and return
     its effect curve over ``a_grid``."""
-    if name == "kpv":
-        model = kpv.fit_kpv(data, split_seed=seed)
-        return kpv.kpv_ate(model, a_grid, data.x, data.w)
-    if name == "pmmr":
-        model = pmmr.fit_pmmr(data, split_seed=seed)
-        return pmmr.pmmr_ate(model, a_grid, data.x, data.w)
-    if name == "pmmr-nystrom":
-        model = pmmr.fit_pmmr(data, rank=max(1, data.n // 2),
-                              split_seed=seed, landmark_seed=seed)
-        return pmmr.pmmr_ate(model, a_grid, data.x, data.w)
-    if name in ("ridge", "ridge-w", "ridge-wz"):
-        adjust = {"ridge": "", "ridge-w": "w", "ridge-wz": "wz"}[name]
-        model, adjustment = baselines.fit_ridge_baseline(data, adjust)
-        return baselines.adjusted_ate(model, a_grid, adjustment)
-    if name == "linear2s":
-        return baselines.linear_two_stage(data, a_grid)
-    raise ValueError(f"unknown method {name!r}; expected one of "
-                     f"{METHOD_NAMES}")
+    est = estimator(name)
+    return est.curve(est.fit(data, None, seed, {}), data, a_grid)
 
 
 @dataclass
@@ -123,7 +228,7 @@ def max_workers() -> int:
 def run_table(
     n: int,
     n_seeds: int = 20,
-    methods=("kpv", "pmmr", "ridge", "ridge-w", "ridge-wz", "linear2s"),
+    methods=DEFAULT_METHODS,
     a_grid: np.ndarray | None = None,
     truth: DoCurve | None = None,
     workers: int | None = None,
@@ -139,8 +244,7 @@ def run_table(
     if not methods:
         raise ValueError("methods must be nonempty")
     for m in methods:
-        if m not in METHOD_NAMES:
-            raise ValueError(f"unknown method {m!r}")
+        estimator(m)
     if a_grid is None:
         a_grid = default_a_grid()
     if truth is None:

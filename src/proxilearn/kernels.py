@@ -149,19 +149,6 @@ def effect_curve(a_sample: np.ndarray, spec_a: KernelSpec, weights,
     return DoCurve(grid=a_grid, estimate=k_a.T @ weights)
 
 
-def hadamard(g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    """Elementwise product of two Gram matrices of identical shape.
-
-    The Schur product theorem guarantees the result stays PSD when both
-    inputs are square PSD matrices over the same point set.
-    """
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    if g1.shape != g2.shape:
-        raise ValueError(f"shape mismatch: {g1.shape} vs {g2.shape}")
-    return g1 * g2
-
-
 class _PairGaps:
     """Order statistics of the gaps cols[c, j] - cols[c, i] (i < j) over the
     rows of ``cols``, each sorted ascending, without forming the gaps.

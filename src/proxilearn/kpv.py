@@ -94,14 +94,6 @@ def stage1_embedding(fit: Stage1Fit, a, x, z) -> np.ndarray:
     return coeff[:, 0] if single else coeff
 
 
-def stage1_predict_w(fit: Stage1Fit, a, x, z) -> np.ndarray:
-    """Predicted conditional mean of W at the queries (for diagnostics)."""
-    coeff = stage1_embedding(fit, a, x, z)
-    if coeff.ndim == 1:
-        return fit.sample.w.T @ coeff
-    return (fit.sample.w.T @ coeff).T
-
-
 @dataclass(frozen=True)
 class KpvModel:
     """Fitted bridge function h(a, x, w) with coefficient matrix alpha.

@@ -184,21 +184,6 @@ def nystrom_from_columns(columns: np.ndarray,
     return NystromFactors(u=u, v=eigvals, landmarks=landmarks)
 
 
-def nystrom(k: np.ndarray, rank: int, landmark_seed: int = 0) -> NystromFactors:
-    """Nystrom factorization of k/n^2 from uniformly sampled landmarks.
-
-    Landmarks come from ``nystrom_landmarks`` and the factors from
-    ``nystrom_from_columns``; with ``rank == n`` and a well-conditioned
-    input the factorization is exact.
-    """
-    k = np.asarray(k, dtype=float)
-    n = k.shape[0]
-    if k.ndim != 2 or k.shape[1] != n:
-        raise ValueError("kernel matrix must be square")
-    landmarks = nystrom_landmarks(n, rank, landmark_seed)
-    return nystrom_from_columns(k[:, landmarks], landmarks)
-
-
 def woodbury_regularized_inverse_apply(
     l: np.ndarray,
     factors: NystromFactors,

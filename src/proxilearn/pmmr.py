@@ -59,17 +59,6 @@ DEFAULT_LAMBDA_GRID = np.sort(
 _JITTER_SCALE = 1e-8
 
 
-def vstat_risk(residuals: np.ndarray, w_gram: np.ndarray) -> float:
-    """V-statistic risk r' W r / n^2 of a residual vector."""
-    r = np.asarray(residuals, dtype=float).ravel()
-    w_gram = np.asarray(w_gram, dtype=float)
-    if w_gram.shape != (r.size, r.size):
-        raise ValueError(
-            f"Gram shape {w_gram.shape} does not match {r.size} residuals"
-        )
-    return float(r @ w_gram @ r) / float(r.size) ** 2
-
-
 @dataclass(frozen=True)
 class PmmrModel:
     """Fitted bridge h(a, w, x) = sum_i alpha_i l((a_i, w_i, x_i), .)."""
@@ -162,8 +151,6 @@ def pmmr_fit_nystrom(data: Dataset, specs: KernelSpecs, lam: float,
     to the low-rank solver is lam / n^2, matching the V-statistic
     normalization baked into the factored matrix.
     """
-    if not 1 <= rank <= data.n:
-        raise ValueError(f"rank must be in [1, {data.n}]")
     if not lam > 0:
         raise ValueError("lam must be positive")
     landmarks = nystrom_landmarks(data.n, rank, landmark_seed)
@@ -283,8 +270,11 @@ def fit_pmmr(
 
     When ``lam`` is not given it is grid-searched on a 50/50 seeded
     train/validation split and the model is refit on the full data at the
-    selected value. ``rank`` switches to the Nystrom-accelerated solve.
+    selected value. ``rank`` switches to the Nystrom-accelerated solve; it
+    is checked before the search runs.
     """
+    if rank is not None and not 1 <= rank <= data.n:
+        raise ValueError(f"rank must be in [1, {data.n}], got {rank}")
     if specs is None:
         specs = KernelSpecs.from_data(data)
     if lam is None:

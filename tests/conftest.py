@@ -48,3 +48,30 @@ def rng_dataset(seed, n, dz=2, dw=2, dx=0):
         w=rng.normal(size=(n, dw)),
         y=rng.normal(size=n),
     )
+
+
+# Reference copies of helpers the library no longer exports; the tests use
+# them as oracles and check them directly.
+
+def hadamard(g1, g2):
+    """Elementwise product of two Gram matrices of identical shape (PSD
+    when both are PSD over the same points, by the Schur product
+    theorem)."""
+    g1 = np.asarray(g1, dtype=float)
+    g2 = np.asarray(g2, dtype=float)
+    if g1.shape != g2.shape:
+        raise ValueError(f"shape mismatch: {g1.shape} vs {g2.shape}")
+    return g1 * g2
+
+
+def nystrom(k, rank, landmark_seed=0):
+    """Nystrom factors of k/n^2 from the whole kernel matrix ``k``: its
+    landmark columns handed to ``numerics.nystrom_from_columns``."""
+    from proxilearn.numerics import nystrom_from_columns, nystrom_landmarks
+
+    k = np.asarray(k, dtype=float)
+    n = k.shape[0]
+    if k.ndim != 2 or k.shape[1] != n:
+        raise ValueError("kernel matrix must be square")
+    landmarks = nystrom_landmarks(n, rank, landmark_seed)
+    return nystrom_from_columns(k[:, landmarks], landmarks)

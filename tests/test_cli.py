@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from proxilearn import __version__, baselines, kpv, pmmr
+from proxilearn import __version__, baselines, evaluation, kpv, pmmr
 from proxilearn.cli import main
 from proxilearn.data import Dataset
 from proxilearn.kernels import KernelSpecs
@@ -242,6 +242,9 @@ class TestFitAndAte:
         assert_curves_match(curve_path, str(fixed_path) + ".curve.csv")
 
 
+# The adjustment groups of the ridge baselines.
+RIDGE_GROUPS = {"ridge": "", "ridge-w": "w", "ridge-wz": "wz"}
+
 # Fixed hyperparameters for each kernel method, as fit flags and as the
 # matching library fit of the same training data.
 KERNEL_FITS = {
@@ -252,18 +255,20 @@ KERNEL_FITS = {
     "pmmr-nystrom": (["--lambda1", "0.1", "--rank", "20"],
                      lambda d, s: pmmr.fit_pmmr(d, specs=s, lam=0.1,
                                                 rank=20)),
-    "ridge-w": (["--lambda1", "1e-3"],
-                lambda d, s: baselines.fit_ridge_baseline(
-                    d, "w", lam=1e-3, specs=s)[0]),
+    **{m: (["--lambda1", "1e-3"],
+           lambda d, s, groups=groups: baselines.fit_ridge_baseline(
+               d, groups, lam=1e-3, specs=s)[0])
+       for m, groups in RIDGE_GROUPS.items()},
 }
 
 
 def library_ate(method, model, grid, adjust: Dataset):
     if method == "kpv":
         return kpv.kpv_ate(model, grid, adjust.x, adjust.w)
-    if method == "ridge-w":
+    if method in RIDGE_GROUPS:
         return baselines.adjusted_ate(
-            model, grid, baselines.ridge_adjustment(adjust, "w"))
+            model, grid,
+            baselines.ridge_adjustment(adjust, RIDGE_GROUPS[method]))
     return pmmr.pmmr_ate(model, grid, adjust.x, adjust.w)
 
 
@@ -294,7 +299,8 @@ class TestAteWeightSources:
             (tmp_path / f"{method}.json.curve.csv").read_bytes()
 
     @pytest.mark.parametrize("method,size", [
-        ("kpv", 30), ("pmmr", 60), ("pmmr-nystrom", 60), ("ridge-w", 60)])
+        ("kpv", 30), ("pmmr", 60), ("pmmr-nystrom", 60), ("ridge", 60),
+        ("ridge-w", 60), ("ridge-wz", 60)])
     def test_artifact_stores_curve_weights(self, runner, tmp_path, method,
                                            size):
         _, model_path = self.fit(runner, tmp_path, method)
@@ -342,7 +348,8 @@ class TestAteWeightSources:
         np.testing.assert_allclose(curve[:, 1], expected.estimate,
                                    rtol=1e-12, atol=0)
         stored = read_curve(tmp_path / f"{method}.json.curve.csv")[1]
-        assert not np.allclose(curve[:, 1], stored[:, 1])
+        # Plain ridge adjusts over no proxy: no sample moves its curve.
+        assert np.allclose(curve[:, 1], stored[:, 1]) == (method == "ridge")
 
     def test_linear2s_adjust_uses_adjustment_w(self, runner, tmp_path):
         data_path, model_path = self.fit(runner, tmp_path, "linear2s")
@@ -381,6 +388,20 @@ class TestAteWeightSources:
         payload = json.loads(result.stderr or result.output)
         assert payload["error"] == "ValueError"
         assert repr(field) in payload["message"]
+
+
+@pytest.mark.parametrize("method", evaluation.ESTIMATORS)
+def test_fit_curve_is_fit_method_curve(runner, tmp_path, method):
+    # With searched ridges, the CLI and the library run one path.
+    data_path = tmp_path / "train.csv"
+    gen_main(60, seed=2).data.to_csv(data_path)
+    model_path = tmp_path / "m.json"
+    run_ok(runner, ["fit", "--data", str(data_path), "--method", method,
+                    "--seed", "3", "--out", str(model_path)])
+    grid, estimate = read_curve(str(model_path) + ".curve.csv")[1].T
+    expected = evaluation.fit_method(method, Dataset.from_csv(data_path),
+                                     grid, seed=3)
+    assert np.array_equal(estimate, expected.estimate)
 
 
 UNUSED_FLAGS = (
@@ -484,16 +505,25 @@ class TestErrors:
         assert "row 3" in payload["message"]
         assert "Z1" in payload["message"]
 
-    def test_bad_a_grid_reports_json(self, runner, tmp_path):
+    @pytest.mark.parametrize("command", ["fit", "ate"])
+    @pytest.mark.parametrize("text", ["oops", "nan:1:5", "0:inf:3",
+                                      "0:1:2.5", "0:1:0", "-1e308:1e308:3"])
+    def test_bad_a_grid_reports_json(self, runner, tmp_path, command, text):
         data_path = tmp_path / "train.csv"
         gen_main(20, seed=1).data.to_csv(data_path)
-        result = runner.invoke(main, ["fit", "--data", str(data_path),
-                                      "--method", "pmmr", "--a-grid",
-                                      "oops", "--out",
-                                      str(tmp_path / "m.json")])
+        args = ["fit", "--data", str(data_path), "--method", "pmmr"]
+        if command == "ate":
+            run_ok(runner, [*args, "--out", str(tmp_path / "m.json")])
+            args = ["ate", "--model", str(tmp_path / "m.json"), "--data",
+                    str(data_path)]
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*args, f"--a-grid={text}",
+                                      "--out", str(out)])
         assert result.exit_code == 1
         payload = json.loads(result.stderr or result.output)
-        assert "min:max:count" in payload["message"]
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("--a-grid expects min:max:count")
+        assert not list(tmp_path.glob("out*"))
 
     def test_nonpositive_lambda_grid_reports_json(self, runner, tmp_path):
         data_path = tmp_path / "train.csv"

@@ -10,11 +10,10 @@ from proxilearn.kernels import (
     KernelSpecs,
     effect_curve,
     gram,
-    hadamard,
     median_heuristic,
     product_gram,
 )
-from tests.conftest import rng_dataset
+from tests.conftest import hadamard, rng_dataset
 
 
 def pdist_median_heuristic(pts):

@@ -5,7 +5,7 @@ import pytest
 
 from proxilearn import kpv
 from proxilearn.data import Dataset
-from proxilearn.kernels import KernelSpec, KernelSpecs, gram, hadamard
+from proxilearn.kernels import KernelSpec, KernelSpecs, gram
 from proxilearn.kpv import (
     fit_kpv,
     kpv_ate,
@@ -14,19 +14,16 @@ from proxilearn.kpv import (
     kpv_model,
     stage1_embedding,
     stage1_fit,
-    stage1_predict_w,
 )
 from proxilearn.numerics import argmin_ties_larger, khatri_rao_cols, solve_psd
 from proxilearn.synthdata import gen_main
-from tests.conftest import rng_dataset
+from tests.conftest import hadamard, rng_dataset
 
 
 def draw_wellposed_problem(rng, seed_base):
     """Random (sample1, sample2, specs, lam1, lam2) whose regularizer
     Gramian kron(K_WW, K_AX) is numerically invertible, so the dense
     oracle system below is well-posed."""
-    from proxilearn.kernels import gram, hadamard
-
     while True:
         m1 = int(rng.integers(2, 7))
         m2 = int(rng.integers(1, 7))
@@ -105,7 +102,7 @@ class TestStage1Embedding:
         specs = KernelSpecs(a=KernelSpec([1.0]), x=KernelSpec([]),
                             z=KernelSpec([1.0]), w=KernelSpec([1.0]))
         fit = stage1_fit(data, specs, 1e-6)
-        pred = stage1_predict_w(fit, 0.1, None, np.array([0.2]))
+        pred = data.w.T @ stage1_embedding(fit, 0.1, None, np.array([0.2]))
         assert pred == pytest.approx([4.2], abs=1e-3)
 
     def test_matches_direct_ridge_regression_of_w(self):
@@ -128,7 +125,7 @@ class TestStage1Embedding:
         oracle_coeff = np.linalg.solve(k_axz + n * lam1 * np.eye(n), k_cross)
         oracle_pred = (data.w.T @ oracle_coeff).ravel()
 
-        pred = stage1_predict_w(fit, query_a, None, query_z)
+        pred = data.w.T @ stage1_embedding(fit, query_a, None, query_z)
         np.testing.assert_allclose(pred, oracle_pred, atol=1e-8)
         # prediction close to the near-deterministic target
         assert abs(pred[0] - data.z[7, 0]) < 0.25

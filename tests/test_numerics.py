@@ -8,7 +8,6 @@ from proxilearn.numerics import (
     eigh_in_place,
     khatri_rao_cols,
     loo_path,
-    nystrom,
     nystrom_from_columns,
     nystrom_landmarks,
     psd_factor,
@@ -16,6 +15,7 @@ from proxilearn.numerics import (
     solve_psd,
     woodbury_regularized_inverse_apply,
 )
+from tests.conftest import nystrom
 
 
 class TestSolvePsd:

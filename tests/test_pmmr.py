@@ -18,11 +18,20 @@ from proxilearn.pmmr import (
     pmmr_objective,
     pmmr_select_lambda,
     pmmr_validation_scores,
-    vstat_risk,
 )
 from proxilearn import pmmr, synthdata
-from proxilearn.numerics import nystrom, woodbury_regularized_inverse_apply
-from tests.conftest import rng_dataset
+from proxilearn.numerics import woodbury_regularized_inverse_apply
+from tests.conftest import nystrom, rng_dataset
+
+
+def vstat_risk(residuals, w_gram):
+    """Reference V-statistic risk r' W r / n^2 of a residual vector."""
+    r = np.asarray(residuals, dtype=float).ravel()
+    w_gram = np.asarray(w_gram, dtype=float)
+    if w_gram.shape != (r.size, r.size):
+        raise ValueError(
+            f"Gram shape {w_gram.shape} does not match {r.size} residuals")
+    return float(r @ w_gram @ r) / float(r.size) ** 2
 
 
 class TestVstatRisk:
@@ -235,6 +244,15 @@ class TestPmmrNystrom:
         data = rng_dataset(9, 6)
         with pytest.raises(ValueError, match="rank"):
             pmmr_fit_nystrom(data, KernelSpecs.from_data(data), 0.1, 7)
+
+    @pytest.mark.parametrize("rank", [0, 7])
+    def test_fit_pmmr_checks_rank_before_search(self, monkeypatch, rank):
+        def search(*args, **kwargs):
+            raise AssertionError("the ridge search ran")
+
+        monkeypatch.setattr(pmmr, "pmmr_validation_scores", search)
+        with pytest.raises(ValueError, match=r"rank must be in \[1, 6\]"):
+            fit_pmmr(rng_dataset(9, 6), rank=rank)
 
 
 class TestPmmrEvaluation:
