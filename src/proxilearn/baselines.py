@@ -159,8 +159,8 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
                        lam: float | None = None,
                        lam_grid=DEFAULT_RIDGE_GRID,
                        specs: KernelSpecs | None = None,
-                       ) -> tuple[RidgeModel, np.ndarray]:
-    """Fit Y ~ (A[, W][, Z]) kernel ridge; returns the model and the
+                       ) -> RidgeModel:
+    """Fit Y ~ (A[, W][, Z]) kernel ridge; ``ridge_adjustment`` gives the
     matching adjustment sample columns.
 
     ``adjust`` is "" (treatment only), "w", or "wz"; bandwidths come from
@@ -173,16 +173,13 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     inputs = ridge_inputs(data, adjust)
     spec = ridge_spec(data, adjust, specs)
     if lam is not None:
-        model = kernel_ridge_fit(inputs, data.y, spec, lam)
-    else:
-        eigvals, eigvecs, scores = _loo_spectrum(inputs, data.y, spec,
-                                                 lam_grid)
-        lam = argmin_ties_larger(lam_grid, scores)
-        # e >= 0 up to round-off; clipping keeps e + n lam > 0.
-        beta = eigvecs @ ((eigvecs.T @ data.y)
-                          / (np.maximum(eigvals, 0.0) + data.n * lam))
-        model = RidgeModel(inputs=inputs, spec=spec, lam=lam, beta=beta)
-    return model, ridge_adjustment(data, adjust)
+        return kernel_ridge_fit(inputs, data.y, spec, lam)
+    eigvals, eigvecs, scores = _loo_spectrum(inputs, data.y, spec, lam_grid)
+    lam = argmin_ties_larger(lam_grid, scores)
+    # e >= 0 up to round-off; clipping keeps e + n lam > 0.
+    beta = eigvecs @ ((eigvecs.T @ data.y)
+                      / (np.maximum(eigvals, 0.0) + data.n * lam))
+    return RidgeModel(inputs=inputs, spec=spec, lam=lam, beta=beta)
 
 
 def linear_two_stage(data: Dataset, a_grid, w_adjust=None) -> DoCurve:

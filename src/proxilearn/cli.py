@@ -333,11 +333,17 @@ def ate(model_path, data_path, adjust_path, a_grid_text, out):
 @_cli_errors
 def experiment(n_values, seeds, methods, out):
     """Reproduce the multi-seed synthetic comparison."""
-    method_list = [m.strip() for m in methods.split(",") if m.strip()]
+    method_list = evaluation.check_table(
+        seeds, [m.strip() for m in methods.split(",") if m.strip()])
+    # One grid and one oracle serve every --n.
+    a_grid = evaluation.default_a_grid()
+    truth = synthdata.true_ate(a_grid, evaluation.ORACLE_MC_SAMPLES,
+                               seed=evaluation.ORACLE_SEED)
     rows = []
     summaries = {}
     for n in n_values:
-        result = evaluation.run_table(n, n_seeds=seeds, methods=method_list)
+        result = evaluation.run_table(n, n_seeds=seeds, methods=method_list,
+                                      a_grid=a_grid, truth=truth)
         summaries[str(n)] = result.summary()
         for m in method_list:
             rows.append((m, n, result.mean(m), result.std(m)))

@@ -109,7 +109,7 @@ def _ridge(groups: str) -> Estimator:
         fit=lambda data, specs, seed, o: baselines.fit_ridge_baseline(
             data, groups, lam=o.get("lambda1"),
             lam_grid=o.get("lambda_grid", baselines.DEFAULT_RIDGE_GRID),
-            specs=specs)[0],
+            specs=specs),
         reads=("lambda1", "lambda_grid"),
         record=lambda m, seed, o: {"lambdas": {"lambda": m.lam},
                                    "adjust": groups},
@@ -225,6 +225,19 @@ def max_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def check_table(n_seeds: int, methods) -> list[str]:
+    """Check ``run_table``'s seed count and method names before anything
+    is drawn; returns the methods as a list."""
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
+    methods = list(methods)
+    if not methods:
+        raise ValueError("methods must be nonempty")
+    for m in methods:
+        estimator(m)
+    return methods
+
+
 def run_table(
     n: int,
     n_seeds: int = 20,
@@ -236,15 +249,13 @@ def run_table(
     """Fit every method on ``n_seeds`` fresh draws of size ``n`` and score
     each against the frozen ground truth.
 
+    ``a_grid`` and ``truth`` default to ``default_a_grid()`` and the
+    oracle on it; a caller running several tables computes them once.
     Seeds 0..n_seeds-1 run in parallel and merge by seed index, so the
     result is deterministic for a fixed configuration. A method failing
     on more than a quarter of the seeds aborts the run with diagnostics.
     """
-    methods = list(methods)
-    if not methods:
-        raise ValueError("methods must be nonempty")
-    for m in methods:
-        estimator(m)
+    methods = check_table(n_seeds, methods)
     if a_grid is None:
         a_grid = default_a_grid()
     if truth is None:

@@ -8,6 +8,7 @@ from proxilearn.baselines import (
     kernel_ridge_fit,
     kernel_ridge_predict,
     linear_two_stage,
+    ridge_adjustment,
     ridge_inputs,
     ridge_loo_scores,
     ridge_spec,
@@ -60,7 +61,7 @@ class TestKernelRidge:
         one = KernelSpec([1.0])
         specs = KernelSpecs(a=one, x=KernelSpec([]), z=one, w=one)
         grid = np.logspace(-6, 1, 8)
-        lam = fit_ridge_baseline(data, "", lam_grid=grid, specs=specs)[0].lam
+        lam = fit_ridge_baseline(data, "", lam_grid=grid, specs=specs).lam
         scores = ridge_loo_scores(x, y, one, grid)
         assert scores[np.argmin(np.abs(grid - lam))] <= scores.min() + 1e-15
 
@@ -75,15 +76,15 @@ class TestSearchedFit:
     @pytest.mark.parametrize("adjust", ["", "w", "wz"])
     def test_lambda_is_loo_argmin(self, data, adjust):
         grid = baselines.DEFAULT_RIDGE_GRID
-        model, _ = fit_ridge_baseline(data, adjust)
+        model = fit_ridge_baseline(data, adjust)
         scores = ridge_loo_scores(ridge_inputs(data, adjust), data.y,
                                   ridge_spec(data, adjust), grid)
         assert model.lam == numerics.argmin_ties_larger(grid, scores)
 
     @pytest.mark.parametrize("adjust", ["", "w", "wz"])
     def test_beta_matches_cholesky_fit(self, data, adjust):
-        model, _ = fit_ridge_baseline(data, adjust)
-        fixed, _ = fit_ridge_baseline(data, adjust, lam=model.lam)
+        model = fit_ridge_baseline(data, adjust)
+        fixed = fit_ridge_baseline(data, adjust, lam=model.lam)
         # Both solves are backward stable, so they agree to round-off
         # relative to the largest coefficient; the atol covers the entries
         # that are 1e4 times smaller (plain ridge on this draw).
@@ -140,7 +141,8 @@ class TestAdjustedAte:
 
     def test_plain_ridge_uses_empty_adjustment(self):
         data = rng_dataset(6, 30)
-        model, adjustment = fit_ridge_baseline(data, "", lam=0.1)
+        model = fit_ridge_baseline(data, "", lam=0.1)
+        adjustment = ridge_adjustment(data, "")
         assert adjustment.shape == (1, 0)
         curve = adjusted_ate(model, [0.0, 1.0], adjustment)
         direct = kernel_ridge_predict(model, np.array([[0.0], [1.0]]))
@@ -148,7 +150,7 @@ class TestAdjustedAte:
 
     def test_empty_adjustment_rejected(self):
         data = rng_dataset(7, 10)
-        model, _ = fit_ridge_baseline(data, "w", lam=0.1)
+        model = fit_ridge_baseline(data, "w", lam=0.1)
         with pytest.raises(ValueError, match="empty"):
             adjusted_ate(model, [0.0], np.empty((0, 2)))
 
@@ -157,7 +159,8 @@ class TestAdjustedAte:
     def test_matches_joint_gram_loop(self, adjust, dw):
         # Reference: one joint adjustment-by-training Gram per grid point.
         data = rng_dataset(9, 40, dw=dw)
-        model, adjustment = fit_ridge_baseline(data, adjust, lam=1e-3)
+        model = fit_ridge_baseline(data, adjust, lam=1e-3)
+        adjustment = ridge_adjustment(data, adjust)
         grid = np.linspace(-1.5, 1.5, 7)
         expected = [
             kernel_ridge_predict(model, np.column_stack(
@@ -169,7 +172,7 @@ class TestAdjustedAte:
     @pytest.mark.parametrize("width", [1, 3])
     def test_wrong_width_adjustment_rejected(self, width):
         data = rng_dataset(10, 12)
-        model, _ = fit_ridge_baseline(data, "w", lam=0.1)
+        model = fit_ridge_baseline(data, "w", lam=0.1)
         with pytest.raises(ValueError, match="columns"):
             adjusted_ate(model, [0.0], np.zeros((4, width)))
 
@@ -178,7 +181,7 @@ class TestAdjustedAte:
         specs = KernelSpecs(a=KernelSpec([0.3]), x=KernelSpec([]),
                             z=KernelSpec([1.1, 1.3]),
                             w=KernelSpec([0.7, 1.9]))
-        model, _ = fit_ridge_baseline(data, "wz", lam=0.1, specs=specs)
+        model = fit_ridge_baseline(data, "wz", lam=0.1, specs=specs)
         np.testing.assert_array_equal(model.spec.bandwidths,
                                       [0.3, 0.7, 1.9, 1.1, 1.3])
 
@@ -190,7 +193,7 @@ class TestAdjustedAte:
         w = data.w.copy()
         w[:, 1] = 2.0
         data = Dataset(a=data.a, x=data.x, z=data.z, w=w, y=data.y)
-        model, _ = fit_ridge_baseline(data, adjust, lam=0.1)
+        model = fit_ridge_baseline(data, adjust, lam=0.1)
         expected = ridge_spec(data, adjust, KernelSpecs.from_data(data))
         np.testing.assert_array_equal(model.spec.bandwidths,
                                       expected.bandwidths)
@@ -201,9 +204,11 @@ class TestAdjustedAte:
 
     def test_adjustment_blocks_match_model(self):
         data = rng_dataset(8, 15)
-        model_w, adj_w = fit_ridge_baseline(data, "w", lam=0.1)
+        model_w = fit_ridge_baseline(data, "w", lam=0.1)
+        adj_w = ridge_adjustment(data, "w")
         assert model_w.inputs.shape[1] == 3 and adj_w.shape[1] == 2
-        model_wz, adj_wz = fit_ridge_baseline(data, "wz", lam=0.1)
+        model_wz = fit_ridge_baseline(data, "wz", lam=0.1)
+        adj_wz = ridge_adjustment(data, "wz")
         assert model_wz.inputs.shape[1] == 5 and adj_wz.shape[1] == 4
 
 

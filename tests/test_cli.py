@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from proxilearn import __version__, baselines, evaluation, kpv, pmmr
+from proxilearn import (__version__, baselines, evaluation, kpv, pmmr,
+                        synthdata)
 from proxilearn.cli import main
 from proxilearn.data import Dataset
 from proxilearn.kernels import KernelSpecs
@@ -257,7 +258,7 @@ KERNEL_FITS = {
                                                 rank=20)),
     **{m: (["--lambda1", "1e-3"],
            lambda d, s, groups=groups: baselines.fit_ridge_baseline(
-               d, groups, lam=1e-3, specs=s)[0])
+               d, groups, lam=1e-3, specs=s))
        for m, groups in RIDGE_GROUPS.items()},
 }
 
@@ -449,6 +450,31 @@ class TestExperimentAndSweep:
         payload = json.loads((tmp_path / "only.json").read_text())
         assert list(payload["results"]["60"]["cmae"]) == ["ridge"]
 
+    def test_experiment_draws_grid_and_oracle_once(self, runner, tmp_path,
+                                                   monkeypatch):
+        calls = {"default_a_grid": 0, "true_ate": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+
+        counting(evaluation, "default_a_grid")
+        counting(synthdata, "true_ate")
+        args = ["experiment", "--seeds", "2", "--methods", "ridge,linear2s"]
+        run_ok(runner, [*args, "--n", "40", "--n", "60",
+                        "--out", str(tmp_path / "both")])
+        assert calls == {"default_a_grid": 1, "true_ate": 1}
+        both = json.loads((tmp_path / "both.json").read_text())["results"]
+        assert list(both) == ["40", "60"]
+        for n in both:
+            run_ok(runner, [*args, "--n", n, "--out", str(tmp_path / n)])
+            single = json.loads((tmp_path / f"{n}.json").read_text())
+            assert both[n] == single["results"][n]
+
     def test_experiment_single_seed_smoke_within_budget(self, runner,
                                                         tmp_path):
         import time
@@ -524,6 +550,21 @@ class TestErrors:
         assert payload["error"] == "ValueError"
         assert payload["message"].startswith("--a-grid expects min:max:count")
         assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_experiment_nonpositive_seeds_reports_json(self, runner,
+                                                       tmp_path, seeds):
+        out = tmp_path / "exp"
+        result = runner.invoke(main, ["experiment", "--n", "60",
+                                      f"--seeds={seeds}", "--methods",
+                                      "ridge", "--out", str(out)])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == (f"n_seeds must be at least 1, "
+                                      f"got {seeds}")
+        assert not (tmp_path / "exp.csv").exists()
+        assert not (tmp_path / "exp.json").exists()
 
     def test_nonpositive_lambda_grid_reports_json(self, runner, tmp_path):
         data_path = tmp_path / "train.csv"

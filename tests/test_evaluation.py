@@ -72,6 +72,16 @@ class TestRunTable:
         with pytest.raises(ValueError, match="unknown method"):
             self.small_table(methods=("nope",))
 
+    @pytest.mark.parametrize("n_seeds", [0, -2])
+    def test_nonpositive_seed_count_rejected_before_any_draw(
+            self, monkeypatch, n_seeds):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("gen_main was called")
+
+        monkeypatch.setattr(evaluation.synthdata, "gen_main", no_draw)
+        with pytest.raises(ValueError, match="n_seeds must be at least 1"):
+            evaluation.run_table(60, n_seeds=n_seeds, methods=("ridge",))
+
     def test_aggregates_recomputable(self):
         result = self.small_table()
         for m in result.methods:

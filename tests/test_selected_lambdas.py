@@ -37,5 +37,5 @@ def test_fits_select_recorded_ridges(seed):
     model = pmmr.fit_pmmr(data, specs, split_seed=seed)
     assert model.lam == pmmr.DEFAULT_LAMBDA_GRID[pmmr_index]
 
-    model, _ = baselines.fit_ridge_baseline(data, "w", specs=specs)
+    model = baselines.fit_ridge_baseline(data, "w", specs=specs)
     assert model.lam == baselines.DEFAULT_RIDGE_GRID[ridge_index]

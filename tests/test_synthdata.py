@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from proxilearn import evaluation, synthdata
 from proxilearn.data import DoCurve
 from proxilearn.synthdata import gen_discrete_toy, gen_main, true_ate
 
@@ -69,6 +70,37 @@ class TestTrueAte:
         curve = true_ate(grid, mc_samples=100, seed=0,
                          outcome=lambda a, u1, u2: np.full_like(u1, a))
         np.testing.assert_allclose(curve.estimate, grid, atol=1e-12)
+
+    @pytest.mark.parametrize("points", [evaluation.GRID_POINTS, 50])
+    def test_separable_oracle_matches_per_point_average(self, a_grid,
+                                                        points):
+        # The default path evaluates cos(2a) c - sin(2a) s from two
+        # moments; a given outcome is averaged over the draw at each a.
+        grid = np.linspace(a_grid[0], a_grid[-1], points)
+        args = (grid, evaluation.ORACLE_MC_SAMPLES)
+        fast = true_ate(*args, seed=evaluation.ORACLE_SEED)
+        loop = true_ate(*args, seed=evaluation.ORACLE_SEED,
+                        outcome=synthdata._outcome)
+        np.testing.assert_array_equal(fast.grid, loop.grid)
+        np.testing.assert_allclose(fast.estimate, loop.estimate,
+                                   rtol=0, atol=1e-15)
+
+    def test_scalar_and_empty_grids(self):
+        scalar = true_ate(0.4, mc_samples=10_000, seed=3)
+        loop = true_ate(0.4, mc_samples=10_000, seed=3,
+                        outcome=synthdata._outcome)
+        assert scalar.grid.shape == scalar.estimate.shape == (1,)
+        assert scalar.estimate[0] == pytest.approx(loop.estimate[0],
+                                                   rel=0, abs=1e-15)
+        empty = true_ate([], mc_samples=10)
+        assert empty.grid.shape == empty.estimate.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_grid_value_rejected(self, bad):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="DoCurve values must be "
+                                                "finite"):
+            true_ate([0.0, bad], mc_samples=100)
 
     def test_matches_quadrature_oracle(self):
         # beta(a) = E[U2 cos(2a + 0.6 U1 + 0.4)]; U2 ~ U[-1,2] and
