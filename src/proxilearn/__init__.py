@@ -8,12 +8,7 @@ from .kernels import (
     median_heuristic,
     product_gram,
 )
-from .numerics import (
-    NystromFactors,
-    khatri_rao_cols,
-    solve_psd,
-    woodbury_regularized_inverse_apply,
-)
+from .numerics import khatri_rao_cols, solve_psd
 from .kpv import (
     KpvModel,
     Stage1Fit,
@@ -38,7 +33,6 @@ from .baselines import (
     RidgeModel,
     adjusted_ate,
     kernel_ridge_fit,
-    kernel_ridge_predict,
     linear_two_stage,
 )
 from .synthdata import DiscreteToy, SyntheticDraw, gen_discrete_toy, gen_main, true_ate
@@ -55,10 +49,8 @@ __all__ = [
     "gram",
     "median_heuristic",
     "product_gram",
-    "NystromFactors",
     "khatri_rao_cols",
     "solve_psd",
-    "woodbury_regularized_inverse_apply",
     "KpvModel",
     "Stage1Fit",
     "fit_kpv",
@@ -78,7 +70,6 @@ __all__ = [
     "RidgeModel",
     "adjusted_ate",
     "kernel_ridge_fit",
-    "kernel_ridge_predict",
     "linear_two_stage",
     "DiscreteToy",
     "SyntheticDraw",

@@ -56,33 +56,6 @@ def kernel_ridge_fit(inputs: np.ndarray, y: np.ndarray, spec: KernelSpec,
     return RidgeModel(inputs=inputs, spec=spec, lam=lam, beta=beta)
 
 
-def kernel_ridge_predict(model: RidgeModel, queries: np.ndarray) -> np.ndarray:
-    queries = np.asarray(queries, dtype=float)
-    if queries.ndim == 1:
-        queries = queries[:, None]
-    return gram(queries, model.inputs, model.spec) @ model.beta
-
-
-def _loo_spectrum(inputs: np.ndarray, y: np.ndarray, spec: KernelSpec,
-                  lam_grid):
-    """K = U diag(e) U' over the inputs and the leave-one-out score of
-    every ridge on ``lam_grid``: the search's one O(n^3) step."""
-    lam_grid = ridge_grid(lam_grid)
-    eigvals, eigvecs = eigh_in_place(gram(inputs, inputs, spec))
-    return eigvals, eigvecs, loo_path(eigvals, eigvecs, y, lam_grid)
-
-
-def ridge_loo_scores(inputs: np.ndarray, y: np.ndarray, spec: KernelSpec,
-                     lam_grid) -> np.ndarray:
-    """Closed-form leave-one-out error (1/n)||T^{-1} H y||^2 per ridge,
-    with H = I - K (K + n lam I)^{-1} and T = diag(H)."""
-    inputs = np.asarray(inputs, dtype=float)
-    if inputs.ndim == 1:
-        inputs = inputs[:, None]
-    y = np.asarray(y, dtype=float).ravel()
-    return _loo_spectrum(inputs, y, spec, lam_grid)[2]
-
-
 def adjusted_curve_weights(model: RidgeModel,
                            adjustment: np.ndarray) -> np.ndarray:
     """Curve weights beta * (mean over adjustment rows of k_V): the n
@@ -174,8 +147,10 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     spec = ridge_spec(data, adjust, specs)
     if lam is not None:
         return kernel_ridge_fit(inputs, data.y, spec, lam)
-    eigvals, eigvecs, scores = _loo_spectrum(inputs, data.y, spec, lam_grid)
-    lam = argmin_ties_larger(lam_grid, scores)
+    lam_grid = ridge_grid(lam_grid)
+    eigvals, eigvecs = eigh_in_place(gram(inputs, inputs, spec))
+    lam = argmin_ties_larger(lam_grid,
+                             loo_path(eigvals, eigvecs, data.y, lam_grid))
     # e >= 0 up to round-off; clipping keeps e + n lam > 0.
     beta = eigvecs @ ((eigvecs.T @ data.y)
                       / (np.maximum(eigvals, 0.0) + data.n * lam))

@@ -137,11 +137,6 @@ def gen(n, seed, out):
     click.echo(f"wrote {n} rows to {out}")
 
 
-def _default_grid_for(data: Dataset) -> np.ndarray:
-    lo, hi = np.quantile(data.a[:, 0], [0.05, 0.95])
-    return np.linspace(lo, hi, evaluation.GRID_POINTS)
-
-
 @main.command()
 @click.option("--data", "data_path", type=click.Path(exists=True),
               required=True)
@@ -188,7 +183,7 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
     data = Dataset.from_csv(data_path)
     specs = _parse_bandwidth(bandwidth, data)
     if a_grid is None:
-        a_grid = _default_grid_for(data)
+        a_grid = evaluation.treatment_grid(data.a)
     config = {
         "command": "fit", "method": method, "data": str(data_path),
         "lambda1": lambda1, "lambda2": lambda2,

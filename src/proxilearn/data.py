@@ -168,13 +168,19 @@ class Dataset:
             header = [name.strip() for name in header]
             rows = list(reader)
 
-        groups = {"A": [], "X": [], "Z": [], "W": [], "Y": []}
+        # Column index within its group -> position in the header.
+        groups = {"A": {}, "X": {}, "Z": {}, "W": {}, "Y": {}}
         for col, name in enumerate(header):
             prefix = name[:1].upper()
             suffix = name[1:]
             if prefix not in groups or (suffix and not suffix.isdigit()):
                 raise SchemaError(f"{path}: unknown column {name!r}")
-            groups[prefix].append((int(suffix) if suffix else 1, col))
+            index = int(suffix) if suffix else 1
+            if index in groups[prefix]:
+                raise SchemaError(
+                    f"{path}: repeated column {name!r} (same as "
+                    f"{header[groups[prefix][index]]!r})")
+            groups[prefix][index] = col
         for key in ("A", "Z", "W", "Y"):
             if not groups[key]:
                 raise SchemaError(f"{path}: missing column group {key!r}")
@@ -182,7 +188,7 @@ class Dataset:
         data = _parse_rows(path, header, rows)
 
         def block(key):
-            cols = [c for _, c in sorted(groups[key])]
+            cols = [c for _, c in sorted(groups[key].items())]
             return data[:, cols]
 
         y = block("Y")

@@ -31,13 +31,18 @@ def cmae(estimate: DoCurve, truth: DoCurve) -> float:
     return float(np.mean(np.abs(estimate.estimate - truth.estimate)))
 
 
-def default_a_grid(n_points: int = GRID_POINTS,
-                   seed: int = ORACLE_SEED) -> np.ndarray:
-    """Equispaced treatment grid spanning the central 90% of A's marginal,
-    located from a large fixed-seed draw."""
-    draw = synthdata.gen_main(ORACLE_MC_SAMPLES, seed=seed)
-    lo, hi = np.quantile(draw.data.a[:, 0], [0.05, 0.95])
-    return np.linspace(lo, hi, n_points)
+def treatment_grid(a: np.ndarray) -> np.ndarray:
+    """``GRID_POINTS`` equispaced treatments between the 5% and 95%
+    quantiles of the first column of ``a``."""
+    lo, hi = np.quantile(a[:, 0], [0.05, 0.95])
+    return np.linspace(lo, hi, GRID_POINTS)
+
+
+def default_a_grid() -> np.ndarray:
+    """The benchmark's treatment grid: ``treatment_grid`` of a fixed-seed
+    draw of ``ORACLE_MC_SAMPLES`` rows."""
+    return treatment_grid(
+        synthdata.gen_main(ORACLE_MC_SAMPLES, seed=ORACLE_SEED).data.a)
 
 
 @dataclass(frozen=True)

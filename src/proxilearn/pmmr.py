@@ -45,10 +45,10 @@ from .kernels import KernelSpecs, effect_curve, product_gram
 from .numerics import (
     argmin_ties_larger,
     eigh_in_place,
-    nystrom_from_columns,
+    nystrom_features,
     nystrom_landmarks,
+    nystrom_solve,
     ridge_grid,
-    woodbury_regularized_inverse_apply,
 )
 
 # Ridge grid spanning [1/450^2, 1/2^2], 50 log-spaced points.
@@ -144,22 +144,24 @@ def pmmr_fit(data: Dataset, specs: KernelSpecs, lam: float) -> PmmrModel:
 
 def pmmr_fit_nystrom(data: Dataset, specs: KernelSpecs, lam: float,
                      rank: int, landmark_seed: int = 0) -> PmmrModel:
-    """Low-rank fit via Nystrom factors of the instrument Gram over n^2.
+    """Low-rank fit with the instrument Gram over n^2 replaced by Nystrom
+    features psi psi'.
 
     Only the n x rank landmark columns of the instrument Gram are built.
-    With ``rank == n`` this reproduces :func:`pmmr_fit`. The ridge handed
-    to the low-rank solver is lam / n^2, matching the V-statistic
-    normalization baked into the factored matrix.
+    The coefficients alpha = psi (psi' L psi + lam/n^2 I)^{-1} psi' y
+    solve the normal equations (psi psi' L + lam/n^2 I) alpha = psi psi' y
+    through one linear system of size at most rank x rank; the ridge is
+    lam / n^2 to match the V-statistic normalization of the features.
+    With ``rank == n`` this reproduces :func:`pmmr_fit`.
     """
     if not lam > 0:
         raise ValueError("lam must be positive")
     landmarks = nystrom_landmarks(data.n, rank, landmark_seed)
-    factors = nystrom_from_columns(
+    psi = nystrom_features(
         instrument_gram(data, data.subset(landmarks), specs), landmarks)
     l_gram = h_side_gram(data, data, specs)
     _add_jitter(l_gram)
-    alpha = woodbury_regularized_inverse_apply(
-        l_gram, factors, lam / float(data.n) ** 2, data.y)
+    alpha = nystrom_solve(psi, l_gram, lam / float(data.n) ** 2, data.y)
     return PmmrModel(sample=data, specs=specs, alpha=alpha, lam=lam)
 
 

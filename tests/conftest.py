@@ -65,13 +65,40 @@ def hadamard(g1, g2):
 
 
 def nystrom(k, rank, landmark_seed=0):
-    """Nystrom factors of k/n^2 from the whole kernel matrix ``k``: its
-    landmark columns handed to ``numerics.nystrom_from_columns``."""
-    from proxilearn.numerics import nystrom_from_columns, nystrom_landmarks
+    """Nystrom features psi with psi psi' ~= k/n^2 from the whole kernel
+    matrix ``k``: its landmark columns handed to
+    ``numerics.nystrom_features``."""
+    from proxilearn.numerics import nystrom_features, nystrom_landmarks
 
     k = np.asarray(k, dtype=float)
     n = k.shape[0]
     if k.ndim != 2 or k.shape[1] != n:
         raise ValueError("kernel matrix must be square")
     landmarks = nystrom_landmarks(n, rank, landmark_seed)
-    return nystrom_from_columns(k[:, landmarks], landmarks)
+    return nystrom_features(k[:, landmarks], landmarks)
+
+
+def kernel_ridge_predict(model, queries):
+    """Predictions of a ``baselines.RidgeModel`` at ``queries``."""
+    from proxilearn.kernels import gram
+
+    queries = np.asarray(queries, dtype=float)
+    if queries.ndim == 1:
+        queries = queries[:, None]
+    return gram(queries, model.inputs, model.spec) @ model.beta
+
+
+def ridge_loo_scores(inputs, y, spec, lam_grid):
+    """Closed-form leave-one-out error (1/n)||T^{-1} H y||^2 per ridge,
+    with H = I - K (K + n lam I)^{-1} and T = diag(H): the scores the
+    searched ``baselines.fit_ridge_baseline`` minimizes."""
+    from proxilearn.kernels import gram
+    from proxilearn.numerics import eigh_in_place, loo_path, ridge_grid
+
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim == 1:
+        inputs = inputs[:, None]
+    y = np.asarray(y, dtype=float).ravel()
+    lam_grid = ridge_grid(lam_grid)
+    eigvals, eigvecs = eigh_in_place(gram(inputs, inputs, spec))
+    return loo_path(eigvals, eigvecs, y, lam_grid)

@@ -6,17 +6,16 @@ from proxilearn.baselines import (
     adjusted_ate,
     fit_ridge_baseline,
     kernel_ridge_fit,
-    kernel_ridge_predict,
     linear_two_stage,
     ridge_adjustment,
     ridge_inputs,
-    ridge_loo_scores,
     ridge_spec,
 )
 from proxilearn import baselines, numerics, synthdata
 from proxilearn.data import Dataset
 from proxilearn.kernels import KernelSpec, KernelSpecs, gram
-from tests.conftest import rng_dataset
+from tests.conftest import (kernel_ridge_predict, ridge_loo_scores,
+                            rng_dataset)
 
 
 class TestKernelRidge:

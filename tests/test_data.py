@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,18 @@ class TestDataset:
         path = tmp_path / "bad.csv"
         path.write_text("A,Q1,W1,Y\n1,2,3,4\n")
         with pytest.raises(SchemaError, match="unknown column"):
+            Dataset.from_csv(path)
+
+    @pytest.mark.parametrize("header, repeated", [
+        ("A,Z1,W1,W1,Y", "'W1' (same as 'W1')"),
+        ("A,A1,Z1,W1,Y", "'A1' (same as 'A')"),
+        ("A,Z01,Z1,W1,Y", "'Z1' (same as 'Z01')"),
+    ])
+    def test_repeated_column_rejected(self, tmp_path, header, repeated):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1,2,3,4,5\n")
+        with pytest.raises(SchemaError, match=re.escape(
+                f"repeated column {repeated}")):
             Dataset.from_csv(path)
 
 

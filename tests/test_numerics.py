@@ -8,12 +8,12 @@ from proxilearn.numerics import (
     eigh_in_place,
     khatri_rao_cols,
     loo_path,
-    nystrom_from_columns,
+    nystrom_features,
     nystrom_landmarks,
+    nystrom_solve,
     psd_factor,
     ridge_grid,
     solve_psd,
-    woodbury_regularized_inverse_apply,
 )
 from tests.conftest import nystrom
 
@@ -208,41 +208,45 @@ class TestNystrom:
     def test_full_rank_is_exact(self):
         rng = np.random.default_rng(5)
         k = _rbf_gram(rng.normal(size=(30, 1)))
-        factors = nystrom(k, rank=30, landmark_seed=0)
-        recon = 30.0**2 * factors.reconstruct()
+        psi = nystrom(k, rank=30, landmark_seed=0)
+        recon = 30.0**2 * (psi @ psi.T)
         assert np.linalg.norm(k - recon) <= 1e-6
         scaled = k / 30.0**2
-        rel = (np.linalg.norm(scaled - factors.reconstruct())
+        rel = (np.linalg.norm(scaled - psi @ psi.T)
                / np.linalg.norm(scaled))
         assert rel <= 1e-8
 
     def test_matches_fully_scaled_reference(self):
         # Reference: scale the whole matrix by 1/n^2, then take the
-        # landmark block and columns; scaling only those gives the same bits.
+        # landmark block and columns; folding 1/n^2 into the r-sized
+        # factors gives the same features up to round-off, which the
+        # columns of the smallest kept eigenvalues amplify, so the test
+        # compares psi psi'.
         rng = np.random.default_rng(6)
         k = _rbf_gram(rng.normal(size=(40, 1)))
-        factors = nystrom(k, rank=12, landmark_seed=3)
+        psi = nystrom(k, rank=12, landmark_seed=3)
         scaled = k / 40.0**2
-        lm = factors.landmarks
+        lm = nystrom_landmarks(40, 12, landmark_seed=3)
         eigvals, eigvecs = np.linalg.eigh(scaled[np.ix_(lm, lm)])
         keep = eigvals > 1e-12
-        np.testing.assert_array_equal(factors.v, eigvals[keep])
-        np.testing.assert_array_equal(
-            factors.u, scaled[:, lm] @ (eigvecs[:, keep] / eigvals[keep]))
+        expected = scaled[:, lm] @ (eigvecs[:, keep] / np.sqrt(eigvals[keep]))
+        assert psi.shape == expected.shape
+        np.testing.assert_allclose(psi @ psi.T, expected @ expected.T,
+                                   rtol=0, atol=1e-12 * scaled.max())
 
     def test_rank_one_matrix(self):
         v = np.array([1.0, 2.0, -1.5, 0.7])
         k = np.outer(v, v)
-        factors = nystrom(k, rank=1, landmark_seed=0)
-        recon = 16.0 * factors.reconstruct()
+        psi = nystrom(k, rank=1, landmark_seed=0)
+        recon = 16.0 * (psi @ psi.T)
         np.testing.assert_allclose(recon, k, atol=1e-10)
 
     def test_200_point_gram_at_rank_50(self):
         rng = np.random.default_rng(6)
         k = _rbf_gram(rng.normal(size=(200, 1)))
-        factors = nystrom(k, rank=50, landmark_seed=1)
+        psi = nystrom(k, rank=50, landmark_seed=1)
         scaled = k / 200.0**2
-        rel = (np.linalg.norm(scaled - factors.reconstruct())
+        rel = (np.linalg.norm(scaled - psi @ psi.T)
                / np.linalg.norm(scaled))
         assert rel < 1e-2
 
@@ -253,11 +257,10 @@ class TestNystrom:
         norm = np.linalg.norm(scaled)
         means = []
         for rank in (10, 25, 50, 100):
-            errs = [
-                np.linalg.norm(scaled - nystrom(k, rank, seed).reconstruct())
-                / norm
-                for seed in range(5)
-            ]
+            errs = []
+            for seed in range(5):
+                psi = nystrom(k, rank, seed)
+                errs.append(np.linalg.norm(scaled - psi @ psi.T) / norm)
             means.append(np.mean(errs))
         assert all(means[i + 1] <= means[i] + 1e-12 for i in range(3))
 
@@ -277,11 +280,8 @@ class TestNystrom:
         rng = np.random.default_rng(7)
         k = _rbf_gram(rng.normal(size=(50, 1)))
         landmarks = nystrom_landmarks(50, 15, landmark_seed=4)
-        split = nystrom_from_columns(k[:, landmarks], landmarks)
-        whole = nystrom(k, 15, landmark_seed=4)
-        np.testing.assert_array_equal(split.landmarks, whole.landmarks)
-        np.testing.assert_array_equal(split.v, whole.v)
-        np.testing.assert_array_equal(split.u, whole.u)
+        split = nystrom_features(k[:, landmarks], landmarks)
+        np.testing.assert_array_equal(split, nystrom(k, 15, landmark_seed=4))
 
     def test_landmarks_sorted_distinct_and_bounded(self):
         landmarks = nystrom_landmarks(40, 12, landmark_seed=2)
@@ -291,30 +291,30 @@ class TestNystrom:
         with pytest.raises(ValueError, match="rank"):
             nystrom_landmarks(4, 0)
         with pytest.raises(ValueError, match="one column per landmark"):
-            nystrom_from_columns(np.ones((4, 2)), np.arange(3))
+            nystrom_features(np.ones((4, 2)), np.arange(3))
 
 
 class TestWoodburyApply:
+    """``nystrom_solve`` applies (psi psi' L + lam I)^{-1} psi psi' in its
+    push-through form psi (psi' L psi + lam I)^{-1} psi'."""
+
     def test_zero_l_reduces_to_reconstruction(self):
         rng = np.random.default_rng(8)
         k = _rbf_gram(rng.normal(size=(12, 1)))
-        factors = nystrom(k, rank=12, landmark_seed=0)
+        psi = nystrom(k, rank=12, landmark_seed=0)
         rhs = rng.normal(size=12)
-        out = woodbury_regularized_inverse_apply(
-            np.zeros((12, 12)), factors, 1.0, rhs)
-        np.testing.assert_allclose(out, factors.reconstruct() @ rhs,
-                                   atol=1e-12)
+        out = nystrom_solve(psi, np.zeros((12, 12)), 1.0, rhs)
+        np.testing.assert_allclose(out, psi @ (psi.T @ rhs), atol=1e-12)
 
     def test_zero_rhs(self):
         rng = np.random.default_rng(9)
         k = _rbf_gram(rng.normal(size=(10, 1)))
-        factors = nystrom(k, rank=10, landmark_seed=0)
-        out = woodbury_regularized_inverse_apply(
-            np.eye(10), factors, 0.5, np.zeros(10))
+        psi = nystrom(k, rank=10, landmark_seed=0)
+        out = nystrom_solve(psi, np.eye(10), 0.5, np.zeros(10))
         np.testing.assert_allclose(out, np.zeros(10), atol=1e-15)
 
     def test_exact_factors_match_closed_form(self):
-        # With exact factors this applies (K'L + lam I)^{-1} K' where
+        # With exact features this applies (K'L + lam I)^{-1} K' where
         # K' = K/n^2; oracle is a dense LU solve of the same system.
         rng = np.random.default_rng(10)
         n = 10
@@ -322,8 +322,8 @@ class TestWoodburyApply:
         l = _rbf_gram(rng.normal(size=(n, 1)), sigma=0.7)
         y = rng.normal(size=n)
         lam = 1e-2
-        factors = nystrom(k, rank=n, landmark_seed=2)
-        out = woodbury_regularized_inverse_apply(l, factors, lam, y)
+        psi = nystrom(k, rank=n, landmark_seed=2)
+        out = nystrom_solve(psi, l, lam, y)
         scaled = k / n**2
         expected = np.linalg.solve(scaled @ l + lam * np.eye(n), scaled @ y)
         np.testing.assert_allclose(out, expected, rtol=1e-6, atol=1e-10)
@@ -340,16 +340,14 @@ class TestWoodburyApply:
         exact = pmmr_fit(data, specs, lam)
         w_gram = instrument_gram(data, data, specs)
         l_jit = jittered_l(h_side_gram(data, data, specs))
-        factors = nystrom(w_gram, rank=10, landmark_seed=0)
-        out = woodbury_regularized_inverse_apply(
-            l_jit, factors, lam / 100.0, data.y)
+        psi = nystrom(w_gram, rank=10, landmark_seed=0)
+        out = nystrom_solve(psi, l_jit, lam / 100.0, data.y)
         rel = np.linalg.norm(out - exact.alpha) / np.linalg.norm(exact.alpha)
         assert rel <= 1e-6
 
     def test_requires_positive_lam(self):
         rng = np.random.default_rng(12)
         k = _rbf_gram(rng.normal(size=(5, 1)))
-        factors = nystrom(k, rank=5, landmark_seed=0)
+        psi = nystrom(k, rank=5, landmark_seed=0)
         with pytest.raises(ValueError, match="lam"):
-            woodbury_regularized_inverse_apply(np.eye(5), factors, 0.0,
-                                               np.ones(5))
+            nystrom_solve(psi, np.eye(5), 0.0, np.ones(5))

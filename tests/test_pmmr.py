@@ -20,7 +20,11 @@ from proxilearn.pmmr import (
     pmmr_validation_scores,
 )
 from proxilearn import pmmr, synthdata
-from proxilearn.numerics import woodbury_regularized_inverse_apply
+from proxilearn.numerics import (
+    EIGENVALUE_FLOOR,
+    nystrom_landmarks,
+    nystrom_solve,
+)
 from tests.conftest import nystrom, rng_dataset
 
 
@@ -223,9 +227,9 @@ class TestPmmrNystrom:
         data = synthdata.gen_main(120, seed=2).data
         specs = KernelSpecs.from_data(data)
         lam, rank = 1e-2, 30
-        expected = woodbury_regularized_inverse_apply(
-            jittered_l(h_side_gram(data, data, specs)),
+        expected = nystrom_solve(
             nystrom(instrument_gram(data, data, specs), rank, 5),
+            jittered_l(h_side_gram(data, data, specs)),
             lam / 120.0**2, data.y)
         shapes = []
 
@@ -239,6 +243,52 @@ class TestPmmrNystrom:
         assert shapes == [(120, rank)]
         np.testing.assert_allclose(model.alpha, expected, rtol=1e-9,
                                    atol=1e-9 * np.abs(expected).max())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_smallest_default_ridge_matches_extended_precision(self, seed):
+        # With every landmark eigenvalue kept, psi psi' = C B^{-1} C' / n^2
+        # for the landmark columns C and block B, so the fit is
+        # alpha = C (C' L C + lam B)^{-1} C' y. The oracle forms the
+        # products exactly in integers (fixed point, 2^-200) and solves in
+        # 40 digits.
+        import mpmath
+
+        n, rank, bits = 120, 60, 200
+        data = synthdata.gen_main(n, seed=seed).data
+        specs = KernelSpecs.from_data(data)
+        lam = float(DEFAULT_LAMBDA_GRID[0])
+        model = pmmr_fit_nystrom(data, specs, lam, rank, landmark_seed=0)
+        landmarks = nystrom_landmarks(n, rank, landmark_seed=0)
+        c = instrument_gram(data, data.subset(landmarks), specs)
+        floor = 10 * EIGENVALUE_FLOOR
+        assert np.linalg.eigvalsh(c[landmarks]).min() / n**2 > floor
+
+        def fixed(m):
+            return np.frompyfunc(int, 1, 1)(np.ldexp(m, bits))
+
+        ci, li = fixed(c), fixed(jittered_l(h_side_gram(data, data, specs)))
+        lc = li @ ci                                  # scale 2^(2 bits)
+        gram_c = ci.T @ lc                            # scale 2^(3 bits)
+        cy = ci.T @ fixed(data.y)                     # scale 2^(2 bits)
+        bi = fixed(c[landmarks])
+
+        with mpmath.workdps(40):
+            def mp(v, scale):
+                return mpmath.ldexp(mpmath.mpf(v), -scale * bits)
+
+            lam_mp = mpmath.mpf(lam)
+            system = mpmath.matrix(
+                [[mp(gram_c[i, j], 3) + lam_mp * mp(bi[i, j], 1)
+                  for j in range(rank)] for i in range(rank)])
+            coef = mpmath.lu_solve(system,
+                                   mpmath.matrix([mp(v, 2) for v in cy]))
+            expected = np.array([
+                float(mpmath.fsum(mp(lc[i, j], 2) * coef[j]
+                                  for j in range(rank)))
+                for i in range(n)])
+        got = np.array([v / (1 << 2 * bits) for v in li @ fixed(model.alpha)])
+        rel = np.linalg.norm(got - expected) / np.linalg.norm(expected)
+        assert rel <= 1e-10
 
     def test_rank_bounds(self):
         data = rng_dataset(9, 6)
