@@ -27,7 +27,6 @@ from .pmmr import (
     pmmr_fit,
     pmmr_fit_nystrom,
     pmmr_h,
-    pmmr_select_lambda,
 )
 from .baselines import (
     RidgeModel,
@@ -66,7 +65,6 @@ __all__ = [
     "pmmr_fit",
     "pmmr_fit_nystrom",
     "pmmr_h",
-    "pmmr_select_lambda",
     "RidgeModel",
     "adjusted_ate",
     "kernel_ridge_fit",

@@ -45,8 +45,7 @@ class RidgeModel:
 
 def kernel_ridge_fit(inputs: np.ndarray, y: np.ndarray, spec: KernelSpec,
                      lam: float) -> RidgeModel:
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    ridge_grid(lam, "lam")
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim == 1:
         inputs = inputs[:, None]

@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__, evaluation, kpv, pmmr, synthdata
 from .data import Dataset, DoCurve
 from .kernels import KernelSpec, KernelSpecs, effect_curve
+from .numerics import ridge_grid
 
 
 def _fail(exc: BaseException) -> None:
@@ -68,18 +69,9 @@ def _parse_a_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
-def _check_ridges(flag: str, values) -> None:
-    bad = [v for v in values if not (np.isfinite(v) and v > 0)]
-    if bad:
-        raise ValueError(f"{flag} must be positive and finite, got {bad[0]}")
-
-
 def _parse_grid(text: str) -> np.ndarray:
-    values = np.array([float(v) for v in text.split(",") if v.strip()])
-    if values.size == 0:
-        raise ValueError("--lambda-grid is empty")
-    _check_ridges("--lambda-grid", values)
-    return values
+    return ridge_grid([float(v) for v in text.split(",") if v.strip()],
+                      "--lambda-grid")
 
 
 def _parse_bandwidth(text: str, data: Dataset) -> KernelSpecs:
@@ -106,15 +98,9 @@ def _parse_bandwidth(text: str, data: Dataset) -> KernelSpecs:
 def _write_curve(path, curve: DoCurve) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if curve.truth is None:
-            writer.writerow(["a", "estimate"])
-            for a, est in zip(curve.grid, curve.estimate):
-                writer.writerow([repr(float(a)), repr(float(est))])
-        else:
-            writer.writerow(["a", "estimate", "truth"])
-            for a, est, tr in zip(curve.grid, curve.estimate, curve.truth):
-                writer.writerow([repr(float(a)), repr(float(est)),
-                                 repr(float(tr))])
+        writer.writerow(["a", "estimate"])
+        for a, est in zip(curve.grid, curve.estimate):
+            writer.writerow([repr(float(a)), repr(float(est))])
 
 
 @click.group()
@@ -173,9 +159,12 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
     if unused:
         raise ValueError(f"--method {method} does not use "
                          f"{', '.join(unused)}")
+    if lambda1 is not None and lambda_grid is not None:
+        raise ValueError("--lambda1 fixes the ridge, so there is no search "
+                         "for --lambda-grid; give one of them")
     for flag, value in (("--lambda1", lambda1), ("--lambda2", lambda2)):
         if value is not None:
-            _check_ridges(flag, [value])
+            ridge_grid(value, flag)
     lam_grid = _parse_grid(lambda_grid) if lambda_grid else None
     options = {name: value for name, value in
                {**flags, "lambda_grid": lam_grid}.items() if value is not None}

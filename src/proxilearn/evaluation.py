@@ -3,8 +3,6 @@ comparison harness."""
 
 from __future__ import annotations
 
-import csv
-import json
 import os
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -202,21 +200,6 @@ class ExperimentResult:
                 for m in self.methods
             },
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "n", "seed", "cmae"])
-            for m in self.methods:
-                for seed, value in zip(self.seeds, self.per_seed[m]):
-                    writer.writerow([m, self.n, seed, repr(float(value))])
-            for m in self.methods:
-                writer.writerow([m, self.n, "mean", repr(self.mean(m))])
-                writer.writerow([m, self.n, "std", repr(self.std(m))])
 
 
 def max_workers() -> int:

@@ -38,7 +38,7 @@ import scipy.linalg
 
 from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, effect_curve, gram, product_gram
-from .numerics import psd_factor, solve_psd
+from .numerics import psd_factor, ridge_grid, solve_psd
 
 # The fixed ridges of both stages; the module docstring gives the evidence.
 DEFAULT_LAMBDA1 = 1e-3
@@ -52,7 +52,6 @@ class Stage1Fit:
     sample: Dataset
     specs: KernelSpecs
     lam1: float
-    k_ww: np.ndarray
     _factor: tuple
 
     @property
@@ -70,13 +69,10 @@ def stage1_fit(sample1: Dataset, specs: KernelSpecs,
     """Fit the first-stage embedding on ``sample1`` with ridge ``lam1``."""
     if sample1.n < 2:
         raise ValueError("stage 1 needs at least 2 points")
-    if not lam1 > 0:
-        raise ValueError("lam1 must be positive")
+    ridge_grid(lam1, "lam1")
     k_axz = _gram_axz(sample1, sample1.a, sample1.x, sample1.z, specs)
     factor = psd_factor(k_axz, sample1.n * lam1)
-    k_ww = gram(sample1.w, sample1.w, specs.w)
-    return Stage1Fit(sample=sample1, specs=specs, lam1=lam1,
-                     k_ww=k_ww, _factor=factor)
+    return Stage1Fit(sample=sample1, specs=specs, lam1=lam1, _factor=factor)
 
 
 def stage1_embedding(fit: Stage1Fit, a, x, z) -> np.ndarray:
@@ -120,9 +116,11 @@ class KpvModel:
 
 def _stage2_sigma(fit: Stage1Fit, sample2: Dataset):
     """The stage-1 embedding Gamma of ``sample2`` and the stage-2 matrix
-    Sigma_qp = (Gamma_q' K_WW Gamma_p) * k(a_q, a_p) * k(x_q, x_p)."""
+    Sigma_qp = (Gamma_q' K_WW Gamma_p) * k(a_q, a_p) * k(x_q, x_p), with
+    K_WW the Gram of the stage-1 W."""
     gamma2 = stage1_embedding(fit, sample2.a, sample2.x, sample2.z)
-    sigma = gamma2.T @ fit.k_ww @ gamma2
+    k_ww = gram(fit.sample.w, fit.sample.w, fit.specs.w)
+    sigma = gamma2.T @ k_ww @ gamma2
     sigma *= product_gram((sample2.a, sample2.x), (sample2.a, sample2.x),
                           (fit.specs.a, fit.specs.x))
     return gamma2, sigma
@@ -153,8 +151,7 @@ def kpv_fit(fit: Stage1Fit, sample2: Dataset, lam2: float) -> KpvModel:
     Sigma_qp = (Gamma_q' K_WW Gamma_p) * k(a_q, a_p) * k(x_q, x_p) and
     expands c into alpha with ``kpv_model``.
     """
-    if not lam2 > 0:
-        raise ValueError("lam2 must be positive")
+    ridge_grid(lam2, "lam2")
     if sample2.n < 1:
         raise ValueError("stage 2 needs at least 1 point")
     gamma2, sigma = _stage2_sigma(fit, sample2)

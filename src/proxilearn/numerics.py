@@ -1,7 +1,7 @@
 """Linear-algebra substrate: regularized PSD solves, an in-place symmetric
-eigensolve, closed-form leave-one-out scores over a ridge path, the grid
-selection rule, column-wise Khatri-Rao products, Nystrom features and the
-low-rank regularized solve built on them."""
+eigensolve, closed-form leave-one-out scores over a ridge path, the ridge
+rule and the grid selection rule, column-wise Khatri-Rao products, Nystrom
+features and the low-rank regularized solve built on them."""
 
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ def psd_factor(m: np.ndarray, ridge: float):
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if not ridge > 0:
-        raise ValueError("ridge must be positive")
+    ridge_grid(ridge, "ridge")
 
     def factor(diagonal):
         # One Fortran-ordered copy, which LAPACK factors in place.
@@ -85,17 +84,17 @@ def loo_path(eigvals: np.ndarray, eigvecs: np.ndarray, y: np.ndarray,
     return np.where(np.isfinite(scores), scores, np.inf)
 
 
-def ridge_grid(lam_grid) -> np.ndarray:
-    """A ridge search's grid as a float vector; raises ``ValueError`` naming
-    the first value that is not finite and positive, or if it is empty.
-    This is the grid rule of every ridge search."""
+def ridge_grid(lam_grid, name: str = "ridge grid") -> np.ndarray:
+    """One ridge or a ridge search's grid as a float vector; raises
+    ``ValueError`` naming the first value that is not finite and positive,
+    or if there is none. This is the ridge rule of every fit, search and
+    CLI flag; ``name`` only labels the error message."""
     lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float)).ravel()
     if lam_grid.size == 0:
-        raise ValueError("ridge grid is empty")
+        raise ValueError(f"{name} is empty")
     bad = lam_grid[~(np.isfinite(lam_grid) & (lam_grid > 0))]
     if bad.size:
-        raise ValueError(
-            f"ridge grid values must be positive and finite, got {bad[0]}")
+        raise ValueError(f"{name} must be positive and finite, got {bad[0]}")
     return lam_grid
 
 
@@ -176,8 +175,7 @@ def nystrom_solve(psi: np.ndarray, l: np.ndarray, lam: float,
     numpy's multithreaded products slowed the n = 2000, r = 1000 fit of
     ``pmmr_fit_nystrom`` from 0.27 to 0.40 s on a 2-vCPU VM.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    ridge_grid(lam, "lam")
     psi = np.asarray(psi, dtype=float)
     system = psi.T @ (np.asarray(l, dtype=float) @ psi)
     system[np.diag_indices_from(system)] += lam

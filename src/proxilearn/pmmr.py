@@ -6,7 +6,8 @@ alpha = (L W L + lam L)^{-1} L W y, where L is the Gram matrix of the
 h-side kernel on (A, W, X) and W the Gram matrix of the instrument-side
 kernel on (A, Z, X). ``lam`` throughout this module refers to the ridge
 of this closed form; the equivalent objective-space penalty is lam / n^2
-because the V-statistic carries a 1/n^2 normalization.
+because the V-statistic carries a 1/n^2 normalization. Every lam, given or
+on a search grid, must be positive and finite (``numerics.ridge_grid``).
 
 The exact solves never form L W L. L, with a small diagonal jitter, is
 factored once as L = R R'; the normal equations then reduce to
@@ -18,7 +19,8 @@ smallest default ridge, L alpha agrees with a 60-digit solve to about
 ridge search eigendecomposes R' W R = V diag(d) V' once; the coefficient
 path alpha(lam) = R'^{-1} V (V' R' W y / (d + lam)) then costs one
 triangular solve with a right-hand side per candidate, and each
-candidate's validation predictions O(n^2).
+candidate's validation predictions O(n^2). ``fit_pmmr`` picks from these
+scores with ``numerics.argmin_ties_larger``, the pick rule of every search.
 
 Every n x n step works in the Grams' own memory. L is factored in place,
 and R' W R is formed from W by two triangular multiplies (BLAS ``trmm``,
@@ -131,8 +133,7 @@ def pmmr_fit(data: Dataset, specs: KernelSpecs, lam: float) -> PmmrModel:
     reduced form (R' W R + lam I) beta = R' W y, alpha = R'^{-1} beta."""
     if data.n < 1:
         raise ValueError("need at least 1 training point")
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    ridge_grid(lam, "lam")
     r, rwr, rwy = _reduced_system(h_side_gram(data, data, specs),
                                   instrument_gram(data, data, specs), data.y)
     rwr[np.diag_indices_from(rwr)] += lam
@@ -154,8 +155,7 @@ def pmmr_fit_nystrom(data: Dataset, specs: KernelSpecs, lam: float,
     lam / n^2 to match the V-statistic normalization of the features.
     With ``rank == n`` this reproduces :func:`pmmr_fit`.
     """
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    ridge_grid(lam, "lam")
     landmarks = nystrom_landmarks(data.n, rank, landmark_seed)
     psi = nystrom_features(
         instrument_gram(data, data.subset(landmarks), specs), landmarks)
@@ -217,22 +217,6 @@ def pmmr_objective(l_gram: np.ndarray, w_gram: np.ndarray, y: np.ndarray,
             + lam * float(alpha @ l_gram @ alpha)) / float(n) ** 2
 
 
-def pmmr_select_lambda(
-    train: Dataset,
-    validate: Dataset,
-    specs: KernelSpecs,
-    lam_grid=DEFAULT_LAMBDA_GRID,
-) -> float:
-    """Pick the ridge whose validation V-statistic risk is smallest.
-
-    Fits on ``train`` along the whole grid from one eigendecomposition and
-    scores the validation residuals with the validation-side instrument
-    Gram; ties break toward the larger ridge.
-    """
-    scores = pmmr_validation_scores(train, validate, specs, lam_grid)
-    return argmin_ties_larger(lam_grid, scores)
-
-
 def pmmr_validation_scores(train: Dataset, validate: Dataset,
                            specs: KernelSpecs, lam_grid) -> np.ndarray:
     """Validation V-statistic risk for every ridge candidate.
@@ -271,8 +255,9 @@ def fit_pmmr(
     """Full pipeline on one joint dataset.
 
     When ``lam`` is not given it is grid-searched on a 50/50 seeded
-    train/validation split and the model is refit on the full data at the
-    selected value. ``rank`` switches to the Nystrom-accelerated solve; it
+    train/validation split: the ridge of smallest validation V-statistic
+    risk (``pmmr_validation_scores``), ties to the larger, and the model is
+    refit on the full data at that value. ``rank`` switches to the Nystrom-accelerated solve; it
     is checked before the search runs.
     """
     if rank is not None and not 1 <= rank <= data.n:
@@ -280,8 +265,8 @@ def fit_pmmr(
     if specs is None:
         specs = KernelSpecs.from_data(data)
     if lam is None:
-        train, validate = data.split_half(split_seed)
-        lam = pmmr_select_lambda(train, validate, specs, lam_grid)
+        lam = argmin_ties_larger(lam_grid, pmmr_validation_scores(
+            *data.split_half(split_seed), specs, lam_grid))
     if rank is None:
         return pmmr_fit(data, specs, lam)
     return pmmr_fit_nystrom(data, specs, lam, rank, landmark_seed)

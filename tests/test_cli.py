@@ -602,3 +602,22 @@ class TestErrors:
         assert payload["message"] == (f"{flag} must be positive and finite, "
                                       f"got {float(bad)}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["pmmr", "pmmr-nystrom", "ridge",
+                                        "ridge-w", "ridge-wz"])
+    def test_fixed_ridge_with_grid_refused_before_reading(
+            self, runner, tmp_path, method):
+        # The CSV has a schema error, so reading it would report that.
+        data_path = tmp_path / "bad.csv"
+        data_path.write_text("A,Z1,W1,Y\n1,oops,3,4\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["fit", "--data", str(data_path),
+                                      "--method", method, "--lambda1", "0.1",
+                                      "--lambda-grid", "5,6",
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload["error"] == "ValueError"
+        assert "--lambda1" in payload["message"]
+        assert "--lambda-grid" in payload["message"]
+        assert not list(tmp_path.glob("out*"))

@@ -91,6 +91,24 @@ class TestStage1:
         with pytest.raises(ValueError, match="lam1"):
             stage1_fit(data, KernelSpecs.from_data(data), 0.0)
 
+    def test_builds_only_the_axz_gram(self, monkeypatch):
+        # K_WW belongs to stage 2 (kpv_fit); stage 1 needs only K_AXZ.
+        data = rng_dataset(3, 10)
+        specs = KernelSpecs.from_data(data)
+        calls = {"gram": 0, "product_gram": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(kpv, "gram", counting("gram", kpv.gram))
+        monkeypatch.setattr(kpv, "product_gram",
+                            counting("product_gram", kpv.product_gram))
+        stage1_fit(data, specs, 1e-3)
+        assert calls == {"gram": 0, "product_gram": 1}
+
 
 class TestStage1Embedding:
     def test_constant_w_predicts_constant(self):

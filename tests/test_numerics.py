@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from proxilearn.kernels import KernelSpec, gram
+from proxilearn.baselines import kernel_ridge_fit
+from proxilearn.kernels import KernelSpec, KernelSpecs, gram
+from proxilearn.kpv import kpv_fit, stage1_fit
 from proxilearn.numerics import (
     argmin_ties_larger,
     eigh_in_place,
@@ -15,7 +17,29 @@ from proxilearn.numerics import (
     ridge_grid,
     solve_psd,
 )
-from tests.conftest import nystrom
+from proxilearn.pmmr import pmmr_fit, pmmr_fit_nystrom
+from tests.conftest import nystrom, rng_dataset
+
+
+def _single_ridge_entry_points():
+    """Each function that takes one ridge, called at ridge ``lam`` on
+    valid small inputs."""
+    data = rng_dataset(5, 8)
+    specs = KernelSpecs.from_data(data)
+    stage1 = stage1_fit(data, specs, 1e-3)
+    psi = nystrom(np.eye(4), rank=4, landmark_seed=0)
+    return {
+        "pmmr_fit": lambda lam: pmmr_fit(data, specs, lam),
+        "pmmr_fit_nystrom": lambda lam: pmmr_fit_nystrom(data, specs, lam,
+                                                         rank=4),
+        "kernel_ridge_fit": lambda lam: kernel_ridge_fit(
+            data.a, data.y, specs.a, lam),
+        "stage1_fit": lambda lam: stage1_fit(data, specs, lam),
+        "kpv_fit": lambda lam: kpv_fit(stage1, data, lam),
+        "psd_factor": lambda lam: psd_factor(np.eye(3), lam),
+        "nystrom_solve": lambda lam: nystrom_solve(psi, np.eye(4), lam,
+                                                   np.ones(4)),
+    }
 
 
 class TestSolvePsd:
@@ -160,6 +184,22 @@ class TestRidgeGrid:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             ridge_grid([])
+
+    def test_name_labels_message(self):
+        with pytest.raises(ValueError,
+                           match="^--lambda1 must be positive and finite, "
+                                 "got inf$"):
+            ridge_grid(np.inf, "--lambda1")
+        with pytest.raises(ValueError, match="^--lambda-grid is empty$"):
+            ridge_grid([], "--lambda-grid")
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", sorted(_single_ridge_entry_points()))
+    def test_single_ridge_entry_points_share_the_rule(self, entry, bad):
+        call = _single_ridge_entry_points()[entry]
+        call(0.1)
+        with pytest.raises(ValueError, match="positive and finite"):
+            call(bad)
 
 
 class TestKhatriRao:

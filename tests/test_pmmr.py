@@ -16,12 +16,12 @@ from proxilearn.pmmr import (
     pmmr_fit_nystrom,
     pmmr_h,
     pmmr_objective,
-    pmmr_select_lambda,
     pmmr_validation_scores,
 )
 from proxilearn import pmmr, synthdata
 from proxilearn.numerics import (
     EIGENVALUE_FLOOR,
+    argmin_ties_larger,
     nystrom_landmarks,
     nystrom_solve,
 )
@@ -374,14 +374,15 @@ class TestSelection:
     def test_single_point_grid(self):
         train, validate = rng_dataset(17, 8), rng_dataset(18, 8)
         specs = KernelSpecs.from_data(train)
-        assert pmmr_select_lambda(train, validate, specs, [0.2]) == 0.2
+        scores = pmmr_validation_scores(train, validate, specs, [0.2])
+        assert argmin_ties_larger([0.2], scores) == 0.2
 
     def test_selected_score_is_minimal(self):
         train, validate = rng_dataset(19, 12), rng_dataset(20, 12)
         specs = KernelSpecs.from_data(train)
         grid = DEFAULT_LAMBDA_GRID[::10]
-        lam = pmmr_select_lambda(train, validate, specs, grid)
         scores = pmmr_validation_scores(train, validate, specs, grid)
+        lam = argmin_ties_larger(grid, scores)
         chosen = scores[np.argmin(np.abs(grid - lam))]
         assert chosen <= scores.min() + 1e-15
 
@@ -432,17 +433,15 @@ class TestSelection:
         assert len(DEFAULT_LAMBDA_GRID) == 50
 
     def test_positive_grid_required(self):
-        train, validate = rng_dataset(21, 6), rng_dataset(22, 6)
-        specs = KernelSpecs.from_data(train)
+        data = rng_dataset(21, 12)
         with pytest.raises(ValueError, match="positive"):
-            pmmr_select_lambda(train, validate, specs, [-1.0])
+            fit_pmmr(data, lam_grid=[-1.0])
 
     @pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
     def test_invalid_grid_value_rejected(self, bad):
-        train, validate = rng_dataset(21, 6), rng_dataset(22, 6)
-        specs = KernelSpecs.from_data(train)
+        data = rng_dataset(21, 12)
         with pytest.raises(ValueError, match="positive and finite"):
-            pmmr_select_lambda(train, validate, specs, [bad, 0.1])
+            fit_pmmr(data, lam_grid=[bad, 0.1])
 
 
 class TestCmrSanity:
