@@ -170,6 +170,7 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
                {**flags, "lambda_grid": lam_grid}.items() if value is not None}
     a_grid = _parse_a_grid(a_grid_text) if a_grid_text else None
     data = Dataset.from_csv(data_path)
+    evaluation.check_treatment(data)
     specs = _parse_bandwidth(bandwidth, data)
     if a_grid is None:
         a_grid = evaluation.treatment_grid(data.a)

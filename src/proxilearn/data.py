@@ -34,7 +34,8 @@ def _as_block(values, name: str, n_rows: int | None = None) -> np.ndarray:
 
 
 def query_block(values, dim: int, name: str, n_queries: int | None = None):
-    """Coerce query points for one variable group to shape (nq, dim)."""
+    """Coerce query points for one variable group to shape (nq, dim).
+    Like data, they must be finite: every estimator's queries pass here."""
     if values is None:
         if dim == 0:
             return np.empty((n_queries if n_queries else 1, 0))
@@ -54,6 +55,8 @@ def query_block(values, dim: int, name: str, n_queries: int | None = None):
         )
     if n_queries is not None and arr.shape[0] != n_queries:
         raise ValueError(f"{name} query count differs from treatment count")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite values")
     return arr
 
 
@@ -224,6 +227,3 @@ class DoCurve:
             if not np.isfinite(truth).all():
                 raise ValueError("DoCurve truth must be finite")
             object.__setattr__(self, "truth", truth)
-
-    def with_truth(self, truth: np.ndarray) -> "DoCurve":
-        return DoCurve(self.grid, self.estimate, truth)

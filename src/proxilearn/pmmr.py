@@ -22,10 +22,11 @@ triangular solve with a right-hand side per candidate, and each
 candidate's validation predictions O(n^2). ``fit_pmmr`` picks from these
 scores with ``numerics.argmin_ties_larger``, the pick rule of every search.
 
-Every n x n step works in the Grams' own memory. L is factored in place,
-and R' W R is formed from W by two triangular multiplies (BLAS ``trmm``,
-n^3 flops each) that overwrite W. The fit factors R' W R + lam I in that
-buffer, and the search eigendecomposes R' W R there.
+Every n x n step works in the Grams' own memory. L is factored in place
+into U = R', which every solve uses as it stands, and R' W R is formed
+from W by two triangular multiplies (BLAS ``trmm``, n^3 flops each) that
+overwrite W. The fit factors R' W R + lam I in that buffer, and the
+search eigendecomposes R' W R there.
 
 The effect curve is the mean of h over an adjustment sample. The kernel
 on (A, W, X) separates, so it is k_A(a, A)' w with the n curve weights
@@ -103,11 +104,13 @@ def jittered_l(l_gram: np.ndarray) -> np.ndarray:
 
 
 def _reduced_system(l_gram, w_gram, y):
-    """R, R' W R and R' W y for the jittered L = R R' (R lower).
+    """U = R', R' W R and R' W y for the jittered L = R R' (R lower).
 
     Takes over both Grams. L's transpose is the Fortran-ordered matrix
     whose upper triangle holds L's lower one, so LAPACK's in-place U'U
-    factor of it is U = R', and R is read back through the transpose.
+    factor of it is U = R'. U is returned as LAPACK leaves it, L below
+    the diagonal: ``trmm`` and ``solve_triangular(..., lower=False)`` read
+    only its upper triangle.
     W is symmetric, so its Fortran-ordered transpose stands in for it:
     W R and then R' W R overwrite that buffer, and the returned R' W R is
     W's memory in Fortran order, where LAPACK factors it without a copy.
@@ -120,12 +123,10 @@ def _reduced_system(l_gram, w_gram, y):
         raise np.linalg.LinAlgError(
             f"h-side Gram L is not positive definite even with diagonal "
             f"jitter {jitter:.3g}") from exc
-    r = u.T
-    r *= np.tri(*r.shape, dtype=bool)     # clear L's strict upper triangle
     wr = dtrmm(1.0, u, w_gram.T, side=1, trans_a=1, overwrite_b=1)  # W R
     rwy = wr.T @ y
     rwr = dtrmm(1.0, u, wr, overwrite_b=1)                          # R'W R
-    return r, rwr, rwy
+    return u, rwr, rwy
 
 
 def pmmr_fit(data: Dataset, specs: KernelSpecs, lam: float) -> PmmrModel:
@@ -134,12 +135,12 @@ def pmmr_fit(data: Dataset, specs: KernelSpecs, lam: float) -> PmmrModel:
     if data.n < 1:
         raise ValueError("need at least 1 training point")
     ridge_grid(lam, "lam")
-    r, rwr, rwy = _reduced_system(h_side_gram(data, data, specs),
+    u, rwr, rwy = _reduced_system(h_side_gram(data, data, specs),
                                   instrument_gram(data, data, specs), data.y)
     rwr[np.diag_indices_from(rwr)] += lam
     beta = scipy.linalg.cho_solve(
         scipy.linalg.cho_factor(rwr, lower=True, overwrite_a=True), rwy)
-    alpha = scipy.linalg.solve_triangular(r.T, beta, lower=False)
+    alpha = scipy.linalg.solve_triangular(u, beta, lower=False)
     return PmmrModel(sample=data, specs=specs, alpha=alpha, lam=lam)
 
 
@@ -171,19 +172,14 @@ def pmmr_h(model: PmmrModel, a, w, x=None):
     Scalar treatment input -> float; array inputs -> ndarray (nq,).
     """
     single = np.ndim(a) == 0
-    queries = _query_dataset(model.sample, a, w, x)
-    k_cross = h_side_gram(model.sample, queries, model.specs)
-    vals = model.alpha @ k_cross
+    s = model.sample
+    aq = query_block(a, s.a.shape[1], "a")
+    wq = query_block(w, s.w.shape[1], "w", aq.shape[0])
+    xq = query_block(x, s.x.shape[1], "x", aq.shape[0])
+    vals = model.alpha @ product_gram((s.a, s.w, s.x), (aq, wq, xq),
+                                      (model.specs.a, model.specs.w,
+                                       model.specs.x))
     return float(vals[0]) if single else vals
-
-
-def _query_dataset(train: Dataset, a, w, x) -> Dataset:
-    aq = query_block(a, train.a.shape[1], "a")
-    wq = query_block(w, train.w.shape[1], "w", aq.shape[0])
-    xq = query_block(x, train.x.shape[1], "x", aq.shape[0])
-    nq = aq.shape[0]
-    return Dataset(a=aq, x=xq, z=np.zeros((nq, train.z.shape[1])),
-                   w=wq, y=np.zeros(nq))
 
 
 def pmmr_curve_weights(model: PmmrModel, x_adjust, w_adjust) -> np.ndarray:
@@ -229,13 +225,13 @@ def pmmr_validation_scores(train: Dataset, validate: Dataset,
     step.
     """
     lam_grid = ridge_grid(lam_grid)
-    r, rwr, rwy = _reduced_system(h_side_gram(train, train, specs),
+    u, rwr, rwy = _reduced_system(h_side_gram(train, train, specs),
                                   instrument_gram(train, train, specs),
                                   train.y)
     d, v = eigh_in_place(rwr)
     # d >= 0 up to round-off; clipping keeps d + lam > 0 for every lam > 0.
     coeffs = (v.T @ rwy) / (np.maximum(d, 0.0) + lam_grid[:, None])
-    alphas = scipy.linalg.solve_triangular(r.T, v @ coeffs.T,
+    alphas = scipy.linalg.solve_triangular(u, v @ coeffs.T,
                                            lower=False)   # n_train x grid
     resid = validate.y - alphas.T @ h_side_gram(train, validate, specs)
     w_val = instrument_gram(validate, validate, specs)

@@ -52,7 +52,6 @@ class SyntheticDraw:
 
     data: Dataset
     u: np.ndarray
-    seed: int
 
 
 def gen_main(n: int, seed: int = 0) -> SyntheticDraw:
@@ -72,7 +71,7 @@ def gen_main(n: int, seed: int = 0) -> SyntheticDraw:
     a = u2 + rng.normal(0.0, np.sqrt(TREATMENT_NOISE_VAR), size=n)
     y = _outcome(a, u1, u2)
     data = Dataset(a=a, x=np.empty((n, 0)), z=z, w=w, y=y)
-    return SyntheticDraw(data=data, u=np.column_stack([u1, u2]), seed=seed)
+    return SyntheticDraw(data=data, u=np.column_stack([u1, u2]))
 
 
 def true_ate(a_grid, mc_samples: int = 1_000_000, seed: int = 0,
@@ -140,9 +139,10 @@ def _level_index(values, levels) -> np.ndarray:
     return idx
 
 
-# Fixed generic parameters of the discrete toy; proxies are sharp enough
-# that every conditional matrix involved in identification is
-# well-invertible (determinants around 0.5).
+# The discrete toy's fixed tables. The proxies are sharp enough that every
+# conditional matrix of the identification is well invertible:
+# det p(w | a, z) is 0.56 and 0.50 over the two treatment levels, and
+# det p(u | a, z) 0.70 and 0.63.
 _P_U = np.array([0.45, 0.55])
 _P_Z_GIVEN_U = np.array([[0.90, 0.10],
                          [0.10, 0.90]])
@@ -159,9 +159,7 @@ _Z_LEVELS = np.array([0.0, 3.0])
 _W_LEVELS = np.array([0.0, 3.0])
 
 
-def gen_discrete_toy(n: int, seed: int = 0, p_u=None, p_z_given_u=None,
-                     p_w_given_u=None, p_a_given_u=None,
-                     y_table=None) -> DiscreteToy:
+def gen_discrete_toy(n: int, seed: int = 0) -> DiscreteToy:
     """Sample the finite SEM and solve its bridge equation exactly.
 
     The hidden confounder, both proxies and the treatment each take two
@@ -169,54 +167,31 @@ def gen_discrete_toy(n: int, seed: int = 0, p_u=None, p_z_given_u=None,
     given U, and Y is a deterministic table of (A, U). The bridge is the
     solution of E[Y | a, z] = sum_w h(a, w) p(w | a, z) per treatment
     level, and the enumerated interventional mean is sum_u p(u) y(a, u).
-    The conditional tables can be overridden; a parameterization that
-    breaks invertibility of p(w | a, z) is rejected.
+    The tables are the fixed ``_P_*`` and ``_Y_TABLE`` above; only the
+    sample size and the seed vary.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    p_u = _P_U if p_u is None else np.asarray(p_u, dtype=float)
-    p_z = (_P_Z_GIVEN_U if p_z_given_u is None
-           else np.asarray(p_z_given_u, dtype=float))
-    p_w = (_P_W_GIVEN_U if p_w_given_u is None
-           else np.asarray(p_w_given_u, dtype=float))
-    p_a = (_P_A_GIVEN_U if p_a_given_u is None
-           else np.asarray(p_a_given_u, dtype=float))
-    y_table = _Y_TABLE if y_table is None else np.asarray(y_table, float)
-    n_a, n_u = p_a.shape
-    n_z = p_z.shape[0]
-    n_w = p_w.shape[0]
-    if not (n_w == n_z == n_u):
-        raise ValueError("W, Z and U must have equal support sizes")
-
-    h_star = np.empty((n_a, n_w))
-    p_w_given_az = np.empty((n_a, n_z, n_w))
-    ey_given_az = np.empty((n_a, n_z))
-    for k in range(n_a):
+    h_star = np.empty((2, 2))
+    p_w_given_az = np.empty((2, 2, 2))
+    ey_given_az = np.empty((2, 2))
+    for k in range(2):
         # p(u | a, z) over columns u, rows z
-        joint_uz = p_u[None, :] * p_a[k][None, :] * p_z
+        joint_uz = _P_U[None, :] * _P_A_GIVEN_U[k][None, :] * _P_Z_GIVEN_U
         p_u_given_az = joint_uz / joint_uz.sum(axis=1, keepdims=True)
-        if abs(np.linalg.det(p_u_given_az)) < 1e-12:
-            raise np.linalg.LinAlgError("p(u|a,z) is singular")
-        p_w_az = p_u_given_az @ p_w.T                   # rows z, cols w
-        if abs(np.linalg.det(p_w_az)) < 1e-12:
-            raise np.linalg.LinAlgError("p(w|a,z) is singular")
-        ey_az = p_u_given_az @ y_table[k]
-        h_star[k] = np.linalg.solve(p_w_az, ey_az)
-        p_w_given_az[k] = p_w_az
-        ey_given_az[k] = ey_az
-
-    truth = y_table @ p_u
-    marginal_w = p_w @ p_u
+        p_w_given_az[k] = p_u_given_az @ _P_W_GIVEN_U.T  # rows z, cols w
+        ey_given_az[k] = p_u_given_az @ _Y_TABLE[k]
+        h_star[k] = np.linalg.solve(p_w_given_az[k], ey_given_az[k])
 
     rng = np.random.default_rng(seed)
-    u_idx = rng.choice(n_u, size=n, p=p_u)
-    z_idx = np.array([rng.choice(n_z, p=p_z[:, u]) for u in u_idx])
-    w_idx = np.array([rng.choice(n_w, p=p_w[:, u]) for u in u_idx])
-    a_idx = np.array([rng.choice(n_a, p=p_a[:, u]) for u in u_idx])
-    y = y_table[a_idx, u_idx]
+    u_idx = rng.choice(2, size=n, p=_P_U)
+    z_idx = np.array([rng.choice(2, p=_P_Z_GIVEN_U[:, u]) for u in u_idx])
+    w_idx = np.array([rng.choice(2, p=_P_W_GIVEN_U[:, u]) for u in u_idx])
+    a_idx = np.array([rng.choice(2, p=_P_A_GIVEN_U[:, u]) for u in u_idx])
     data = Dataset(a=_A_LEVELS[a_idx], x=np.empty((n, 0)),
-                   z=_Z_LEVELS[z_idx], w=_W_LEVELS[w_idx], y=y)
-    return DiscreteToy(data=data, a_levels=_A_LEVELS[:n_a],
-                       w_levels=_W_LEVELS[:n_w], z_levels=_Z_LEVELS[:n_z],
-                       h_star=h_star, truth=truth, p_w=marginal_w,
+                   z=_Z_LEVELS[z_idx], w=_W_LEVELS[w_idx],
+                   y=_Y_TABLE[a_idx, u_idx])
+    return DiscreteToy(data=data, a_levels=_A_LEVELS, w_levels=_W_LEVELS,
+                       z_levels=_Z_LEVELS, h_star=h_star,
+                       truth=_Y_TABLE @ _P_U, p_w=_P_W_GIVEN_U @ _P_U,
                        p_w_given_az=p_w_given_az, ey_given_az=ey_given_az)

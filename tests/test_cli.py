@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -429,6 +430,29 @@ def test_fit_rejects_flags_the_method_ignores(runner, tmp_path, method,
     assert payload["error"] == "ValueError"
     assert f"--method {method} does not use {flag[0]}" in payload["message"]
     assert not model_path.exists()
+
+
+@pytest.mark.parametrize("method", evaluation.ESTIMATORS)
+def test_fit_refuses_two_treatments_before_fitting(runner, tmp_path,
+                                                   monkeypatch, method):
+    def fit(*args):
+        raise AssertionError("fitted")
+
+    monkeypatch.setitem(evaluation.ESTIMATORS, method, dataclasses.replace(
+        evaluation.ESTIMATORS[method], fit=fit))
+    d = gen_main(40, seed=1).data
+    data_path = tmp_path / "train.csv"
+    Dataset(a=np.column_stack([d.a, d.a ** 2]), x=d.x, z=d.z, w=d.w,
+            y=d.y).to_csv(data_path)
+    assert data_path.read_text().startswith("A1,A2,")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["fit", "--data", str(data_path),
+                                  "--method", method, "--out", str(out)])
+    assert result.exit_code == 1
+    payload = json.loads(result.stderr or result.output)
+    assert payload == {"error": "ValueError", "message": (
+        "effect curves need one treatment column, the data has 2")}
+    assert not list(tmp_path.glob("out*"))
 
 
 class TestExperimentAndSweep:

@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from proxilearn import kpv, pmmr
 from proxilearn.data import Dataset, DoCurve, SchemaError
 from proxilearn.synthdata import gen_main
 
@@ -135,7 +136,30 @@ class TestDoCurve:
         with pytest.raises(ValueError, match="finite"):
             DoCurve(grid=[0.0], estimate=[np.inf])
 
-    def test_with_truth(self):
-        curve = DoCurve(grid=[0.0, 1.0], estimate=[1.0, 2.0])
-        with_truth = curve.with_truth([0.5, 1.5])
-        np.testing.assert_array_equal(with_truth.truth, [0.5, 1.5])
+
+@pytest.fixture(scope="module")
+def fitted():
+    data = gen_main(80, seed=0).data
+    return data, kpv.fit_kpv(data), pmmr.fit_pmmr(data)
+
+
+# One call per function that evaluates query points, the bad value placed
+# in a different variable group each time.
+QUERY_CALLS = {
+    "kpv_h": lambda d, k, p, bad: kpv.kpv_h(k, [bad, 0.5], None, d.w[:2]),
+    "pmmr_h": lambda d, k, p, bad: pmmr.pmmr_h(p, 0.5, [0.1, bad]),
+    "stage1_embedding": lambda d, k, p, bad: kpv.stage1_embedding(
+        k.stage1, d.a[:2], None, [[0.0, 1.0], [bad, 0.0]]),
+    "kpv_curve_weights": lambda d, k, p, bad: kpv.kpv_curve_weights(
+        k, None, np.vstack([d.w[:3], [bad, 0.0]])),
+    "pmmr_curve_weights": lambda d, k, p, bad: pmmr.pmmr_curve_weights(
+        p, None, np.vstack([d.w[:3], [0.0, bad]])),
+}
+
+
+class TestQueryRule:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("call", QUERY_CALLS)
+    def test_nonfinite_query_rejected(self, fitted, call, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            QUERY_CALLS[call](*fitted, bad)

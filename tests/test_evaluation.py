@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from proxilearn import evaluation
-from proxilearn.data import DoCurve
+from proxilearn import evaluation, synthdata
+from proxilearn.data import Dataset, DoCurve
 
 
 class TestCmae:
@@ -125,6 +126,29 @@ class TestDefaultGrid:
         # treatment is U2 + small noise with U2 ~ U[-1, 2]
         assert grid[0] == pytest.approx(-0.85, abs=0.1)
         assert grid[-1] == pytest.approx(1.85, abs=0.1)
+
+    @pytest.mark.slow
+    def test_frozen_grid_is_treatment_grid_of_oracle_draw(self):
+        draw = synthdata.gen_main(evaluation.ORACLE_MC_SAMPLES,
+                                  seed=evaluation.ORACLE_SEED)
+        assert np.array_equal(evaluation.default_a_grid(),
+                              evaluation.treatment_grid(draw.data.a))
+
+
+@pytest.mark.parametrize("method", evaluation.ESTIMATORS)
+def test_fit_method_refuses_two_treatments_before_fitting(monkeypatch,
+                                                          method):
+    def fit(*args):
+        raise AssertionError("fitted")
+
+    monkeypatch.setitem(evaluation.ESTIMATORS, method, dataclasses.replace(
+        evaluation.ESTIMATORS[method], fit=fit))
+    d = synthdata.gen_main(30, seed=0).data
+    data = Dataset(a=np.column_stack([d.a, d.a ** 2]), x=d.x, z=d.z, w=d.w,
+                   y=d.y)
+    with pytest.raises(ValueError, match="one treatment column, the data "
+                                         "has 2"):
+        evaluation.fit_method(method, data, np.linspace(0.0, 1.0, 3))
 
 
 @pytest.mark.slow

@@ -137,9 +137,9 @@ class TestPmmrFit:
         l_gram = h_side_gram(data, data, specs)
         l_jit = jittered_l(l_gram)
         w_gram = instrument_gram(data, data, specs)
-        r, rwr, rwy = _reduced_system(l_gram, w_gram.copy(), data.y)
-        assert np.shares_memory(r, l_gram)
-        np.testing.assert_array_equal(r, np.tril(r))
+        u, rwr, rwy = _reduced_system(l_gram, w_gram.copy(), data.y)
+        assert np.shares_memory(u, l_gram)
+        r = np.triu(u).T      # U = R' is the upper triangle of u
         np.testing.assert_allclose(r @ r.T, l_jit, rtol=0, atol=1e-12)
         np.testing.assert_allclose(rwr, r.T @ w_gram @ r, atol=1e-12)
         np.testing.assert_allclose(rwy, r.T @ w_gram @ data.y, atol=1e-12)
@@ -149,8 +149,9 @@ class TestPmmrFit:
         specs = KernelSpecs.from_data(data)
         w_gram = instrument_gram(data, data, specs)
         w_ref = w_gram.copy()
-        r, rwr, rwy = _reduced_system(h_side_gram(data, data, specs),
+        u, rwr, rwy = _reduced_system(h_side_gram(data, data, specs),
                                       w_gram, data.y)
+        r = np.triu(u).T
         assert np.shares_memory(rwr, w_gram)
         np.testing.assert_allclose(rwr, r.T @ w_ref @ r, atol=1e-12)
         np.testing.assert_allclose(rwy, r.T @ w_ref @ data.y, atol=1e-12)
