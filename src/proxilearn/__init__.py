@@ -31,7 +31,6 @@ from .pmmr import (
 from .baselines import (
     RidgeModel,
     adjusted_ate,
-    kernel_ridge_fit,
     linear_two_stage,
 )
 from .synthdata import DiscreteToy, SyntheticDraw, gen_discrete_toy, gen_main, true_ate
@@ -67,7 +66,6 @@ __all__ = [
     "pmmr_h",
     "RidgeModel",
     "adjusted_ate",
-    "kernel_ridge_fit",
     "linear_two_stage",
     "DiscreteToy",
     "SyntheticDraw",

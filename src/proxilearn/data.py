@@ -38,7 +38,7 @@ def query_block(values, dim: int, name: str, n_queries: int | None = None):
     Like data, they must be finite: every estimator's queries pass here."""
     if values is None:
         if dim == 0:
-            return np.empty((n_queries if n_queries else 1, 0))
+            return np.empty((1 if n_queries is None else n_queries, 0))
         raise ValueError(f"{name} queries are required (dim={dim})")
     arr = np.asarray(values, dtype=float)
     if dim == 0:

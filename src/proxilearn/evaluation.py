@@ -13,7 +13,7 @@ import numpy as np
 
 from . import baselines, kpv, pmmr, synthdata
 from .data import Dataset, DoCurve
-from .kernels import KernelSpec, effect_curve
+from .kernels import effect_curve
 
 ORACLE_SEED = 20_210_601
 ORACLE_MC_SAMPLES = 1_000_000
@@ -126,12 +126,10 @@ def _ridge(groups: str) -> Estimator:
                                    "adjust": groups},
         coefficients="beta",
         weights=lambda m, adjust: (
-            m.inputs[:, :1], KernelSpec(m.spec.bandwidths[:1]),
-            baselines.adjusted_curve_weights(
-                m, baselines.ridge_adjustment(adjust, groups))),
+            m.sample.a, m.specs.a,
+            baselines.adjusted_curve_weights(m, adjust)),
         rebuild=lambda read, data, specs, beta: baselines.RidgeModel(
-            inputs=baselines.ridge_inputs(data, groups),
-            spec=baselines.ridge_spec(data, groups, specs),
+            sample=data, adjust=groups, specs=specs,
             lam=read("lambdas.lambda"), beta=beta))
 
 

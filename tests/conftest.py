@@ -79,13 +79,20 @@ def nystrom(k, rank, landmark_seed=0):
 
 
 def kernel_ridge_predict(model, queries):
-    """Predictions of a ``baselines.RidgeModel`` at ``queries``."""
-    from proxilearn.kernels import gram
+    """Predictions of a ``baselines.RidgeModel`` at ``queries``, whose
+    columns are the model's groups ("a", *adjust) stacked in order: one
+    Gaussian over the stacked training columns with the groups'
+    concatenated bandwidths."""
+    from proxilearn.kernels import KernelSpec, gram
 
     queries = np.asarray(queries, dtype=float)
     if queries.ndim == 1:
         queries = queries[:, None]
-    return gram(queries, model.inputs, model.spec) @ model.beta
+    groups = ("a", *model.adjust)
+    inputs = np.column_stack([getattr(model.sample, g) for g in groups])
+    spec = KernelSpec(np.concatenate(
+        [getattr(model.specs, g).bandwidths for g in groups]))
+    return gram(queries, inputs, spec) @ model.beta
 
 
 def ridge_loo_scores(inputs, y, spec, lam_grid):

@@ -4,12 +4,9 @@ import scipy.linalg
 
 from proxilearn.baselines import (
     adjusted_ate,
+    adjusted_curve_weights,
     fit_ridge_baseline,
-    kernel_ridge_fit,
     linear_two_stage,
-    ridge_adjustment,
-    ridge_inputs,
-    ridge_spec,
 )
 from proxilearn import baselines, numerics, synthdata
 from proxilearn.data import Dataset
@@ -18,17 +15,33 @@ from tests.conftest import (kernel_ridge_predict, ridge_loo_scores,
                             rng_dataset)
 
 
+def regression_data(a, y, w=None):
+    """A dataset with no X or Z: its A is the regressor of plain ridge, and
+    A and ``w`` those of ridge-w."""
+    n = len(y)
+    empty = np.empty((n, 0))
+    return Dataset(a=a, x=empty, z=empty,
+                   w=empty if w is None else w, y=y)
+
+
+def regression_specs(a_bw, w_bw=()):
+    return KernelSpecs(a=KernelSpec(a_bw), x=KernelSpec([]),
+                       z=KernelSpec([]), w=KernelSpec(w_bw))
+
+
 class TestKernelRidge:
     def test_zero_targets_zero_predictor(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(6, 1))
-        model = kernel_ridge_fit(x, np.zeros(6), KernelSpec([1.0]), 0.1)
+        model = fit_ridge_baseline(regression_data(x, np.zeros(6)), "",
+                                   lam=0.1, specs=regression_specs([1.0]))
         np.testing.assert_allclose(kernel_ridge_predict(model, x),
                                    np.zeros(6), atol=1e-12)
 
     def test_single_point(self):
-        model = kernel_ridge_fit(np.array([[0.0]]), np.array([2.0]),
-                                 KernelSpec([1.0]), 0.5)
+        data = regression_data(np.array([[0.0]]), np.array([2.0]))
+        model = fit_ridge_baseline(data, "", lam=0.5,
+                                   specs=regression_specs([1.0]))
         pred = kernel_ridge_predict(model, np.array([[0.0]]))
         assert pred[0] == pytest.approx(2.0 / 1.5, rel=1e-10)
 
@@ -36,10 +49,11 @@ class TestKernelRidge:
         rng = np.random.default_rng(1)
         x = rng.normal(size=(6, 2))
         y = rng.normal(size=6)
-        spec = KernelSpec([0.8, 1.2])
         lam = 0.07
-        model = kernel_ridge_fit(x, y, spec, lam)
-        k = gram(x, x, spec)
+        model = fit_ridge_baseline(regression_data(x[:, :1], y, x[:, 1:]),
+                                   "w", lam=lam,
+                                   specs=regression_specs([0.8], [1.2]))
+        k = gram(x, x, KernelSpec([0.8, 1.2]))
         expected = np.linalg.solve(k + 6 * lam * np.eye(6), y)
         np.testing.assert_allclose(model.beta, expected, atol=1e-8)
 
@@ -47,7 +61,8 @@ class TestKernelRidge:
         x = np.linspace(0, 18, 10)[:, None]
         rng = np.random.default_rng(2)
         y = rng.normal(size=10)
-        model = kernel_ridge_fit(x, y, KernelSpec([1.0]), 1e-10)
+        model = fit_ridge_baseline(regression_data(x, y), "", lam=1e-10,
+                                   specs=regression_specs([1.0]))
         fit_error = np.abs(kernel_ridge_predict(model, x) - y).max()
         assert fit_error < 1e-4
 
@@ -76,8 +91,12 @@ class TestSearchedFit:
     def test_lambda_is_loo_argmin(self, data, adjust):
         grid = baselines.DEFAULT_RIDGE_GRID
         model = fit_ridge_baseline(data, adjust)
-        scores = ridge_loo_scores(ridge_inputs(data, adjust), data.y,
-                                  ridge_spec(data, adjust), grid)
+        groups = ("a", *adjust)
+        specs = KernelSpecs.from_data(data)
+        inputs = np.column_stack([getattr(data, g) for g in groups])
+        spec = KernelSpec(np.concatenate(
+            [getattr(specs, g).bandwidths for g in groups]))
+        scores = ridge_loo_scores(inputs, data.y, spec, grid)
         assert model.lam == numerics.argmin_ties_larger(grid, scores)
 
     @pytest.mark.parametrize("adjust", ["", "w", "wz"])
@@ -89,9 +108,12 @@ class TestSearchedFit:
         # that are 1e4 times smaller (plain ridge on this draw).
         np.testing.assert_allclose(model.beta, fixed.beta, rtol=1e-9,
                                    atol=1e-12 * np.abs(fixed.beta).max())
-        np.testing.assert_array_equal(model.inputs, fixed.inputs)
-        np.testing.assert_array_equal(model.spec.bandwidths,
-                                      fixed.spec.bandwidths)
+        assert model.sample is fixed.sample is data
+        assert model.adjust == fixed.adjust == adjust
+        for g in "axzw":
+            np.testing.assert_array_equal(
+                getattr(model.specs, g).bandwidths,
+                getattr(fixed.specs, g).bandwidths)
 
     def test_one_eigendecomposition_and_no_cholesky(self, data,
                                                     monkeypatch):
@@ -123,35 +145,44 @@ class TestAdjustedAte:
     def test_zero_predictor_gives_zero_curve(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(8, 3))
-        model = kernel_ridge_fit(x, np.zeros(8), KernelSpec([1.0] * 3), 0.1)
-        curve = adjusted_ate(model, [0.0, 0.5], rng.normal(size=(5, 2)))
+        model = fit_ridge_baseline(
+            regression_data(x[:, :1], np.zeros(8), x[:, 1:]), "w", lam=0.1,
+            specs=regression_specs([1.0], [1.0, 1.0]))
+        adjust = regression_data(np.zeros(5), np.zeros(5),
+                                 rng.normal(size=(5, 2)))
+        curve = adjusted_ate(model, [0.0, 0.5], adjust)
         np.testing.assert_array_equal(curve.estimate, 0.0)
 
     def test_single_row_equals_pointwise_prediction(self):
         rng = np.random.default_rng(5)
         inputs = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
-        model = kernel_ridge_fit(inputs, y, KernelSpec([1.0] * 3), 0.05)
+        model = fit_ridge_baseline(
+            regression_data(inputs[:, :1], y, inputs[:, 1:]), "w", lam=0.05,
+            specs=regression_specs([1.0], [1.0, 1.0]))
         row = np.array([0.4, -0.2])
-        curve = adjusted_ate(model, [0.7], row[None, :])
+        adjust = regression_data([0.0], [0.0], row[None, :])
+        curve = adjusted_ate(model, [0.7], adjust)
         direct = kernel_ridge_predict(
             model, np.array([[0.7, 0.4, -0.2]]))
         assert curve.estimate[0] == pytest.approx(direct[0], rel=1e-12)
 
     def test_plain_ridge_uses_empty_adjustment(self):
+        # Plain ridge adjusts over no group: its weights are beta.
         data = rng_dataset(6, 30)
         model = fit_ridge_baseline(data, "", lam=0.1)
-        adjustment = ridge_adjustment(data, "")
-        assert adjustment.shape == (1, 0)
-        curve = adjusted_ate(model, [0.0, 1.0], adjustment)
+        np.testing.assert_array_equal(adjusted_curve_weights(model, data),
+                                      model.beta)
+        curve = adjusted_ate(model, [0.0, 1.0], data)
         direct = kernel_ridge_predict(model, np.array([[0.0], [1.0]]))
         np.testing.assert_allclose(curve.estimate, direct, atol=1e-12)
 
     def test_empty_adjustment_rejected(self):
         data = rng_dataset(7, 10)
-        model = fit_ridge_baseline(data, "w", lam=0.1)
-        with pytest.raises(ValueError, match="empty"):
-            adjusted_ate(model, [0.0], np.empty((0, 2)))
+        for adjust in ("", "w"):
+            model = fit_ridge_baseline(data, adjust, lam=0.1)
+            with pytest.raises(ValueError, match="empty"):
+                adjusted_ate(model, [0.0], data.subset(np.arange(0)))
 
     @pytest.mark.parametrize("adjust,dw", [("", 2), ("w", 1), ("w", 3),
                                            ("wz", 2)])
@@ -159,13 +190,14 @@ class TestAdjustedAte:
         # Reference: one joint adjustment-by-training Gram per grid point.
         data = rng_dataset(9, 40, dw=dw)
         model = fit_ridge_baseline(data, adjust, lam=1e-3)
-        adjustment = ridge_adjustment(data, adjust)
+        adjustment = np.column_stack(
+            [np.empty((data.n, 0))] + [getattr(data, g) for g in adjust])
         grid = np.linspace(-1.5, 1.5, 7)
         expected = [
             kernel_ridge_predict(model, np.column_stack(
                 [np.full(adjustment.shape[0], a), adjustment])).mean()
             for a in grid]
-        curve = adjusted_ate(model, grid, adjustment)
+        curve = adjusted_ate(model, grid, data)
         np.testing.assert_allclose(curve.estimate, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("width", [1, 3])
@@ -173,7 +205,7 @@ class TestAdjustedAte:
         data = rng_dataset(10, 12)
         model = fit_ridge_baseline(data, "w", lam=0.1)
         with pytest.raises(ValueError, match="columns"):
-            adjusted_ate(model, [0.0], np.zeros((4, width)))
+            adjusted_ate(model, [0.0], rng_dataset(10, 4, dw=width))
 
     def test_explicit_specs_used(self):
         data = rng_dataset(11, 20)
@@ -181,8 +213,14 @@ class TestAdjustedAte:
                             z=KernelSpec([1.1, 1.3]),
                             w=KernelSpec([0.7, 1.9]))
         model = fit_ridge_baseline(data, "wz", lam=0.1, specs=specs)
-        np.testing.assert_array_equal(model.spec.bandwidths,
-                                      [0.3, 0.7, 1.9, 1.1, 1.3])
+        assert model.sample is data and model.adjust == "wz"
+        assert model.specs is specs
+        k = gram(np.column_stack([data.a, data.w, data.z]),
+                 np.column_stack([data.a, data.w, data.z]),
+                 KernelSpec([0.3, 0.7, 1.9, 1.1, 1.3]))
+        np.testing.assert_allclose(
+            model.beta, np.linalg.solve(k + 20 * 0.1 * np.eye(20), data.y),
+            rtol=1e-10)
 
     @pytest.mark.parametrize("adjust", ["", "w", "wz"])
     def test_default_bandwidths_are_per_group_median(self, adjust):
@@ -193,22 +231,27 @@ class TestAdjustedAte:
         w[:, 1] = 2.0
         data = Dataset(a=data.a, x=data.x, z=data.z, w=w, y=data.y)
         model = fit_ridge_baseline(data, adjust, lam=0.1)
-        expected = ridge_spec(data, adjust, KernelSpecs.from_data(data))
-        np.testing.assert_array_equal(model.spec.bandwidths,
-                                      expected.bandwidths)
+        expected = KernelSpecs.from_data(data)
+        for g in "axzw":
+            np.testing.assert_array_equal(getattr(model.specs, g).bandwidths,
+                                          getattr(expected, g).bandwidths)
 
     def test_unknown_adjust_rejected(self):
         with pytest.raises(ValueError, match="adjust must be"):
-            ridge_inputs(rng_dataset(12, 5), "z")
+            fit_ridge_baseline(rng_dataset(12, 5), "z")
 
     def test_adjustment_blocks_match_model(self):
+        # ridge-w averages over W only, ridge-wz over W and Z: moving the
+        # adjustment sample's Z moves the weights of ridge-wz alone.
         data = rng_dataset(8, 15)
+        moved = Dataset(a=data.a, x=data.x, z=data.z + 1.0, w=data.w,
+                        y=data.y)
         model_w = fit_ridge_baseline(data, "w", lam=0.1)
-        adj_w = ridge_adjustment(data, "w")
-        assert model_w.inputs.shape[1] == 3 and adj_w.shape[1] == 2
+        np.testing.assert_array_equal(adjusted_curve_weights(model_w, data),
+                                      adjusted_curve_weights(model_w, moved))
         model_wz = fit_ridge_baseline(data, "wz", lam=0.1)
-        adj_wz = ridge_adjustment(data, "wz")
-        assert model_wz.inputs.shape[1] == 5 and adj_wz.shape[1] == 4
+        assert not np.allclose(adjusted_curve_weights(model_wz, data),
+                               adjusted_curve_weights(model_wz, moved))
 
 
 class TestLinearTwoStage:
@@ -272,6 +315,18 @@ class TestLinearTwoStage:
             atol=1e-8)
         with pytest.raises(ValueError, match="empty"):
             linear_two_stage(data, grid, np.empty((0, 1)))
+
+    @pytest.mark.parametrize("n, duplicated", [(5, False), (40, True)])
+    def test_two_treatment_columns_rejected_first(self, n, duplicated):
+        # The check precedes the regressions: otherwise n = 5 fails on the
+        # stage-1 row count and a duplicated column on stage-1 rank.
+        data = rng_dataset(14, n)
+        second = (data.a if duplicated
+                  else np.random.default_rng(15).normal(size=(n, 1)))
+        data = Dataset(a=np.column_stack([data.a, second]), x=data.x,
+                       z=data.z, w=data.w, y=data.y)
+        with pytest.raises(ValueError, match="scalar treatment only"):
+            linear_two_stage(data, [0.0])
 
     def test_needs_enough_rows(self):
         data = rng_dataset(13, 3)

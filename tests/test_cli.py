@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from proxilearn import (__version__, baselines, evaluation, kpv, pmmr,
-                        synthdata)
+from proxilearn import (__version__, baselines, evaluation, kpv, numerics,
+                        pmmr, synthdata)
 from proxilearn.cli import main
 from proxilearn.data import Dataset
 from proxilearn.kernels import KernelSpecs
@@ -268,9 +268,7 @@ def library_ate(method, model, grid, adjust: Dataset):
     if method == "kpv":
         return kpv.kpv_ate(model, grid, adjust.x, adjust.w)
     if method in RIDGE_GROUPS:
-        return baselines.adjusted_ate(
-            model, grid,
-            baselines.ridge_adjustment(adjust, RIDGE_GROUPS[method]))
+        return baselines.adjusted_ate(model, grid, adjust)
     return pmmr.pmmr_ate(model, grid, adjust.x, adjust.w)
 
 
@@ -534,6 +532,22 @@ class TestExperimentAndSweep:
         assert "lambda1 = 0.001 and lambda2 = 0.01" in payload["message"]
         assert "fit --lambda1/--lambda2" in payload["message"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sweep_and_fit_pick_the_same_ridge(self, runner, tmp_path,
+                                               seed):
+        data_path = tmp_path / "train.csv"
+        gen_main(120, seed=seed).data.to_csv(data_path)
+        shared = ["--data", str(data_path), "--method", "pmmr",
+                  "--seed", str(seed), "--bandwidth", "0.6,0.8,1,1.2,1.4",
+                  "--lambda-grid", "1e-5,1e-4,1e-3,1e-2,1e-1,1"]
+        run_ok(runner, ["sweep", *shared, "--out", str(tmp_path / "s.csv")])
+        run_ok(runner, ["fit", *shared, "--out", str(tmp_path / "m.json")])
+        rows = list(csv.reader(open(tmp_path / "s.csv", newline="")))[1:]
+        picked = numerics.argmin_ties_larger([float(r[1]) for r in rows],
+                                             [float(r[2]) for r in rows])
+        artifact = json.loads((tmp_path / "m.json").read_text())
+        assert artifact["lambdas"]["lambda"] == picked
 
 
 class TestErrors:

@@ -148,6 +148,13 @@ class TestStage1Embedding:
         # prediction close to the near-deterministic target
         assert abs(pred[0] - data.z[7, 0]) < 0.25
 
+    def test_empty_batch_without_covariates(self):
+        # X is omitted (null covariate set): an empty batch is no queries.
+        data = gen_main(60, seed=0).data
+        fit = stage1_fit(data, KernelSpecs.from_data(data), 1e-3)
+        coeff = stage1_embedding(fit, np.empty(0), None, np.empty((0, 2)))
+        assert coeff.shape == (data.n, 0)
+
     def test_coefficients_continuous_in_query(self):
         data = rng_dataset(5, 20)
         specs = KernelSpecs.from_data(data)
@@ -264,6 +271,12 @@ class TestKpvEvaluation:
                           specs.w)[0, 0]
                 acc += model.alpha[i, j] * ka * kw
         assert kpv_h(model, a, None, w) == pytest.approx(acc, rel=1e-12)
+
+    def test_h_empty_batch_without_covariates(self):
+        data = gen_main(60, seed=0).data
+        model = fit_kpv(data)
+        assert kpv_h(model, np.empty(0), None, np.empty((0, 2))).shape == \
+            (0,)
 
     def test_ate_zero_alpha_is_zero(self):
         model = self.make_model()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from proxilearn.baselines import kernel_ridge_fit
+from proxilearn.baselines import fit_ridge_baseline
 from proxilearn.kernels import KernelSpec, KernelSpecs, gram
 from proxilearn.kpv import kpv_fit, stage1_fit
 from proxilearn.numerics import (
@@ -32,8 +32,9 @@ def _single_ridge_entry_points():
         "pmmr_fit": lambda lam: pmmr_fit(data, specs, lam),
         "pmmr_fit_nystrom": lambda lam: pmmr_fit_nystrom(data, specs, lam,
                                                          rank=4),
-        "kernel_ridge_fit": lambda lam: kernel_ridge_fit(
-            data.a, data.y, specs.a, lam),
+        # the fixed-ridge kernel ridge baseline fit
+        "kernel_ridge_fit": lambda lam: fit_ridge_baseline(
+            data, "w", lam=lam),
         "stage1_fit": lambda lam: stage1_fit(data, specs, lam),
         "kpv_fit": lambda lam: kpv_fit(stage1, data, lam),
         "psd_factor": lambda lam: psd_factor(np.eye(3), lam),

@@ -338,6 +338,12 @@ class TestPmmrEvaluation:
             acc += model.alpha[i] * ka * kw
         assert pmmr_h(model, a, w) == pytest.approx(acc, rel=1e-12)
 
+    def test_h_empty_batch_without_covariates(self):
+        # X is omitted (null covariate set): an empty batch is no queries.
+        data = synthdata.gen_main(60, seed=0).data
+        model = pmmr_fit(data, KernelSpecs.from_data(data), 0.1)
+        assert pmmr_h(model, np.empty(0), np.empty((0, 2))).shape == (0,)
+
     def test_ate_identical_adjustment_rows_equal_single(self):
         model = self.make_model(seed=13, n=6)
         w1 = np.array([0.3, 0.3])
