@@ -19,10 +19,11 @@ import numpy as np
 from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, effect_curve, product_gram
 from .numerics import (
-    argmin_ties_larger,
+    SearchRecord,
     eigh_in_place,
     loo_path,
     ridge_grid,
+    search_record,
     solve_psd,
 )
 
@@ -39,6 +40,7 @@ class RidgeModel:
     specs: KernelSpecs
     lam: float
     beta: np.ndarray
+    search: SearchRecord | None = None
 
 
 def _group_gram(groups, left: Dataset, right: Dataset, specs) -> np.ndarray:
@@ -82,10 +84,10 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
 
     ``adjust`` is "" (treatment only), "w", or "wz"; ``specs`` None means
     ``KernelSpecs.from_data(data)``, the default of every kernel fit. A
-    given ``lam`` is fit by one Cholesky solve. Otherwise the
-    leave-one-out search eigendecomposes K = U diag(e) U' once, picks the
-    ridge with ``argmin_ties_larger`` and takes beta = U (U'y / (e + n lam))
-    from the same eigenpairs, so the searched fit factors nothing else.
+    given ``lam`` is fit by one Cholesky solve. Otherwise the leave-one-out
+    search eigendecomposes K = U diag(e) U' once, records and picks the
+    ridge with ``numerics.search_record`` and takes beta = U (U'y /
+    (e + n lam)) from the same eigenpairs, so it factors nothing else.
     """
     if adjust not in ("", "w", "wz"):
         raise ValueError(f"adjust must be '', 'w' or 'wz', got {adjust!r}")
@@ -94,18 +96,20 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     if specs is None:
         specs = KernelSpecs.from_data(data)
     k = _group_gram(("a", *adjust), data, data, specs)
+    search = None
     if lam is not None:
         beta = solve_psd(k, data.n * lam, data.y)
     else:
         lam_grid = ridge_grid(lam_grid)
         eigvals, eigvecs = eigh_in_place(k)
-        lam = argmin_ties_larger(lam_grid,
-                                 loo_path(eigvals, eigvecs, data.y, lam_grid))
+        search = search_record(lam_grid,
+                               loo_path(eigvals, eigvecs, data.y, lam_grid))
+        lam = search.lam
         # e >= 0 up to round-off; clipping keeps e + n lam > 0.
         beta = eigvecs @ ((eigvecs.T @ data.y)
                           / (np.maximum(eigvals, 0.0) + data.n * lam))
     return RidgeModel(sample=data, adjust=adjust, specs=specs, lam=lam,
-                      beta=beta)
+                      beta=beta, search=search)
 
 
 def linear_two_stage(data: Dataset, a_grid, w_adjust=None) -> DoCurve:

@@ -1,10 +1,10 @@
-"""Command-line entry point: dataset generation, fitting, effect curves,
-experiments and hyperparameter sweeps.
+"""Command-line entry point: dataset generation, fitting, effect curves
+and experiments.
 
 Every invocation writes its primary outputs plus a ``<out>.meta.json``
 sidecar carrying the full run configuration and library version (for
-``fit``, also the ridges the model was fitted with); model artifacts
-embed both directly. Errors leave a machine-readable JSON
+``fit``, also the fitted ridges and their search record); model artifacts
+embed both directly, as strict JSON. Errors leave a machine-readable JSON
 object on stderr and a nonzero exit code.
 """
 
@@ -20,7 +20,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, evaluation, kpv, pmmr, synthdata
+from . import __version__, evaluation, synthdata
 from .data import Dataset, DoCurve
 from .kernels import KernelSpec, KernelSpecs, effect_curve
 from .numerics import ridge_grid
@@ -52,7 +52,8 @@ def _sha256(path) -> str:
 
 def _write_meta(out_path, config: dict, **fields) -> None:
     meta = {"proxilearn_version": __version__, "config": config, **fields}
-    Path(str(out_path) + ".meta.json").write_text(json.dumps(meta, indent=2))
+    Path(str(out_path) + ".meta.json").write_text(
+        json.dumps(meta, indent=2, allow_nan=False))
 
 
 def _parse_a_grid(text: str) -> np.ndarray:
@@ -67,11 +68,6 @@ def _parse_a_grid(text: str) -> np.ndarray:
         raise ValueError(f"--a-grid expects min:max:count with finite "
                          f"bounds and an integer count >= 1, got {text!r}")
     return np.linspace(lo, hi, count)
-
-
-def _parse_grid(text: str) -> np.ndarray:
-    return ridge_grid([float(v) for v in text.split(",") if v.strip()],
-                      "--lambda-grid")
 
 
 def _parse_bandwidth(text: str, data: Dataset) -> KernelSpecs:
@@ -165,7 +161,9 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
     for flag, value in (("--lambda1", lambda1), ("--lambda2", lambda2)):
         if value is not None:
             ridge_grid(value, flag)
-    lam_grid = _parse_grid(lambda_grid) if lambda_grid else None
+    lam_grid = None if lambda_grid is None else ridge_grid(
+        [float(v) for v in lambda_grid.split(",") if v.strip()],
+        "--lambda-grid")
     options = {name: value for name, value in
                {**flags, "lambda_grid": lam_grid}.items() if value is not None}
     a_grid = _parse_a_grid(a_grid_text) if a_grid_text else None
@@ -205,10 +203,11 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
         },
         **payload,
     }
-    Path(out).write_text(json.dumps(artifact, indent=2))
+    Path(out).write_text(json.dumps(artifact, indent=2, allow_nan=False))
     curve_path = str(out) + ".curve.csv"
     _write_curve(curve_path, curve)
-    _write_meta(out, config, lambdas=payload["lambdas"])
+    _write_meta(out, config, lambdas=payload["lambdas"],
+                search=payload["search"])
     click.echo(f"wrote model to {out} and curve to {curve_path}")
 
 
@@ -348,43 +347,6 @@ def experiment(n_values, seeds, methods, out):
     click.echo(f"wrote {csv_path} and {json_path}")
     for m, n, mean, std in rows:
         click.echo(f"  {m:12s} n={n:5d}  c-MAE {mean:.3f} +- {std:.3f}")
-
-
-@main.command()
-@click.option("--data", "data_path", type=click.Path(exists=True),
-              required=True)
-@click.option("--method", type=click.Choice(("kpv", "pmmr")), required=True)
-@click.option("--lambda-grid", "lambda_grid", type=str, default=None)
-@click.option("--bandwidth", type=str, default="median", show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", type=click.Path(), required=True)
-@_cli_errors
-def sweep(data_path, method, lambda_grid, bandwidth, seed, out):
-    """Write PMMR's validation score curve over its ridge grid.
-
-    KPV fits at fixed ridges, so ``--method kpv`` is refused."""
-    if method == "kpv":
-        raise ValueError(
-            f"kpv has no ridge search to sweep: it fits at the fixed ridges "
-            f"lambda1 = {kpv.DEFAULT_LAMBDA1:g} and lambda2 = "
-            f"{kpv.DEFAULT_LAMBDA2:g}; fit --lambda1/--lambda2 overrides them")
-    grid = (_parse_grid(lambda_grid) if lambda_grid
-            else pmmr.DEFAULT_LAMBDA_GRID)
-    data = Dataset.from_csv(data_path)
-    specs = _parse_bandwidth(bandwidth, data)
-    train, validate = data.split_half(seed)
-    scores = pmmr.pmmr_validation_scores(train, validate, specs, grid)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "lambda", "score"])
-        for lam, score in zip(grid, scores):
-            writer.writerow(["validation", repr(float(lam)),
-                             repr(float(score))])
-    _write_meta(out, {"command": "sweep", "method": method,
-                      "data": str(data_path), "bandwidth": bandwidth,
-                      "lambda_grid": lambda_grid, "seed": seed,
-                      "out": str(out)})
-    click.echo(f"wrote score curves to {out}")
 
 
 if __name__ == "__main__":

@@ -58,9 +58,9 @@ class Estimator:
     - ``fit(data, specs, seed, options)``: the fitted model. ``specs``
       None means median-heuristic bandwidths; ``options`` holds the
       ``fit`` flags given, by the names in ``reads``.
-    - ``record(model, seed, options)``: the artifact's ``lambdas`` and
-      method fields. Its coefficients are the model attribute named
-      ``coefficients``.
+    - ``record(model, seed, options)``: the artifact's ``lambdas``,
+      ``search`` and method fields. Its coefficients are the model
+      attribute named ``coefficients``.
     - ``weights(model, adjust)``: A_s, the A kernel and the weights w of
       the effect curve k_A(a, A_s)' w over an adjustment sample.
     - ``sample(data, read)``: the training rows whose treatments are A_s.
@@ -93,6 +93,17 @@ def _kpv_rebuild(read, data, specs, c):
     return kpv.kpv_model(stage1, sample2, c, read("lambdas.lambda2"))
 
 
+def _searched(model) -> dict:
+    """A single-ridge model's ``lambdas`` and its ridge search as JSON
+    values: None if no ridge was searched, and a non-finite score None."""
+    s = model.search
+    search = None if s is None else {
+        "grid": s.grid.tolist(), "scores": [
+            v if np.isfinite(v) else None for v in s.scores.tolist()],
+        "lambda": s.lam, "edge": s.edge}
+    return {"lambdas": {"lambda": model.lam}, "search": search}
+
+
 def _pmmr(nystrom: bool) -> Estimator:
     def rank(n, options):
         return options.get("rank", max(1, n // 2)) if nystrom else None
@@ -103,8 +114,7 @@ def _pmmr(nystrom: bool) -> Estimator:
             lam_grid=o.get("lambda_grid", pmmr.DEFAULT_LAMBDA_GRID),
             rank=rank(data.n, o), split_seed=seed, landmark_seed=seed),
         reads=("lambda1", "lambda_grid") + (("rank",) if nystrom else ()),
-        record=lambda m, seed, o: {"lambdas": {"lambda": m.lam},
-                                   "rank": rank(m.n, o)},
+        record=lambda m, seed, o: {**_searched(m), "rank": rank(m.n, o)},
         coefficients="alpha",
         weights=lambda m, adjust: (
             m.sample.a, m.specs.a,
@@ -122,8 +132,7 @@ def _ridge(groups: str) -> Estimator:
             lam_grid=o.get("lambda_grid", baselines.DEFAULT_RIDGE_GRID),
             specs=specs),
         reads=("lambda1", "lambda_grid"),
-        record=lambda m, seed, o: {"lambdas": {"lambda": m.lam},
-                                   "adjust": groups},
+        record=lambda m, seed, o: {**_searched(m), "adjust": groups},
         coefficients="beta",
         weights=lambda m, adjust: (
             m.sample.a, m.specs.a,
@@ -143,7 +152,7 @@ ESTIMATORS = {
         reads=("lambda1", "lambda2"),
         record=lambda m, seed, o: {
             "lambdas": {"lambda1": m.stage1.lam1, "lambda2": m.lam2},
-            "split_seed": seed},
+            "search": None, "split_seed": seed},
         coefficients="c",
         weights=lambda m, adjust: (
             m.sample2.a, m.stage1.specs.a,
@@ -156,7 +165,8 @@ ESTIMATORS = {
     "ridge-w": _ridge("w"),
     "ridge-wz": _ridge("wz"),
     "linear2s": Estimator(fit=lambda data, specs, seed, o: data, reads=(),
-                          record=lambda m, seed, o: {"lambdas": {}}),
+                          record=lambda m, seed, o: {"lambdas": {},
+                                                     "search": None}),
 }
 
 DEFAULT_METHODS = tuple(m for m, e in ESTIMATORS.items() if e.compared)

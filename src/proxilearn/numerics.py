@@ -1,9 +1,11 @@
 """Linear-algebra substrate: regularized PSD solves, an in-place symmetric
 eigensolve, closed-form leave-one-out scores over a ridge path, the ridge
-rule and the grid selection rule, column-wise Khatri-Rao products, Nystrom
-features and the low-rank regularized solve built on them."""
+rule, the grid selection rule and its search record, Khatri-Rao products,
+Nystrom features and the low-rank regularized solve built on them."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -103,13 +105,29 @@ def argmin_ties_larger(grid, scores) -> float:
     value. This is the selection rule of every ridge search."""
     grid = np.asarray(grid, dtype=float)
     scores = np.asarray(scores, dtype=float)
-    order = np.argsort(grid, kind="stable")
-    grid, scores = grid[order], scores[order]
     finite = np.isfinite(scores)
     if not finite.any():
         raise ValueError("all grid points produced non-finite scores")
-    best = np.flatnonzero(finite & (scores == scores[finite].min()))[-1]
-    return float(grid[best])
+    return float(grid[scores == scores[finite].min()].max())
+
+
+@dataclass(frozen=True)
+class SearchRecord:
+    """A ridge search: its grid as given, the score of each grid point, the
+    value ``argmin_ties_larger`` picked and whether that is a grid edge."""
+
+    grid: np.ndarray
+    scores: np.ndarray
+    lam: float
+    edge: bool
+
+
+def search_record(grid, scores) -> SearchRecord:
+    """The record of a search that scored ``grid`` with ``scores``."""
+    grid = np.array(grid, dtype=float, ndmin=1)
+    lam = argmin_ties_larger(grid, scores)
+    return SearchRecord(grid, np.array(scores, dtype=float), lam,
+                        lam in (grid.min(), grid.max()))
 
 
 def khatri_rao_cols(a: np.ndarray, b: np.ndarray) -> np.ndarray:

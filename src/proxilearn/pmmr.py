@@ -20,7 +20,7 @@ ridge search eigendecomposes R' W R = V diag(d) V' once; the coefficient
 path alpha(lam) = R'^{-1} V (V' R' W y / (d + lam)) then costs one
 triangular solve with a right-hand side per candidate, and each
 candidate's validation predictions O(n^2). ``fit_pmmr`` picks from these
-scores with ``numerics.argmin_ties_larger``, the pick rule of every search.
+scores with ``numerics.search_record`` and keeps the record as ``search``.
 
 Every n x n step works in the Grams' own memory. L is factored in place
 into U = R', which every solve uses as it stands, and R' W R is formed
@@ -37,7 +37,7 @@ w = alpha * (mean over adjustment rows of k_{W,X}) of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -46,12 +46,13 @@ from scipy.linalg.blas import dtrmm
 from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, effect_curve, product_gram
 from .numerics import (
-    argmin_ties_larger,
+    SearchRecord,
     eigh_in_place,
     nystrom_features,
     nystrom_landmarks,
     nystrom_solve,
     ridge_grid,
+    search_record,
 )
 
 # Ridge grid spanning [1/450^2, 1/2^2], 50 log-spaced points.
@@ -70,6 +71,7 @@ class PmmrModel:
     specs: KernelSpecs
     alpha: np.ndarray
     lam: float
+    search: SearchRecord | None = None
 
     @property
     def n(self) -> int:
@@ -253,16 +255,19 @@ def fit_pmmr(
     When ``lam`` is not given it is grid-searched on a 50/50 seeded
     train/validation split: the ridge of smallest validation V-statistic
     risk (``pmmr_validation_scores``), ties to the larger, and the model is
-    refit on the full data at that value. ``rank`` switches to the Nystrom-accelerated solve; it
-    is checked before the search runs.
+    refit on the full data at that value; ``search`` records the search
+    (None for a given ``lam``). ``rank`` switches to the Nystrom-accelerated
+    solve after the same search; it is checked before the search runs.
     """
     if rank is not None and not 1 <= rank <= data.n:
         raise ValueError(f"rank must be in [1, {data.n}], got {rank}")
     if specs is None:
         specs = KernelSpecs.from_data(data)
+    search = None
     if lam is None:
-        lam = argmin_ties_larger(lam_grid, pmmr_validation_scores(
+        search = search_record(lam_grid, pmmr_validation_scores(
             *data.split_half(split_seed), specs, lam_grid))
-    if rank is None:
-        return pmmr_fit(data, specs, lam)
-    return pmmr_fit_nystrom(data, specs, lam, rank, landmark_seed)
+        lam = search.lam
+    model = (pmmr_fit(data, specs, lam) if rank is None
+             else pmmr_fit_nystrom(data, specs, lam, rank, landmark_seed))
+    return replace(model, search=search)

@@ -98,6 +98,12 @@ class TestSearchedFit:
             [getattr(specs, g).bandwidths for g in groups]))
         scores = ridge_loo_scores(inputs, data.y, spec, grid)
         assert model.lam == numerics.argmin_ties_larger(grid, scores)
+        assert model.search.lam == model.lam
+        np.testing.assert_array_equal(model.search.grid, grid)
+        np.testing.assert_allclose(model.search.scores, scores, rtol=1e-6)
+
+    def test_given_ridge_has_no_search(self, data):
+        assert fit_ridge_baseline(data, "w", lam=1e-3).search is None
 
     @pytest.mark.parametrize("adjust", ["", "w", "wz"])
     def test_beta_matches_cholesky_fit(self, data, adjust):

@@ -144,6 +144,32 @@ class TestFitAndAte:
             model_path.with_name(model_path.name + ".meta.json").read_text())
         assert meta["lambdas"] == artifact["lambdas"]
         assert artifact["lambdas"]["lambda"] in baselines.DEFAULT_RIDGE_GRID
+        assert meta["search"] == artifact["search"]
+        assert artifact["search"]["lambda"] == artifact["lambdas"]["lambda"]
+        assert artifact["search"]["grid"] == \
+            baselines.DEFAULT_RIDGE_GRID.tolist()
+
+    def test_nonfinite_search_score_written_as_null(self, runner, tmp_path):
+        # The leave-one-out score at a ridge of 1e-300 is inf: the artifact
+        # and the sidecar must still be strict JSON.
+        data_path = tmp_path / "train.csv"
+        gen_main(60, seed=1).data.to_csv(data_path)
+        model_path = tmp_path / "m.json"
+        run_ok(runner, ["fit", "--data", str(data_path), "--method",
+                        "ridge-w", "--lambda-grid", "1e-300,1e-3",
+                        "--out", str(model_path)])
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for path in (model_path,
+                     model_path.with_name(model_path.name + ".meta.json")):
+            search = json.loads(path.read_text(),
+                                parse_constant=refuse)["search"]
+            assert search == {"grid": [1e-300, 1e-3],
+                              "scores": [None, search["scores"][1]],
+                              "lambda": 1e-3, "edge": True}
+            assert np.isfinite(search["scores"][1])
 
     def test_kpv_round_trip(self, runner, tmp_path):
         data_path, model_path = self.fit(
@@ -509,45 +535,54 @@ class TestExperimentAndSweep:
         payload = json.loads((tmp_path / "smoke.json").read_text())
         assert set(payload["results"]["200"]["cmae"]) == {"kpv", "pmmr"}
 
-    def test_sweep_writes_score_curves(self, runner, tmp_path):
+    def test_fit_records_search_scores_in_grid_order(self, runner,
+                                                     tmp_path):
         data_path = tmp_path / "train.csv"
         gen_main(60, seed=1).data.to_csv(data_path)
-        out = tmp_path / "scores.csv"
-        run_ok(runner, ["sweep", "--data", str(data_path), "--method",
+        out = tmp_path / "m.json"
+        run_ok(runner, ["fit", "--data", str(data_path), "--method",
                         "pmmr", "--lambda-grid", "0.001,0.01,0.1",
                         "--out", str(out)])
-        rows = list(csv.reader(open(out, newline="")))
-        assert rows[0] == ["stage", "lambda", "score"]
-        assert len(rows) == 4
+        search = json.loads(out.read_text())["search"]
+        assert search["grid"] == [0.001, 0.01, 0.1]
+        data = Dataset.from_csv(data_path)
+        expected = pmmr.pmmr_validation_scores(
+            *data.split_half(0), KernelSpecs.from_data(data),
+            search["grid"])
+        assert search["scores"] == expected.tolist()
 
-    def test_sweep_kpv_refused_with_json_error(self, runner, tmp_path):
-        data_path = tmp_path / "train.csv"
-        gen_main(60, seed=1).data.to_csv(data_path)
-        out = tmp_path / "scores.csv"
-        result = runner.invoke(main, ["sweep", "--data", str(data_path),
-                                      "--method", "kpv", "--out", str(out)])
-        assert result.exit_code == 1
-        payload = json.loads(result.stderr or result.output)
-        assert payload["error"] == "ValueError"
-        assert "lambda1 = 0.001 and lambda2 = 0.01" in payload["message"]
-        assert "fit --lambda1/--lambda2" in payload["message"]
-        assert not out.exists()
-
+    @pytest.mark.parametrize("method", ["pmmr", "ridge-w"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_sweep_and_fit_pick_the_same_ridge(self, runner, tmp_path,
-                                               seed):
+    def test_search_argmin_is_fitted_ridge(self, runner, tmp_path, seed,
+                                           method):
         data_path = tmp_path / "train.csv"
         gen_main(120, seed=seed).data.to_csv(data_path)
-        shared = ["--data", str(data_path), "--method", "pmmr",
-                  "--seed", str(seed), "--bandwidth", "0.6,0.8,1,1.2,1.4",
-                  "--lambda-grid", "1e-5,1e-4,1e-3,1e-2,1e-1,1"]
-        run_ok(runner, ["sweep", *shared, "--out", str(tmp_path / "s.csv")])
-        run_ok(runner, ["fit", *shared, "--out", str(tmp_path / "m.json")])
-        rows = list(csv.reader(open(tmp_path / "s.csv", newline="")))[1:]
-        picked = numerics.argmin_ties_larger([float(r[1]) for r in rows],
-                                             [float(r[2]) for r in rows])
-        artifact = json.loads((tmp_path / "m.json").read_text())
-        assert artifact["lambdas"]["lambda"] == picked
+        out = tmp_path / "m.json"
+        run_ok(runner, ["fit", "--data", str(data_path), "--method", method,
+                        "--seed", str(seed), "--bandwidth",
+                        "0.6,0.8,1,1.2,1.4", "--lambda-grid",
+                        "1e-5,1e-4,1e-3,1e-2,1e-1,1", "--out", str(out)])
+        artifact = json.loads(out.read_text())
+        search = artifact["search"]
+        scores = [np.inf if s is None else s for s in search["scores"]]
+        picked = numerics.argmin_ties_larger(search["grid"], scores)
+        assert artifact["lambdas"]["lambda"] == search["lambda"] == picked
+        assert search["edge"] == (picked in (1e-5, 1.0))
+
+    @pytest.mark.parametrize("method", [
+        "kpv", "linear2s",
+        *[f"{m} --lambda1 0.1" for m in
+          ("pmmr", "pmmr-nystrom", "ridge", "ridge-w", "ridge-wz")]])
+    def test_fits_without_search_record_null(self, runner, tmp_path,
+                                             method):
+        data_path = tmp_path / "train.csv"
+        gen_main(60, seed=1).data.to_csv(data_path)
+        out = tmp_path / "m.json"
+        run_ok(runner, ["fit", "--data", str(data_path), "--method",
+                        *method.split(), "--out", str(out)])
+        artifact = json.loads(out.read_text())
+        meta = json.loads(out.with_name("m.json.meta.json").read_text())
+        assert artifact["search"] is None and meta["search"] is None
 
 
 class TestErrors:
@@ -607,17 +642,31 @@ class TestErrors:
     def test_nonpositive_lambda_grid_reports_json(self, runner, tmp_path):
         data_path = tmp_path / "train.csv"
         gen_main(20, seed=1).data.to_csv(data_path)
-        result = runner.invoke(main, ["sweep", "--data", str(data_path),
+        result = runner.invoke(main, ["fit", "--data", str(data_path),
                                       "--method", "pmmr", "--lambda-grid",
                                       "0,0.1", "--out",
-                                      str(tmp_path / "s.csv")])
+                                      str(tmp_path / "m.json")])
         assert result.exit_code == 1
         payload = json.loads(result.stderr or result.output)
         assert "positive" in payload["message"]
+        assert not list(tmp_path.glob("m.json*"))
+
+    def test_empty_lambda_grid_reports_json(self, runner, tmp_path):
+        # An empty grid is refused, not replaced by the default grid.
+        data_path = tmp_path / "train.csv"
+        gen_main(20, seed=1).data.to_csv(data_path)
+        result = runner.invoke(main, ["fit", "--data", str(data_path),
+                                      "--method", "pmmr", "--lambda-grid=",
+                                      "--out", str(tmp_path / "m.json")])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload == {"error": "ValueError",
+                           "message": "--lambda-grid is empty"}
+        assert not list(tmp_path.glob("m.json*"))
 
     @pytest.mark.parametrize("command, method, flag, value", [
-        ("sweep", "pmmr", "--lambda-grid", "1e-3,inf"),
-        ("sweep", "pmmr", "--lambda-grid", "nan"),
+        ("fit", "pmmr", "--lambda-grid", "1e-3,inf"),
+        ("fit", "pmmr", "--lambda-grid", "nan"),
         ("fit", "ridge-w", "--lambda-grid", "1e-3,inf"),
         ("fit", "pmmr", "--lambda1", "inf"),
         ("fit", "ridge", "--lambda1", "0"),

@@ -15,6 +15,7 @@ from proxilearn.numerics import (
     nystrom_solve,
     psd_factor,
     ridge_grid,
+    search_record,
     solve_psd,
 )
 from proxilearn.pmmr import pmmr_fit, pmmr_fit_nystrom
@@ -170,6 +171,43 @@ class TestArgminTiesLarger:
     def test_skips_nonfinite_scores(self):
         assert argmin_ties_larger([1.0, 2.0, 3.0],
                                   [np.nan, 4.0, np.inf]) == 2.0
+
+    def test_ties_go_to_larger_value_in_any_grid_order(self):
+        assert argmin_ties_larger([3.0, 1.0, 2.0, 4.0],
+                                  [0.5, 0.5, 1.0, 0.5 + 1e-16]) == 3.0
+
+    def test_all_nonfinite_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            argmin_ties_larger([1.0, 2.0], [np.inf, np.nan])
+
+
+class TestSearchRecord:
+    def test_one_point_grid_is_an_edge(self):
+        record = search_record([0.2], [3.0])
+        assert record.lam == 0.2 and record.edge
+
+    def test_ties_go_to_the_larger_ridge(self):
+        record = search_record([1e-3, 1e-2, 1e-1, 1.0], [2.0, 1.0, 1.0, 3.0])
+        assert record.lam == 1e-1 and not record.edge
+
+    @pytest.mark.parametrize("scores, lam", [([2.0, 1.0, 3.0], 0.1),
+                                             ([3.0, 2.0, 1.0], 0.3)])
+    def test_pick_at_either_end_is_an_edge(self, scores, lam):
+        record = search_record([0.2, 0.1, 0.3], scores)
+        assert record.lam == lam and record.edge
+
+    def test_keeps_grid_order_and_scores(self):
+        grid, scores = [0.3, 0.1, 0.2], [2.0, np.inf, 1.0]
+        record = search_record(grid, scores)
+        np.testing.assert_array_equal(record.grid, grid)
+        np.testing.assert_array_equal(record.scores, scores)
+        assert record.lam == 0.2 and not record.edge
+
+    def test_holds_copies_of_its_inputs(self):
+        grid, scores = np.array([0.1, 0.2]), np.array([1.0, 2.0])
+        record = search_record(grid, scores)
+        grid[0] = scores[0] = 5.0
+        assert record.grid[0] == 0.1 and record.scores[0] == 1.0
 
 
 class TestRidgeGrid:

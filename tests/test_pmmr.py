@@ -439,6 +439,29 @@ class TestSelection:
         assert DEFAULT_LAMBDA_GRID.max() == pytest.approx(0.25)
         assert len(DEFAULT_LAMBDA_GRID) == 50
 
+    def test_fit_records_its_search(self):
+        data = synthdata.gen_main(120, seed=5).data
+        grid = DEFAULT_LAMBDA_GRID[::7]
+        model = fit_pmmr(data, lam_grid=grid, split_seed=3)
+        scores = pmmr_validation_scores(*data.split_half(3),
+                                        KernelSpecs.from_data(data), grid)
+        np.testing.assert_array_equal(model.search.grid, grid)
+        np.testing.assert_array_equal(model.search.scores, scores)
+        assert model.search.lam == model.lam == argmin_ties_larger(grid,
+                                                                   scores)
+        assert model.search.edge == (model.lam in (grid[0], grid[-1]))
+
+    @pytest.mark.parametrize("rank", [None, 10])
+    def test_one_point_grid_fit_is_an_edge(self, rank):
+        model = fit_pmmr(rng_dataset(21, 12), lam_grid=[0.2], rank=rank)
+        assert model.search.lam == model.lam == 0.2
+        assert model.search.edge
+
+    @pytest.mark.parametrize("rank", [None, 10])
+    def test_given_ridge_has_no_search(self, rank):
+        assert fit_pmmr(rng_dataset(21, 12), lam=0.1,
+                        rank=rank).search is None
+
     def test_positive_grid_required(self):
         data = rng_dataset(21, 12)
         with pytest.raises(ValueError, match="positive"):
@@ -449,6 +472,18 @@ class TestSelection:
         data = rng_dataset(21, 12)
         with pytest.raises(ValueError, match="positive and finite"):
             fit_pmmr(data, lam_grid=[bad, 0.1])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed, index, edge", [(2000, 49, True),
+                                               (0, 36, False)])
+def test_search_reports_grid_edge_pick(seed, index, edge):
+    # On this n = 2000 draw the largest default ridge wins the search, so
+    # the grid's bound, not an interior minimum, chooses lambda.
+    data = synthdata.gen_main(2000, seed=seed).data
+    model = fit_pmmr(data, split_seed=seed)
+    assert model.search.lam == model.lam == DEFAULT_LAMBDA_GRID[index]
+    assert model.search.edge == edge
 
 
 class TestCmrSanity:
