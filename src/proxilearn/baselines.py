@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, effect_curve, product_gram
@@ -22,6 +23,7 @@ from .numerics import (
     SearchRecord,
     eigh_in_place,
     loo_path,
+    matmul,
     ridge_grid,
     search_record,
     solve_psd,
@@ -106,10 +108,15 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
                                loo_path(eigvals, eigvecs, data.y, lam_grid))
         lam = search.lam
         # e >= 0 up to round-off; clipping keeps e + n lam > 0.
-        beta = eigvecs @ ((eigvecs.T @ data.y)
-                          / (np.maximum(eigvals, 0.0) + data.n * lam))
+        beta = matmul(eigvecs, matmul(eigvecs.T, data.y)
+                      / (np.maximum(eigvals, 0.0) + data.n * lam))
     return RidgeModel(sample=data, adjust=adjust, specs=specs, lam=lam,
                       beta=beta, search=search)
+
+
+def _lstsq(design: np.ndarray, target: np.ndarray):
+    return scipy.linalg.lstsq(design, target,
+                              cond=np.finfo(float).eps * max(design.shape))
 
 
 def linear_two_stage(data: Dataset, a_grid, w_adjust=None) -> DoCurve:
@@ -117,7 +124,9 @@ def linear_two_stage(data: Dataset, a_grid, w_adjust=None) -> DoCurve:
 
     Stage 1 regresses W on (A, Z); stage 2 regresses Y on (A, W-hat). The
     curve is intercept + coef_a * a + coef_w . mean(W), the mean taken
-    over the adjustment sample ``w_adjust`` (default: ``data.w``).
+    over the adjustment sample ``w_adjust`` (default: ``data.w``). Each
+    regression is LAPACK's ``gelsd``, with singular values below
+    eps * max(design shape) times the largest counted as zero.
     """
     if data.a.shape[1] != 1:
         raise ValueError("linear two-stage supports scalar treatment only")
@@ -126,14 +135,14 @@ def linear_two_stage(data: Dataset, a_grid, w_adjust=None) -> DoCurve:
     stage1_design = np.column_stack([np.ones(n), data.a, data.z])
     if n <= stage1_design.shape[1]:
         raise ValueError("need more rows than stage-1 regressors")
-    coef1, _, rank1, _ = np.linalg.lstsq(stage1_design, data.w, rcond=None)
+    coef1, _, rank1, _ = _lstsq(stage1_design, data.w)
     if rank1 < stage1_design.shape[1]:
         raise np.linalg.LinAlgError("stage-1 design is rank deficient")
-    w_hat = stage1_design @ coef1
+    w_hat = matmul(stage1_design, coef1)
     stage2_design = np.column_stack([np.ones(n), data.a, w_hat])
     if n <= stage2_design.shape[1]:
         raise ValueError("need more rows than stage-2 regressors")
-    coef2, _, rank2, _ = np.linalg.lstsq(stage2_design, data.y, rcond=None)
+    coef2, _, rank2, _ = _lstsq(stage2_design, data.y)
     if rank2 < stage2_design.shape[1]:
         raise np.linalg.LinAlgError("stage-2 design is rank deficient")
     intercept = coef2[0]
@@ -143,5 +152,5 @@ def linear_two_stage(data: Dataset, a_grid, w_adjust=None) -> DoCurve:
                 else query_block(w_adjust, data.w.shape[1], "w"))
     if w_adjust.shape[0] == 0:
         raise ValueError("adjustment sample is empty")
-    level = intercept + float(coef_w @ w_adjust.mean(axis=0))
+    level = intercept + float(matmul(coef_w, w_adjust.mean(axis=0)))
     return DoCurve(grid=a_grid, estimate=level + coef_a * a_grid)

@@ -4,8 +4,9 @@ and experiments.
 Every invocation writes its primary outputs plus a ``<out>.meta.json``
 sidecar carrying the full run configuration and library version (for
 ``fit``, also the fitted ridges and their search record); model artifacts
-embed both directly, as strict JSON. Errors leave a machine-readable JSON
-object on stderr and a nonzero exit code.
+embed both directly. Every JSON file written is strict JSON: a seed on
+which an experiment's method failed is null. Errors leave a
+machine-readable JSON object on stderr and a nonzero exit code.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ def experiment(n_values, seeds, methods, out):
               "methods": method_list, "out": str(out)}
     Path(json_path).write_text(json.dumps(
         {"proxilearn_version": __version__, "config": config,
-         "results": summaries}, indent=2))
+         "results": summaries}, indent=2, allow_nan=False))
     _write_meta(out, config)
     click.echo(f"wrote {csv_path} and {json_path}")
     for m, n, mean, std in rows:

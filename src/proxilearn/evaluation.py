@@ -13,7 +13,7 @@ import numpy as np
 
 from . import baselines, kpv, pmmr, synthdata
 from .data import Dataset, DoCurve
-from .kernels import effect_curve
+from .kernels import KernelSpecs, effect_curve
 
 ORACLE_SEED = 20_210_601
 ORACLE_MC_SAMPLES = 1_000_000
@@ -181,17 +181,20 @@ def estimator(name: str) -> Estimator:
 
 
 def fit_method(name: str, data: Dataset, a_grid: np.ndarray,
-               seed: int = 0) -> DoCurve:
+               seed: int = 0, specs: KernelSpecs | None = None) -> DoCurve:
     """Fit one method on ``data`` (searched ridges re-selected) and return
-    its effect curve over ``a_grid``."""
+    its effect curve over ``a_grid``. ``specs`` None means
+    ``KernelSpecs.from_data(data)``."""
     est = estimator(name)
     check_treatment(data)
-    return est.curve(est.fit(data, None, seed, {}), data, a_grid)
+    return est.curve(est.fit(data, specs, seed, {}), data, a_grid)
 
 
 @dataclass
 class ExperimentResult:
-    """Per-method, per-seed c-MAE with aggregates and config snapshot."""
+    """Per-method, per-seed c-MAE with aggregates and config snapshot. A
+    seed on which a method failed holds NaN; ``summary`` reports it as
+    None and counts it under ``failures``."""
 
     n: int
     seeds: list[int]
@@ -213,7 +216,9 @@ class ExperimentResult:
             "config": self.config,
             "cmae": {
                 m: {"mean": self.mean(m), "std": self.std(m),
-                    "per_seed": self.per_seed[m]}
+                    "failures": int(np.isnan(self.per_seed[m]).sum()),
+                    "per_seed": [None if np.isnan(v) else v
+                                 for v in self.per_seed[m]]}
                 for m in self.methods
             },
         }
@@ -257,8 +262,10 @@ def run_table(
     ``a_grid`` and ``truth`` default to ``default_a_grid()`` and the
     oracle on it; a caller running several tables computes them once.
     Seeds 0..n_seeds-1 run in parallel and merge by seed index, so the
-    result is deterministic for a fixed configuration. A method failing
-    on more than a quarter of the seeds aborts the run with diagnostics.
+    result is deterministic for a fixed configuration. Each draw's
+    median-heuristic bandwidths are computed once and shared by its
+    methods. A method failing on more than a quarter of the seeds aborts
+    the run with diagnostics.
     """
     methods = check_table(n_seeds, methods)
     if a_grid is None:
@@ -270,11 +277,13 @@ def run_table(
 
     def one_seed(seed: int):
         data = synthdata.gen_main(n, seed=seed).data
+        specs = None
         row: dict[str, float] = {}
         errors: dict[str, str] = {}
         for m in methods:
             try:
-                curve = fit_method(m, data, a_grid, seed=seed)
+                specs = specs or KernelSpecs.from_data(data)
+                curve = fit_method(m, data, a_grid, seed=seed, specs=specs)
                 row[m] = cmae(curve, truth)
             except Exception:
                 row[m] = float("nan")

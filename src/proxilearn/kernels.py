@@ -28,8 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 from .data import Dataset, DoCurve
+from .numerics import matmul
 
 # Bytes of output filled per block of rows in ``gram``: about L2-sized.
 _BLOCK_BYTES = 1 << 20
@@ -97,13 +99,18 @@ def gram(points_a: np.ndarray, points_b: np.ndarray,
     sq_b = np.sum(sb**2, axis=1)
     n, m = sa.shape[0], sb.shape[0]
     out = np.empty((n, m))
-    rows = max(2, _BLOCK_BYTES // (8 * max(m, 1)))
+    if n == 0 or m == 0:
+        return out
+    rows = max(2, _BLOCK_BYTES // (8 * m))
     blocks = max(1, n // rows)     # each has >= rows rows, or all n
     edges = [n * i // blocks for i in range(blocks + 1)]
     for lo, hi in zip(edges, edges[1:]):
         block = out[lo:hi]
-        np.matmul(sa[lo:hi], sb.T, out=block)
-        block *= -2.0
+        # block' = -2 sb sa[lo:hi]', written by dgemm into block's memory,
+        # which is the Fortran-ordered block'.
+        filled = dgemm(-2.0, sb.T, sa[lo:hi].T, trans_a=1, c=block.T,
+                       overwrite_c=1)
+        assert np.shares_memory(filled, out)
         block += sq_a[lo:hi]
         block += sq_b
         np.maximum(block, 0.0, out=block)
@@ -146,7 +153,7 @@ def effect_curve(a_sample: np.ndarray, spec_a: KernelSpec, weights,
                          f"{a_sample.shape[0]} treatment values")
     a_grid = np.asarray(a_grid, dtype=float).ravel()
     k_a = gram(a_sample, a_grid[:, None], spec_a)               # n x g
-    return DoCurve(grid=a_grid, estimate=k_a.T @ weights)
+    return DoCurve(grid=a_grid, estimate=matmul(k_a.T, weights))
 
 
 class _PairGaps:

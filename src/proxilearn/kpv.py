@@ -38,7 +38,7 @@ import scipy.linalg
 
 from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, effect_curve, gram, product_gram
-from .numerics import psd_factor, ridge_grid, solve_psd
+from .numerics import matmul, psd_factor, ridge_grid, solve_psd
 
 # The fixed ridges of both stages; the module docstring gives the evidence.
 DEFAULT_LAMBDA1 = 1e-3
@@ -120,7 +120,7 @@ def _stage2_sigma(fit: Stage1Fit, sample2: Dataset):
     K_WW the Gram of the stage-1 W."""
     gamma2 = stage1_embedding(fit, sample2.a, sample2.x, sample2.z)
     k_ww = gram(fit.sample.w, fit.sample.w, fit.specs.w)
-    sigma = gamma2.T @ k_ww @ gamma2
+    sigma = matmul(matmul(gamma2.T, k_ww), gamma2)
     sigma *= product_gram((sample2.a, sample2.x), (sample2.a, sample2.x),
                           (fit.specs.a, fit.specs.x))
     return gamma2, sigma
@@ -173,7 +173,7 @@ def kpv_h(model: KpvModel, a, x, w):
     u = gram(model.stage1.sample.w, wq, specs.w)            # m1 x nq
     v = product_gram((model.sample2.a, model.sample2.x), (aq, xq),
                      (specs.a, specs.x))                    # m2 x nq
-    vals = ((model.alpha @ v) * u).sum(axis=0)
+    vals = (matmul(model.alpha, v) * u).sum(axis=0)
     return float(vals[0]) if single else vals
 
 
@@ -194,11 +194,11 @@ def kpv_curve_weights(model: KpvModel, x_adjust, w_adjust) -> np.ndarray:
         raise ValueError("adjustment sample is empty")
     b = gram(model.stage1.sample.w, wq, specs.w)             # m1 x nt
     if specs.x.dim:
-        t = model.alpha.T @ b                                # m2 x nt
+        t = matmul(model.alpha.T, b)                         # m2 x nt
         t *= gram(model.sample2.x, xq, specs.x)
         return t.mean(axis=1)
     # k(x_k, x_j) = 1: the mean over adjustment rows moves inside.
-    return model.alpha.T @ b.mean(axis=1)
+    return matmul(model.alpha.T, b.mean(axis=1))
 
 
 def kpv_ate(model: KpvModel, a_grid, x_adjust, w_adjust) -> DoCurve:

@@ -1,7 +1,17 @@
-"""Linear-algebra substrate: regularized PSD solves, an in-place symmetric
-eigensolve, closed-form leave-one-out scores over a ridge path, the ridge
-rule, the grid selection rule and its search record, Khatri-Rao products,
-Nystrom features and the low-rank regularized solve built on them."""
+"""Linear-algebra substrate: the matrix product, regularized PSD solves, an
+in-place symmetric eigensolve, closed-form leave-one-out scores over a ridge
+path, the ridge rule, the grid selection rule and its search record,
+Khatri-Rao products, Nystrom features and the low-rank regularized solve
+built on them.
+
+Every product and solve in the package goes through scipy's BLAS and
+LAPACK, products through ``matmul``. numpy and scipy each bundle their own
+OpenBLAS with its own thread pool, and a pool's idle workers spin for a
+while after each call. Alternating the two libraries therefore leaves one
+pool spinning on the cores the other needs: on a 2-vCPU VM, a scipy
+Cholesky at n = 2000 took 0.07 s cold or right after a scipy
+matrix-vector product, and 0.12 s right after a numpy one (medians of 7).
+"""
 
 from __future__ import annotations
 
@@ -9,8 +19,51 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import ddot, dgemm, dgemv
 
 EIGENVALUE_FLOOR = 1e-12
+
+
+def _fortran(m: np.ndarray):
+    """(f, transposed): a Fortran-ordered matrix f with m == f, or with
+    m == f' when ``transposed``; a copy only if m is not contiguous."""
+    if m.flags.c_contiguous:
+        return m.T, True
+    if m.flags.f_contiguous:
+        return m, False
+    return np.ascontiguousarray(m).T, True
+
+
+def matmul(a, b):
+    """``a @ b`` for float vectors and matrices, computed by scipy's BLAS.
+
+    It dispatches as numpy does: ``ddot`` when the result is one number,
+    ``dgemv`` when one side is a vector or a matrix with one row or column,
+    and otherwise ``dgemm`` for the C-ordered result, computed as its
+    Fortran-ordered transpose b'a'. C- and F-ordered operands are handed
+    over with transpose flags, never copied. With one BLAS thread the
+    result equals numpy's bit for bit, except that numpy computes a matrix
+    times its own transpose with ``syrk``.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if not (a.ndim in (1, 2) and b.ndim in (1, 2)):
+        raise ValueError("matmul needs vectors or matrices")
+    if a.shape[-1] != b.shape[0]:
+        raise ValueError(f"shapes {a.shape} and {b.shape} do not align")
+    shape = a.shape[:-1] + b.shape[1:]
+    rows = a.shape[0] if a.ndim == 2 else 1
+    cols = b.shape[1] if b.ndim == 2 else 1
+    if 0 in (rows, cols, a.shape[-1]):
+        return np.zeros(shape)
+    if rows == cols == 1:
+        return np.reshape(ddot(a.reshape(-1), b.reshape(-1)), shape)[()]
+    if rows == 1 or cols == 1:
+        m, v = (a, b.reshape(-1)) if cols == 1 else (b.T, a.reshape(-1))
+        f, trans = _fortran(m)
+        return dgemv(1.0, f, v, trans=trans).reshape(shape)
+    (fb, trans_b), (fa, trans_a) = _fortran(b.T), _fortran(a.T)
+    return dgemm(1.0, fb, fa, trans_a=trans_b, trans_b=trans_a).T
 
 
 def psd_factor(m: np.ndarray, ridge: float):
@@ -79,8 +132,8 @@ def loo_path(eigvals: np.ndarray, eigvecs: np.ndarray, y: np.ndarray,
     m = y.size
     lam_grid = np.atleast_1d(np.asarray(lam_grid, dtype=float))
     shrink = eigvals / (eigvals + m * lam_grid[:, None])      # grid x m
-    diag = 1.0 - shrink @ (eigvecs * eigvecs).T
-    hy = y - (shrink * (eigvecs.T @ y)) @ eigvecs.T
+    diag = 1.0 - matmul(shrink, (eigvecs * eigvecs).T)
+    hy = y - matmul(shrink * matmul(eigvecs.T, y), eigvecs.T)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scores = ((hy / diag) ** 2).sum(axis=1) / m
     return np.where(np.isfinite(scores), scores, np.inf)
@@ -166,6 +219,8 @@ def nystrom_features(columns: np.ndarray,
     eigendecomposed as Q diag(e) Q', eigenvalues at or below
     ``EIGENVALUE_FLOOR`` are dropped, and psi = C Q diag(e)^{-1/2} / n^2,
     which makes psi psi' = (C/n^2) B^+ (C/n^2)' for the scaled block B.
+    B is eigendecomposed from its lower triangle in a Fortran-ordered
+    copy, as LAPACK's ``syevd`` reads it without another copy.
     """
     columns = np.asarray(columns, dtype=float)
     landmarks = np.asarray(landmarks)
@@ -173,13 +228,15 @@ def nystrom_features(columns: np.ndarray,
     if columns.ndim != 2 or columns.shape[1] != landmarks.size:
         raise ValueError("need one column per landmark")
     scale = float(n) ** 2
-    eigvals, eigvecs = np.linalg.eigh(columns[landmarks] / scale)
+    eigvals, eigvecs = eigh_in_place(
+        np.asfortranarray(columns[landmarks] / scale))
     keep = eigvals > EIGENVALUE_FLOOR
     if not keep.any():
         raise np.linalg.LinAlgError(
             "all landmark eigenvalues below the floor"
         )
-    return columns @ (eigvecs[:, keep] / (scale * np.sqrt(eigvals[keep])))
+    return matmul(columns,
+                  eigvecs[:, keep] / (scale * np.sqrt(eigvals[keep])))
 
 
 def nystrom_solve(psi: np.ndarray, l: np.ndarray, lam: float,
@@ -187,14 +244,10 @@ def nystrom_solve(psi: np.ndarray, l: np.ndarray, lam: float,
     """Apply (psi psi' l + lam I)^{-1} psi psi' to ``rhs``.
 
     By the push-through identity this is psi (psi' l psi + lam I)^{-1}
-    psi' rhs: one r x r positive definite system for symmetric PSD ``l``.
-    It is solved by numpy's LU, not scipy's Cholesky: the two packages
-    ship separate OpenBLAS builds, and waking scipy's threads between
-    numpy's multithreaded products slowed the n = 2000, r = 1000 fit of
-    ``pmmr_fit_nystrom`` from 0.27 to 0.40 s on a 2-vCPU VM.
+    psi' rhs: one r x r system, positive definite for symmetric PSD ``l``
+    and lam > 0, solved by Cholesky (``solve_psd``).
     """
     ridge_grid(lam, "lam")
     psi = np.asarray(psi, dtype=float)
-    system = psi.T @ (np.asarray(l, dtype=float) @ psi)
-    system[np.diag_indices_from(system)] += lam
-    return psi @ np.linalg.solve(system, psi.T @ np.asarray(rhs, dtype=float))
+    system = matmul(psi.T, matmul(l, psi))
+    return matmul(psi, solve_psd(system, lam, matmul(psi.T, rhs)))

@@ -48,6 +48,7 @@ from .kernels import KernelSpecs, effect_curve, product_gram
 from .numerics import (
     SearchRecord,
     eigh_in_place,
+    matmul,
     nystrom_features,
     nystrom_landmarks,
     nystrom_solve,
@@ -126,7 +127,7 @@ def _reduced_system(l_gram, w_gram, y):
             f"h-side Gram L is not positive definite even with diagonal "
             f"jitter {jitter:.3g}") from exc
     wr = dtrmm(1.0, u, w_gram.T, side=1, trans_a=1, overwrite_b=1)  # W R
-    rwy = wr.T @ y
+    rwy = matmul(wr.T, y)
     rwr = dtrmm(1.0, u, wr, overwrite_b=1)                          # R'W R
     return u, rwr, rwy
 
@@ -178,9 +179,9 @@ def pmmr_h(model: PmmrModel, a, w, x=None):
     aq = query_block(a, s.a.shape[1], "a")
     wq = query_block(w, s.w.shape[1], "w", aq.shape[0])
     xq = query_block(x, s.x.shape[1], "x", aq.shape[0])
-    vals = model.alpha @ product_gram((s.a, s.w, s.x), (aq, wq, xq),
-                                      (model.specs.a, model.specs.w,
-                                       model.specs.x))
+    vals = matmul(model.alpha, product_gram((s.a, s.w, s.x), (aq, wq, xq),
+                                            (model.specs.a, model.specs.w,
+                                             model.specs.x)))
     return float(vals[0]) if single else vals
 
 
@@ -210,9 +211,10 @@ def pmmr_objective(l_gram: np.ndarray, w_gram: np.ndarray, y: np.ndarray,
                + (lam / n^2) alpha' L alpha.
     """
     n = y.size
-    resid = y - l_gram @ alpha
-    return (float(resid @ w_gram @ resid)
-            + lam * float(alpha @ l_gram @ alpha)) / float(n) ** 2
+    resid = y - matmul(l_gram, alpha)
+    risk = matmul(matmul(resid, w_gram), resid)
+    penalty = lam * matmul(matmul(alpha, l_gram), alpha)
+    return float(risk + penalty) / float(n) ** 2
 
 
 def pmmr_validation_scores(train: Dataset, validate: Dataset,
@@ -232,12 +234,14 @@ def pmmr_validation_scores(train: Dataset, validate: Dataset,
                                   train.y)
     d, v = eigh_in_place(rwr)
     # d >= 0 up to round-off; clipping keeps d + lam > 0 for every lam > 0.
-    coeffs = (v.T @ rwy) / (np.maximum(d, 0.0) + lam_grid[:, None])
-    alphas = scipy.linalg.solve_triangular(u, v @ coeffs.T,
+    coeffs = matmul(v.T, rwy) / (np.maximum(d, 0.0) + lam_grid[:, None])
+    alphas = scipy.linalg.solve_triangular(u, matmul(v, coeffs.T),
                                            lower=False)   # n_train x grid
-    resid = validate.y - alphas.T @ h_side_gram(train, validate, specs)
+    resid = validate.y - matmul(alphas.T,
+                                h_side_gram(train, validate, specs))
     w_val = instrument_gram(validate, validate, specs)
-    scores = ((resid @ w_val) * resid).sum(axis=1) / float(validate.n) ** 2
+    scores = ((matmul(resid, w_val) * resid).sum(axis=1)
+              / float(validate.n) ** 2)
     return np.where(np.isfinite(scores), scores, np.inf)
 
 

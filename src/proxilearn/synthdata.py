@@ -29,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .data import Dataset, DoCurve
+from .numerics import matmul
 
 NOISE_VAR = 3.0
 TREATMENT_NOISE_VAR = 0.05
@@ -179,9 +181,9 @@ def gen_discrete_toy(n: int, seed: int = 0) -> DiscreteToy:
         # p(u | a, z) over columns u, rows z
         joint_uz = _P_U[None, :] * _P_A_GIVEN_U[k][None, :] * _P_Z_GIVEN_U
         p_u_given_az = joint_uz / joint_uz.sum(axis=1, keepdims=True)
-        p_w_given_az[k] = p_u_given_az @ _P_W_GIVEN_U.T  # rows z, cols w
-        ey_given_az[k] = p_u_given_az @ _Y_TABLE[k]
-        h_star[k] = np.linalg.solve(p_w_given_az[k], ey_given_az[k])
+        p_w_given_az[k] = matmul(p_u_given_az, _P_W_GIVEN_U.T)  # z x w
+        ey_given_az[k] = matmul(p_u_given_az, _Y_TABLE[k])
+        h_star[k] = scipy.linalg.solve(p_w_given_az[k], ey_given_az[k])
 
     rng = np.random.default_rng(seed)
     u_idx = rng.choice(2, size=n, p=_P_U)
@@ -193,5 +195,6 @@ def gen_discrete_toy(n: int, seed: int = 0) -> DiscreteToy:
                    y=_Y_TABLE[a_idx, u_idx])
     return DiscreteToy(data=data, a_levels=_A_LEVELS, w_levels=_W_LEVELS,
                        z_levels=_Z_LEVELS, h_star=h_star,
-                       truth=_Y_TABLE @ _P_U, p_w=_P_W_GIVEN_U @ _P_U,
+                       truth=matmul(_Y_TABLE, _P_U),
+                       p_w=matmul(_P_W_GIVEN_U, _P_U),
                        p_w_given_az=p_w_given_az, ey_given_az=ey_given_az)

@@ -491,6 +491,30 @@ class TestExperimentAndSweep:
         assert payload["config"]["methods"] == ["ridge", "linear2s"]
         assert payload["results"]["60"]["cmae"]["ridge"]["per_seed"]
 
+    def test_experiment_writes_failed_seed_as_null(self, runner, tmp_path,
+                                                   monkeypatch):
+        real = evaluation.fit_method
+
+        def fails_on_seed_zero(name, data, a_grid, seed=0, specs=None):
+            if seed == 0:
+                raise RuntimeError("synthetic failure for test")
+            return real(name, data, a_grid, seed, specs)
+
+        def refuse(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        monkeypatch.setattr(evaluation, "fit_method", fails_on_seed_zero)
+        out = tmp_path / "exp"
+        run_ok(runner, ["experiment", "--n", "40", "--seeds", "4",
+                        "--methods", "ridge", "--out", str(out)])
+        payload = json.loads((tmp_path / "exp.json").read_text(),
+                             parse_constant=refuse)
+        ridge = payload["results"]["40"]["cmae"]["ridge"]
+        assert ridge["failures"] == 1
+        assert ridge["per_seed"][0] is None
+        assert all(np.isfinite(ridge["per_seed"][1:]))
+        assert ridge["mean"] == pytest.approx(np.mean(ridge["per_seed"][1:]))
+
     def test_experiment_method_filter(self, runner, tmp_path):
         out = tmp_path / "only"
         run_ok(runner, ["experiment", "--n", "60", "--seeds", "1",

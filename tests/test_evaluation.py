@@ -6,6 +6,7 @@ import pytest
 
 from proxilearn import evaluation, synthdata
 from proxilearn.data import Dataset, DoCurve
+from proxilearn.kernels import KernelSpecs
 
 
 class TestCmae:
@@ -93,14 +94,39 @@ class TestRunTable:
     def test_failure_fraction_aborts_with_diagnostics(self, monkeypatch):
         real = evaluation.fit_method
 
-        def flaky(name, data, a_grid, seed=0):
+        def flaky(name, data, a_grid, seed=0, specs=None):
             if name == "linear2s":
                 raise RuntimeError("synthetic failure for test")
-            return real(name, data, a_grid, seed)
+            return real(name, data, a_grid, seed, specs)
 
         monkeypatch.setattr(evaluation, "fit_method", flaky)
         with pytest.raises(RuntimeError, match="linear2s.*failed"):
             self.small_table()
+
+    def test_bandwidths_computed_once_per_draw(self, monkeypatch):
+        real = KernelSpecs.from_data.__func__
+        calls = []
+
+        def counting(cls, data):
+            calls.append(data.n)
+            return real(cls, data)
+
+        monkeypatch.setattr(KernelSpecs, "from_data", classmethod(counting))
+        self.small_table(methods=("kpv", "pmmr", "ridge-w", "linear2s"),
+                         n_seeds=4, workers=2)
+        assert calls == [60] * 4
+
+    def test_shared_bandwidths_match_fits_without_them(self):
+        methods = tuple(evaluation.ESTIMATORS)
+        result = self.small_table(methods=methods, n_seeds=2)
+        grid = np.linspace(-0.5, 1.5, 5)
+        truth = DoCurve(grid=grid, estimate=np.zeros(5))
+        for seed in range(2):
+            data = synthdata.gen_main(60, seed=seed).data
+            for m in methods:
+                alone = evaluation.cmae(
+                    evaluation.fit_method(m, data, grid, seed=seed), truth)
+                assert result.per_seed[m][seed] == alone, (m, seed)
 
     def test_output_files(self):
         result = self.small_table()

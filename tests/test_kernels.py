@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from proxilearn import kernels
 from proxilearn.kernels import (
     _BLOCK_BYTES,
     KernelSpec,
@@ -168,6 +169,29 @@ class TestGram:
             scale = np.sum(sa**2, axis=1)[:, None] + np.sum(sb**2, axis=1)
             bound = expected * (d + 2) * eps * scale + 2 * np.spacing(expected)
             assert (np.abs(got - expected) <= bound).all()
+
+    @pytest.mark.parametrize("n, m", [(3 * (_BLOCK_BYTES // 8000) + 1, 1000),
+                                      (0, 5), (5, 0), (0, 0)])
+    def test_blocks_are_written_in_place(self, monkeypatch, n, m):
+        # Every block's product lands in the output's own memory; empty
+        # inputs run no product at all.
+        calls = []
+
+        def spy(*args, **kwargs):
+            filled = real(*args, **kwargs)
+            calls.append(np.shares_memory(filled, kwargs["c"]))
+            return filled
+
+        real = kernels.dgemm
+        monkeypatch.setattr(kernels, "dgemm", spy)
+        rng = np.random.default_rng(4)
+        pa, pb = rng.normal(size=(n, 2)), rng.normal(size=(m, 2))
+        spec = KernelSpec([0.7, 1.2])
+        got = gram(pa, pb, spec)
+        monkeypatch.undo()
+        assert got.shape == (n, m)
+        np.testing.assert_array_equal(got, gram(pa, pb, spec))
+        assert calls == ([True] * 3 if n and m else [])
 
     def test_psd_via_jittered_cholesky(self):
         rng = np.random.default_rng(6)

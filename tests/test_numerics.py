@@ -1,7 +1,12 @@
+import ast
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import proxilearn
 from proxilearn.baselines import fit_ridge_baseline
 from proxilearn.kernels import KernelSpec, KernelSpecs, gram
 from proxilearn.kpv import kpv_fit, stage1_fit
@@ -10,6 +15,7 @@ from proxilearn.numerics import (
     eigh_in_place,
     khatri_rao_cols,
     loo_path,
+    matmul,
     nystrom_features,
     nystrom_landmarks,
     nystrom_solve,
@@ -42,6 +48,104 @@ def _single_ridge_entry_points():
         "nystrom_solve": lambda lam: nystrom_solve(psi, np.eye(4), lam,
                                                    np.ones(4)),
     }
+
+
+# One BLAS thread makes scipy's products and numpy's the same computation.
+ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+
+
+class TestMatmul:
+    """``matmul`` against numpy's ``@``: equal bits with one BLAS thread,
+    equal to round-off with more."""
+
+    @staticmethod
+    def check(a, b):
+        expected, got = a @ b, matmul(a, b)
+        assert np.shape(got) == expected.shape
+        if ONE_BLAS_THREAD:
+            np.testing.assert_array_equal(got, expected)
+        else:
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("order_a", ["C", "F"])
+    @pytest.mark.parametrize("order_b", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(7, 5, 3), (300, 200, 100),
+                                       (1, 40, 30), (30, 40, 1), (6, 1, 4)])
+    def test_four_shape_cases_in_both_layouts(self, shape, order_a,
+                                              order_b):
+        m, k, n = shape
+        rng = np.random.default_rng(sum(shape))
+        a = np.asarray(rng.normal(size=(m, k)), order=order_a)
+        b = np.asarray(rng.normal(size=(k, n)), order=order_b)
+        x, y = rng.normal(size=m), rng.normal(size=k)
+        self.check(a, b)                          # matrix x matrix
+        self.check(a, y)                          # matrix x vector
+        self.check(x, a)                          # vector x matrix
+        self.check(y, rng.normal(size=k))         # vector . vector
+
+    def test_strided_operands(self):
+        # numpy multiplies operands BLAS cannot take with its own loop, and
+        # matmul copies them for BLAS: the sums are ordered differently.
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(60, 50))
+        for x, y in [(a[::2, ::3], rng.normal(size=(17, 4))),
+                     (a[:, 5], rng.normal(size=(60, 3)))]:
+            np.testing.assert_allclose(matmul(x, y), x @ y, rtol=1e-13,
+                                       atol=1e-13)
+
+    @pytest.mark.parametrize("shapes", [((0, 3), (3, 2)), ((2, 0), (0, 4)),
+                                        ((3, 2), (2, 0)), ((0,), (0,)),
+                                        ((3, 0), (0,)), ((0,), (0, 5)),
+                                        ((0, 4), (4,))])
+    def test_empty_operands(self, shapes):
+        a, b = np.ones(shapes[0]), np.ones(shapes[1])
+        got = matmul(a, b)
+        assert np.shape(got) == (a @ b).shape
+        np.testing.assert_array_equal(got, a @ b)
+
+    def test_vector_dot_is_a_scalar(self):
+        got = matmul(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
+        assert np.ndim(got) == 0 and got == 11.0
+
+    def test_misaligned_shapes_rejected(self):
+        with pytest.raises(ValueError, match="do not align"):
+            matmul(np.ones((2, 3)), np.ones(2))
+        with pytest.raises(ValueError, match="vectors or matrices"):
+            matmul(np.ones((2, 2, 2)), np.ones(2))
+
+
+def test_package_calls_no_numpy_blas():
+    # numpy's OpenBLAS has its own thread pool; the package uses only
+    # scipy's, through numerics.matmul and scipy.linalg.
+    def is_numpy(node, attr=None):
+        if attr is not None:
+            return (isinstance(node, ast.Attribute) and node.attr == attr
+                    and is_numpy(node.value))
+        return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+    products = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+    found = []
+    for path in sorted(Path(proxilearn.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.BinOp) and isinstance(node.op,
+                                                          ast.MatMult):
+                found.append(f"{where} @")
+            elif (isinstance(node, ast.Attribute)
+                  and is_numpy(node.value, "linalg")
+                  and node.attr != "LinAlgError"):
+                found.append(f"{where} np.linalg.{node.attr}")
+            elif (isinstance(node, ast.Attribute) and is_numpy(node.value)
+                  and node.attr in products):
+                found.append(f"{where} np.{node.attr}")
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "dot"):
+                found.append(f"{where} .dot")
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module == "numpy.linalg"):
+                found.append(f"{where} from numpy.linalg")
+    assert found == []
 
 
 class TestSolvePsd:
