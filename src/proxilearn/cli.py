@@ -320,6 +320,10 @@ def experiment(n_values, seeds, methods, out):
     """Reproduce the multi-seed synthetic comparison."""
     method_list = evaluation.check_table(
         seeds, [m.strip() for m in methods.split(",") if m.strip()])
+    repeated = sorted({n for n in n_values if n_values.count(n) > 1})
+    if repeated:
+        raise ValueError(f"--n must not repeat, got "
+                         f"{', '.join(map(str, repeated))} more than once")
     # One grid and one oracle serve every --n.
     a_grid = evaluation.default_a_grid()
     truth = synthdata.true_ate(a_grid, evaluation.ORACLE_MC_SAMPLES,

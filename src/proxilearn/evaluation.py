@@ -3,9 +3,7 @@ comparison harness."""
 
 from __future__ import annotations
 
-import os
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -225,14 +223,9 @@ class ExperimentResult:
 
 
 def max_workers() -> int:
-    """Worker cap: PROXI_THREADS when set, else the CPU count."""
-    env = os.environ.get("PROXI_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"PROXI_THREADS must be an integer, got {env!r}")
-    return max(1, os.cpu_count() or 1)
+    """The number of seeds ``run_table`` fits at once: 1, since it fits
+    them in turn. The benchmark records it with its environment."""
+    return 1
 
 
 def check_table(n_seeds: int, methods) -> list[str]:
@@ -245,6 +238,10 @@ def check_table(n_seeds: int, methods) -> list[str]:
         raise ValueError("methods must be nonempty")
     for m in methods:
         estimator(m)
+    repeated = sorted({m for m in methods if methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"methods must not repeat, got {', '.join(repeated)} "
+                         f"more than once")
     return methods
 
 
@@ -254,15 +251,15 @@ def run_table(
     methods=DEFAULT_METHODS,
     a_grid: np.ndarray | None = None,
     truth: DoCurve | None = None,
-    workers: int | None = None,
 ) -> ExperimentResult:
     """Fit every method on ``n_seeds`` fresh draws of size ``n`` and score
     each against the frozen ground truth.
 
     ``a_grid`` and ``truth`` default to ``default_a_grid()`` and the
     oracle on it; a caller running several tables computes them once.
-    Seeds 0..n_seeds-1 run in parallel and merge by seed index, so the
-    result is deterministic for a fixed configuration. Each draw's
+    Seeds 0..n_seeds-1 run in turn, in the caller's thread, so the
+    result is deterministic for a fixed configuration; the only
+    parallelism is the BLAS threads inside each fit. Each draw's
     median-heuristic bandwidths are computed once and shared by its
     methods. A method failing on more than a quarter of the seeds aborts
     the run with diagnostics.
@@ -275,34 +272,24 @@ def run_table(
                                    seed=ORACLE_SEED)
     seeds = list(range(n_seeds))
 
-    def one_seed(seed: int):
+    per_seed: dict[str, list[float]] = {m: [] for m in methods}
+    errors: dict[str, dict[int, str]] = {m: {} for m in methods}
+    for seed in seeds:
         data = synthdata.gen_main(n, seed=seed).data
         specs = None
-        row: dict[str, float] = {}
-        errors: dict[str, str] = {}
         for m in methods:
             try:
                 specs = specs or KernelSpecs.from_data(data)
                 curve = fit_method(m, data, a_grid, seed=seed, specs=specs)
-                row[m] = cmae(curve, truth)
+                per_seed[m].append(cmae(curve, truth))
             except Exception:
-                row[m] = float("nan")
-                errors[m] = traceback.format_exc(limit=2)
-        return row, errors
+                per_seed[m].append(float("nan"))
+                errors[m][seed] = traceback.format_exc(limit=2)
 
-    if workers is None:
-        workers = min(max_workers(), len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one_seed, seeds))
-    else:
-        outcomes = [one_seed(s) for s in seeds]
-
-    per_seed = {m: [outcomes[s][0][m] for s in seeds] for m in methods}
     for m in methods:
         failures = [s for s in seeds if np.isnan(per_seed[m][s])]
         if len(failures) > MAX_FAILURE_FRACTION * len(seeds):
-            notes = "\n".join(outcomes[s][1].get(m, "") for s in failures)
+            notes = "\n".join(errors[m].get(s, "") for s in failures)
             raise RuntimeError(
                 f"method {m!r} failed on seeds {failures} "
                 f"({len(failures)}/{len(seeds)}):\n{notes}"

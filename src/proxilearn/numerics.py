@@ -6,7 +6,7 @@ built on them.
 
 Every product and solve in the package goes through scipy's BLAS and
 LAPACK, products through ``matmul``. numpy and scipy each bundle their own
-OpenBLAS with its own thread pool, and a pool's idle workers spin for a
+OpenBLAS with its own thread pool, and a pool's idle threads spin for a
 while after each call. Alternating the two libraries therefore leaves one
 pool spinning on the cores the other needs: on a 2-vCPU VM, a scipy
 Cholesky at n = 2000 took 0.07 s cold or right after a scipy

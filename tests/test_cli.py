@@ -663,6 +663,28 @@ class TestErrors:
         assert not (tmp_path / "exp.csv").exists()
         assert not (tmp_path / "exp.json").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["--n", "60", "--methods", "ridge,linear2s,ridge"],
+         "methods must not repeat, got ridge more than once"),
+        (["--n", "60", "--n", "40", "--n", "60", "--methods", "ridge"],
+         "--n must not repeat, got 60 more than once"),
+    ])
+    def test_experiment_repeats_report_json_before_any_draw(
+            self, runner, tmp_path, monkeypatch, args, message):
+        # A repeat would fit twice and give the CSV a row per copy while
+        # the JSON keeps one entry; the oracle and the draws never start.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew data")
+
+        monkeypatch.setattr(synthdata, "true_ate", no_draw)
+        monkeypatch.setattr(synthdata, "gen_main", no_draw)
+        result = runner.invoke(main, ["experiment", *args, "--seeds", "2",
+                                      "--out", str(tmp_path / "exp")])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload == {"error": "ValueError", "message": message}
+        assert not list(tmp_path.glob("exp*"))
+
     def test_nonpositive_lambda_grid_reports_json(self, runner, tmp_path):
         data_path = tmp_path / "train.csv"
         gen_main(20, seed=1).data.to_csv(data_path)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -52,10 +53,18 @@ class TestRunTable:
         assert one.per_seed == two.per_seed
         assert one.summary() == two.summary()
 
-    def test_deterministic_across_worker_counts(self):
-        serial = self.small_table(workers=1)
-        threaded = self.small_table(workers=3)
-        assert serial.per_seed == threaded.per_seed
+    def test_seeds_fit_in_calling_thread(self, monkeypatch):
+        real = evaluation.fit_method
+        threads = []
+
+        def recording(name, data, a_grid, seed=0, specs=None):
+            threads.append(threading.get_ident())
+            return real(name, data, a_grid, seed, specs)
+
+        monkeypatch.setattr(evaluation, "fit_method", recording)
+        self.small_table(n_seeds=3)
+        assert threads == [threading.get_ident()] * 6
+        assert evaluation.max_workers() == 1
 
     def test_method_filter(self):
         result = self.small_table(methods=("ridge",))
@@ -73,6 +82,17 @@ class TestRunTable:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             self.small_table(methods=("nope",))
+
+    def test_repeated_method_rejected_before_any_draw(self, monkeypatch):
+        # Fitting a repeat twice would list it twice in ``methods`` but
+        # once in ``per_seed``.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("gen_main was called")
+
+        monkeypatch.setattr(evaluation.synthdata, "gen_main", no_draw)
+        with pytest.raises(ValueError, match="methods must not repeat, got "
+                                             "ridge more than once"):
+            self.small_table(methods=("ridge", "linear2s", "ridge"))
 
     @pytest.mark.parametrize("n_seeds", [0, -2])
     def test_nonpositive_seed_count_rejected_before_any_draw(
@@ -113,7 +133,7 @@ class TestRunTable:
 
         monkeypatch.setattr(KernelSpecs, "from_data", classmethod(counting))
         self.small_table(methods=("kpv", "pmmr", "ridge-w", "linear2s"),
-                         n_seeds=4, workers=2)
+                         n_seeds=4)
         assert calls == [60] * 4
 
     def test_shared_bandwidths_match_fits_without_them(self):
@@ -133,13 +153,6 @@ class TestRunTable:
         payload = json.loads(json.dumps(result.summary()))
         assert payload["config"]["methods"] == result.methods
         assert "ridge" in payload["cmae"]
-
-    def test_workers_env_cap(self, monkeypatch):
-        monkeypatch.setenv("PROXI_THREADS", "1")
-        assert evaluation.max_workers() == 1
-        monkeypatch.setenv("PROXI_THREADS", "junk")
-        with pytest.raises(ValueError, match="PROXI_THREADS"):
-            evaluation.max_workers()
 
 
 class TestDefaultGrid:
