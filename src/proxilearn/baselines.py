@@ -6,7 +6,10 @@ A ridge baseline regresses Y on the groups ("a", *adjust) of its training
 bridge does. Averaged over an adjustment sample of the groups V =
 ``adjust``, it has the effect curve k_A(a, A)' w with the n curve weights
 w = beta * (mean over adjustment rows of k_V) of
-``adjusted_curve_weights``. The linear two-stage curve is affine in a
+``adjusted_curve_weights``. A searched ridge is the leave-one-out pick
+over a grid, scored from the Gram's eigenpairs or, when the Gram's
+numerical rank is low, from those of a pivoted-Cholesky factor of it
+(``numerics.low_rank_eigh``). The linear two-stage curve is affine in a
 and needs only the adjustment sample's W mean.
 """
 
@@ -21,8 +24,8 @@ from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, effect_curve, product_gram
 from .numerics import (
     SearchRecord,
-    eigh_in_place,
     loo_path,
+    low_rank_eigh,
     matmul,
     ridge_grid,
     search_record,
@@ -87,9 +90,12 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     ``adjust`` is "" (treatment only), "w", or "wz"; ``specs`` None means
     ``KernelSpecs.from_data(data)``, the default of every kernel fit. A
     given ``lam`` is fit by one Cholesky solve. Otherwise the leave-one-out
-    search eigendecomposes K = U diag(e) U' once, records and picks the
-    ridge with ``numerics.search_record`` and takes beta = U (U'y /
-    (e + n lam)) from the same eigenpairs, so it factors nothing else.
+    search scores the grid from the eigenpairs of ``numerics.low_rank_eigh``
+    and picks the ridge with ``numerics.search_record``. If those are K's
+    own, beta = U (U'y / (e + n lam)) comes from them. If they come from a
+    low-rank factor of K, beta is the given-ridge solve at the picked ridge
+    on a freshly built K, so the fit equals the fit at that ridge bit for
+    bit.
     """
     if adjust not in ("", "w", "wz"):
         raise ValueError(f"adjust must be '', 'w' or 'wz', got {adjust!r}")
@@ -97,19 +103,26 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
         ridge_grid(lam, "lam")
     if specs is None:
         specs = KernelSpecs.from_data(data)
-    k = _group_gram(("a", *adjust), data, data, specs)
-    search = None
-    if lam is not None:
-        beta = solve_psd(k, data.n * lam, data.y)
-    else:
+
+    def gram():
+        return _group_gram(("a", *adjust), data, data, specs)
+
+    search = beta = None
+    if lam is None:
         lam_grid = ridge_grid(lam_grid)
-        eigvals, eigvecs = eigh_in_place(k)
+        # Handed over unnamed, the Gram is freed once it is factored.
+        eigvals, eigvecs = low_rank_eigh(gram())
         search = search_record(lam_grid,
                                loo_path(eigvals, eigvecs, data.y, lam_grid))
         lam = search.lam
-        # e >= 0 up to round-off; clipping keeps e + n lam > 0.
-        beta = matmul(eigvecs, matmul(eigvecs.T, data.y)
-                      / (np.maximum(eigvals, 0.0) + data.n * lam))
+        if eigvecs.shape[1] == data.n:
+            # K's own eigenpairs: e >= 0 up to round-off; clipping keeps
+            # e + n lam > 0.
+            beta = matmul(eigvecs, matmul(eigvecs.T, data.y)
+                          / (np.maximum(eigvals, 0.0) + data.n * lam))
+        del eigvals, eigvecs    # before the Gram is built again
+    if beta is None:
+        beta = solve_psd(gram(), data.n * lam, data.y)
     return RidgeModel(sample=data, adjust=adjust, specs=specs, lam=lam,
                       beta=beta, search=search)
 

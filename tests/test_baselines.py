@@ -80,8 +80,48 @@ class TestKernelRidge:
         assert scores[np.argmin(np.abs(grid - lam))] <= scores.min() + 1e-15
 
 
+def exact_scores(data, adjust, grid):
+    """The leave-one-out scores of a ridge model on ``data`` over ``grid``
+    from its Gram's exact eigenpairs."""
+    groups = ("a", *adjust)
+    specs = KernelSpecs.from_data(data)
+    inputs = np.column_stack([getattr(data, g) for g in groups])
+    spec = KernelSpec(np.concatenate(
+        [getattr(specs, g).bandwidths for g in groups]))
+    return ridge_loo_scores(inputs, data.y, spec, grid)
+
+
+class _Counts:
+    """Counts the pivoted Cholesky factors, the eigensolves (by size) and
+    the Cholesky factors of a fit."""
+
+    def __init__(self, monkeypatch):
+        self.pstrf, self.eigh_sizes, self.cholesky = 0, [], 0
+
+        def pstrf(*args, **kwargs):
+            self.pstrf += 1
+            return dpstrf(*args, **kwargs)
+
+        def eigh(m):
+            self.eigh_sizes.append(m.shape[0])
+            return eigh_in_place(m)
+
+        def cho_factor(*args, **kwargs):
+            self.cholesky += 1
+            return cholesky(*args, **kwargs)
+
+        dpstrf, eigh_in_place = numerics.dpstrf, numerics.eigh_in_place
+        cholesky = scipy.linalg.cho_factor
+        monkeypatch.setattr(numerics, "dpstrf", pstrf)
+        monkeypatch.setattr(numerics, "eigh_in_place", eigh)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor)
+
+
 class TestSearchedFit:
-    """A searched fit takes beta from the eigenpairs that score the grid."""
+    """A searched fit scores the grid from ``numerics.low_rank_eigh``. On
+    this draw plain ridge's Gram has rank 17 of 300 and takes the factor
+    path; ridge-w's and ridge-wz's are full rank and are eigendecomposed
+    whole."""
 
     @pytest.fixture(scope="class")
     def data(self):
@@ -91,16 +131,11 @@ class TestSearchedFit:
     def test_lambda_is_loo_argmin(self, data, adjust):
         grid = baselines.DEFAULT_RIDGE_GRID
         model = fit_ridge_baseline(data, adjust)
-        groups = ("a", *adjust)
-        specs = KernelSpecs.from_data(data)
-        inputs = np.column_stack([getattr(data, g) for g in groups])
-        spec = KernelSpec(np.concatenate(
-            [getattr(specs, g).bandwidths for g in groups]))
-        scores = ridge_loo_scores(inputs, data.y, spec, grid)
+        scores = exact_scores(data, adjust, grid)
         assert model.lam == numerics.argmin_ties_larger(grid, scores)
         assert model.search.lam == model.lam
         np.testing.assert_array_equal(model.search.grid, grid)
-        np.testing.assert_allclose(model.search.scores, scores, rtol=1e-6)
+        np.testing.assert_allclose(model.search.scores, scores, rtol=1e-8)
 
     def test_given_ridge_has_no_search(self, data):
         assert fit_ridge_baseline(data, "w", lam=1e-3).search is None
@@ -109,11 +144,15 @@ class TestSearchedFit:
     def test_beta_matches_cholesky_fit(self, data, adjust):
         model = fit_ridge_baseline(data, adjust)
         fixed = fit_ridge_baseline(data, adjust, lam=model.lam)
-        # Both solves are backward stable, so they agree to round-off
-        # relative to the largest coefficient; the atol covers the entries
-        # that are 1e4 times smaller (plain ridge on this draw).
-        np.testing.assert_allclose(model.beta, fixed.beta, rtol=1e-9,
-                                   atol=1e-12 * np.abs(fixed.beta).max())
+        if adjust == "":
+            # The factor path solves at the picked ridge as the fit at a
+            # given ridge does.
+            np.testing.assert_array_equal(model.beta, fixed.beta)
+        else:
+            # Both solves are backward stable, so they agree to round-off
+            # relative to the largest coefficient.
+            np.testing.assert_allclose(model.beta, fixed.beta, rtol=1e-9,
+                                       atol=1e-12 * np.abs(fixed.beta).max())
         assert model.sample is fixed.sample is data
         assert model.adjust == fixed.adjust == adjust
         for g in "axzw":
@@ -121,30 +160,44 @@ class TestSearchedFit:
                 getattr(model.specs, g).bandwidths,
                 getattr(fixed.specs, g).bandwidths)
 
-    def test_one_eigendecomposition_and_no_cholesky(self, data,
-                                                    monkeypatch):
-        calls = {"eigh": 0, "psd_factor": 0, "cho_factor": 0}
+    def test_factor_path_factors_three_times(self, data, monkeypatch):
+        counts = _Counts(monkeypatch)
+        fit_ridge_baseline(data, "")
+        # One pivoted Cholesky of the Gram, one eigensolve of G'G of its
+        # rank and one Cholesky for beta.
+        assert counts.pstrf == 1
+        assert counts.eigh_sizes == [17]
+        assert counts.cholesky == 1
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(baselines, "eigh_in_place",
-                            counting("eigh", numerics.eigh_in_place))
-        monkeypatch.setattr(numerics, "psd_factor",
-                            counting("psd_factor", numerics.psd_factor))
-        monkeypatch.setattr(scipy.linalg, "cho_factor",
-                            counting("cho_factor", scipy.linalg.cho_factor))
-        fit_ridge_baseline(data, "w")
-        assert calls == {"eigh": 1, "psd_factor": 0, "cho_factor": 0}
+    def test_full_rank_gram_is_eigendecomposed_whole(self, data,
+                                                     monkeypatch):
+        counts = _Counts(monkeypatch)
+        fit_ridge_baseline(data, "wz")
+        # Beta comes from the Gram's own eigenpairs: nothing else is
+        # factored.
+        assert counts.pstrf == 1
+        assert counts.eigh_sizes == [data.n]
+        assert counts.cholesky == 0
 
     @pytest.mark.parametrize("bad", [-1e-2, 0.0, np.nan, np.inf])
     def test_invalid_grid_value_rejected(self, bad):
         data = rng_dataset(14, 20)
         with pytest.raises(ValueError, match="positive and finite"):
             fit_ridge_baseline(data, "w", lam_grid=[bad, 0.1])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("adjust", ["", "w"])
+def test_scores_match_exact_eigenpairs_at_n2000(adjust):
+    # On this draw of the benchmark's size both Grams take the factor
+    # path: rank 19 (ridge) and 1265 (ridge-w) of 2000.
+    data = synthdata.gen_main(2000, seed=0).data
+    grid = baselines.DEFAULT_RIDGE_GRID
+    model = fit_ridge_baseline(data, adjust)
+    np.testing.assert_allclose(
+        model.search.scores, exact_scores(data, adjust, grid), rtol=1e-8)
+    fixed = fit_ridge_baseline(data, adjust, lam=model.lam)
+    np.testing.assert_array_equal(model.beta, fixed.beta)
 
 
 class TestAdjustedAte:

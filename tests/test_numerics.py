@@ -1,5 +1,7 @@
 import ast
 import os
+import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 import scipy.linalg
 
 import proxilearn
+from proxilearn import numerics
 from proxilearn.baselines import fit_ridge_baseline
 from proxilearn.kernels import KernelSpec, KernelSpecs, gram
 from proxilearn.kpv import kpv_fit, stage1_fit
@@ -15,6 +18,7 @@ from proxilearn.numerics import (
     eigh_in_place,
     khatri_rao_cols,
     loo_path,
+    low_rank_eigh,
     matmul,
     nystrom_features,
     nystrom_landmarks,
@@ -25,7 +29,7 @@ from proxilearn.numerics import (
     solve_psd,
 )
 from proxilearn.pmmr import pmmr_fit, pmmr_fit_nystrom
-from tests.conftest import nystrom, rng_dataset
+from tests.conftest import nystrom, ridge_loo_scores, rng_dataset
 
 
 def _single_ridge_entry_points():
@@ -232,6 +236,93 @@ class TestEighInPlace:
             eigh_in_place(np.eye(6)[::2, ::2])
         with pytest.raises(ValueError, match="square"):
             eigh_in_place(np.ones((2, 3)))
+
+
+class TestLowRankEigh:
+    """Scores from ``low_rank_eigh``'s eigenpairs against the exact
+    eigenpairs of the whole Gram (``conftest.ridge_loo_scores``)."""
+
+    GRID = np.logspace(-7, 1, 25)
+
+    @staticmethod
+    def scores(x, y, bandwidth):
+        spec = KernelSpec(np.full(x.shape[1], bandwidth))
+        eigvals, eigvecs = low_rank_eigh(gram(x, x, spec))
+        return (eigvecs.shape[1],
+                loo_path(eigvals, eigvecs, y, TestLowRankEigh.GRID),
+                ridge_loo_scores(x, y, spec, TestLowRankEigh.GRID))
+
+    @pytest.mark.parametrize("n", [60, 400])
+    def test_low_rank_gram_takes_factor_path(self, n):
+        # A wide Gaussian on 1-D inputs has numerical rank about 20.
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=(n, 1))
+        y = np.sin(2 * x[:, 0]) + 0.1 * rng.normal(size=n)
+        rank, got, exact = self.scores(x, y, 1.0)
+        assert rank <= 25
+        np.testing.assert_allclose(got, exact, rtol=1e-8)
+
+    def test_factor_is_orthonormal_and_reconstructs_gram(self):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(300, 1))
+        k = gram(x, x, KernelSpec(np.array([1.0])))
+        eigvals, eigvecs = low_rank_eigh(k.copy())
+        assert eigvecs.shape[1] < 50 and (eigvals > 0).all()
+        np.testing.assert_allclose(eigvecs.T @ eigvecs,
+                                   np.eye(eigvecs.shape[1]), atol=1e-6)
+        # Only the pivots below n eps max(diag) were left out.
+        np.testing.assert_allclose((eigvecs * eigvals) @ eigvecs.T, k,
+                                   atol=1e-11)
+
+    def test_full_rank_gram_gives_its_own_eigenpairs(self):
+        rng = np.random.default_rng(62)
+        x = rng.normal(size=(80, 3))
+        k = gram(x, x, KernelSpec(np.full(3, 0.5)))
+        eigvals, eigvecs = low_rank_eigh(k.copy())
+        expected_vals, expected_vecs = eigh_in_place(k)
+        np.testing.assert_array_equal(eigvals, expected_vals)
+        np.testing.assert_array_equal(eigvecs, expected_vecs)
+
+    @pytest.mark.parametrize("case", ["n1", "n2", "n2-identical",
+                                      "identical", "duplicated"])
+    def test_rank_deficient_inputs(self, case):
+        rng = np.random.default_rng(63)
+        x = {"n1": np.array([[0.3]]),
+             "n2": np.array([[0.0], [1.0]]),
+             "n2-identical": np.array([[0.5], [0.5]]),
+             "identical": np.full((12, 2), 0.7),
+             "duplicated": np.repeat(rng.normal(size=(15, 2)), 2, axis=0),
+             }[case]
+        y = rng.normal(size=x.shape[0])
+        rank, got, exact = self.scores(x, y, 1.0)
+        # n = 1 and two distinct points are full rank: eigendecomposed
+        # whole. The others take the factor path.
+        assert (rank == x.shape[0]) == (case in ("n1", "n2"))
+        np.testing.assert_allclose(got, exact, rtol=1e-8)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="before 3.11 a caller keeps its call's "
+                               "arguments alive until the call returns")
+    def test_gram_released_before_small_eigensolve(self, monkeypatch):
+        x = np.random.default_rng(64).normal(size=(200, 1))
+        refs, alive = [], []
+
+        def unnamed_gram():
+            k = gram(x, x, KernelSpec(np.array([1.0])))
+            refs.append(weakref.ref(k))
+            return k
+
+        def eigh(m):
+            alive.append(refs[0]() is not None)
+            return eigh_in_place(m)
+
+        monkeypatch.setattr(numerics, "eigh_in_place", eigh)
+        low_rank_eigh(unnamed_gram())
+        assert alive == [False]
+
+    def test_rejects_non_square_input(self):
+        with pytest.raises(ValueError, match="square"):
+            low_rank_eigh(np.ones((2, 3)))
 
 
 class TestLooPath:
