@@ -10,7 +10,7 @@ w = beta * (mean over adjustment rows of k_V) of
 over a grid, scored from the Gram's eigenpairs or, when the Gram's
 numerical rank is low, from those of a pivoted-Cholesky factor of it
 (``numerics.low_rank_eigh``). The linear two-stage curve is affine in a
-and needs only the adjustment sample's W mean.
+and needs only the adjustment sample's W and X means.
 """
 
 from __future__ import annotations
@@ -132,38 +132,40 @@ def _lstsq(design: np.ndarray, target: np.ndarray):
                               cond=np.finfo(float).eps * max(design.shape))
 
 
-def linear_two_stage(data: Dataset, a_grid, w_adjust=None) -> DoCurve:
-    """Two-stage least squares with intercepts.
+def linear_two_stage(data: Dataset, a_grid,
+                     adjust: Dataset | None = None) -> DoCurve:
+    """Two-stage least squares with intercepts and observed covariates.
 
-    Stage 1 regresses W on (A, Z); stage 2 regresses Y on (A, W-hat). The
-    curve is intercept + coef_a * a + coef_w . mean(W), the mean taken
-    over the adjustment sample ``w_adjust`` (default: ``data.w``). Each
-    regression is LAPACK's ``gelsd``, with singular values below
-    eps * max(design shape) times the largest counted as zero.
+    Stage 1 regresses W on (A, Z, X); stage 2 regresses Y on (A, W-hat,
+    X). The curve is intercept + coef_a * a + coef_w . mean(W) +
+    coef_x . mean(X), the means taken over the adjustment sample
+    ``adjust`` (default: ``data``). Each regression is LAPACK's ``gelsd``,
+    with singular values below eps * max(design shape) times the largest
+    counted as zero.
     """
     if data.a.shape[1] != 1:
         raise ValueError("linear two-stage supports scalar treatment only")
     a_grid = np.asarray(a_grid, dtype=float).ravel()
     n = data.n
-    stage1_design = np.column_stack([np.ones(n), data.a, data.z])
+    stage1_design = np.column_stack([np.ones(n), data.a, data.z, data.x])
     if n <= stage1_design.shape[1]:
         raise ValueError("need more rows than stage-1 regressors")
     coef1, _, rank1, _ = _lstsq(stage1_design, data.w)
     if rank1 < stage1_design.shape[1]:
         raise np.linalg.LinAlgError("stage-1 design is rank deficient")
     w_hat = matmul(stage1_design, coef1)
-    stage2_design = np.column_stack([np.ones(n), data.a, w_hat])
+    stage2_design = np.column_stack([np.ones(n), data.a, w_hat, data.x])
     if n <= stage2_design.shape[1]:
         raise ValueError("need more rows than stage-2 regressors")
     coef2, _, rank2, _ = _lstsq(stage2_design, data.y)
     if rank2 < stage2_design.shape[1]:
         raise np.linalg.LinAlgError("stage-2 design is rank deficient")
-    intercept = coef2[0]
-    coef_a = float(coef2[1])
-    coef_w = coef2[2:]
-    w_adjust = (data.w if w_adjust is None
-                else query_block(w_adjust, data.w.shape[1], "w"))
-    if w_adjust.shape[0] == 0:
+    adjust = data if adjust is None else adjust
+    # Columns in stage 2's order after (1, A): W-hat, then X.
+    adjust_cols = np.column_stack([
+        query_block(adjust.w, data.w.shape[1], "w"),
+        query_block(adjust.x, data.x.shape[1], "x", adjust.n)])
+    if adjust_cols.shape[0] == 0:
         raise ValueError("adjustment sample is empty")
-    level = intercept + float(matmul(coef_w, w_adjust.mean(axis=0)))
-    return DoCurve(grid=a_grid, estimate=level + coef_a * a_grid)
+    level = coef2[0] + float(matmul(coef2[2:], adjust_cols.mean(axis=0)))
+    return DoCurve(grid=a_grid, estimate=level + float(coef2[1]) * a_grid)

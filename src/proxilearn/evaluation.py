@@ -81,7 +81,7 @@ class Estimator:
     def curve(self, model, adjust: Dataset, a_grid) -> DoCurve:
         """The fitted model's effect curve over the sample ``adjust``."""
         if self.weights is None:
-            return baselines.linear_two_stage(model, a_grid, adjust.w)
+            return baselines.linear_two_stage(model, a_grid, adjust)
         return effect_curve(*self.weights(model, adjust), a_grid)
 
 
@@ -110,7 +110,7 @@ def _pmmr(nystrom: bool) -> Estimator:
         fit=lambda data, specs, seed, o: pmmr.fit_pmmr(
             data, specs=specs, lam=o.get("lambda1"),
             lam_grid=o.get("lambda_grid", pmmr.DEFAULT_LAMBDA_GRID),
-            rank=rank(data.n, o), split_seed=seed, landmark_seed=seed),
+            rank=rank(data.n, o), split_seed=seed),
         reads=("lambda1", "lambda_grid") + (("rank",) if nystrom else ()),
         record=lambda m, seed, o: {**_searched(m), "rank": rank(m.n, o)},
         coefficients="alpha",

@@ -20,7 +20,8 @@ product kernel separates the treatment from the averaged-out groups.
 
 Bandwidths default to the median heuristic. The median of the n(n-1)/2
 pairwise distances of a column is selected exactly in O(n log n) time and
-O(n) memory from the sorted column, without forming the distances.
+O(n) memory from the sorted column, without forming the distances: a
+deterministic bisection over the gap values with a bounded step count.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .numerics import matmul
 # Bytes of output filled per block of rows in ``gram``: about L2-sized.
 _BLOCK_BYTES = 1 << 20
 
-# Pairs drawn per refinement round of the median selection; a bracket with
-# at most this many pairs (or 4 per point, if larger) is materialised.
+# The median selection bisects until its bracket holds at most this many
+# pairs (or 4 per point, if larger), then materialises and partitions it.
 _PAIR_BUDGET = 1 << 13
 
 
@@ -198,55 +199,44 @@ class _PairGaps:
     def count(self, bounds: np.ndarray) -> int:
         return int((bounds - self.start).sum())
 
-    def kth(self, k: int, rng: np.random.Generator) -> float:
+    def kth(self, k: int) -> float:
         """The k-th smallest gap (0-based).
 
         Keeps a bracket of partners lo[r] <= j < hi[r] per row holding the
-        target. While it holds more pairs than the budget, a uniform sample
-        of bracket pairs proposes a narrower one, which exact counts either
-        confirm, resolve (the target equals a bracket end) or reject (a new
-        sample is drawn). The final bracket is partitioned directly.
+        target and cuts it between its smallest and largest gap, once per
+        step: at the midpoint of their values, or of their bit patterns
+        (which order non-negative floats as their values do) when they lie
+        more than 64 binades apart. Every cut strictly shrinks the bracket,
+        so a search takes at most about 64 + 64 + 53 steps. A bracket of at
+        most the budget of pairs is partitioned directly.
         """
         lo, hi = self.start, self.end
         budget = max(_PAIR_BUDGET, 4 * self.flat.size)
-        spread = 2.0 * np.sqrt(budget)   # 4 sd of a sample rank
         while True:
+            rows = np.flatnonzero(hi > lo)
+            # + 0.0 turns a gap of -0.0 (-0.0 - 0.0) into +0.0, whose bit
+            # pattern is the smallest.
+            low = (self.flat[lo[rows]] - self.flat[rows]).min() + 0.0
+            high = (self.flat[hi[rows] - 1] - self.flat[rows]).max()
+            if low == high:
+                return float(high)
             sizes = hi - lo
             total = int(sizes.sum())
-            rank = k - self.count(lo)
-            offsets = np.cumsum(sizes) - sizes
             if total <= budget:
+                rank = k - self.count(lo)
+                offsets = np.cumsum(sizes) - sizes
                 rows = np.repeat(np.arange(sizes.size), sizes)
                 j = lo[rows] + np.arange(total) - offsets[rows]
                 gaps = self.flat[j] - self.flat[rows]
                 return float(np.partition(gaps, rank)[rank])
-            # Sorted picks make the row lookup a near-linear merge.
-            picks = np.sort(rng.integers(0, total, size=budget))
-            rows = np.searchsorted(offsets, picks, side="right") - 1
-            gaps = (self.flat[lo[rows] + picks - offsets[rows]]
-                    - self.flat[rows])
-            centre = rank / total * budget
-            i_lo = int(np.floor(centre - spread))
-            i_hi = int(np.ceil(centre + spread))
-            # 4 * sqrt(budget) < budget: at least one end lies in the sample.
-            gaps = np.partition(gaps, [i for i in (i_lo, i_hi)
-                                       if 0 <= i < budget])
-            new_lo, new_hi = lo, hi
-            if i_lo >= 0:
-                t = gaps[i_lo]
-                new_lo = self.bounds(t)
-                if k < self.count(new_lo):
-                    if k >= self.count(self.bounds(np.nextafter(t, -np.inf))):
-                        return float(t)
-                    continue
-            if i_hi < budget:
-                t = gaps[i_hi]
-                new_hi = self.bounds(np.nextafter(t, -np.inf))
-                if k >= self.count(new_hi):
-                    if k < self.count(self.bounds(t)):
-                        return float(t)
-                    continue
-            lo, hi = new_lo, new_hi
+            if high > 2.0**64 * low:    # also low == 0 and high == inf
+                bits = np.array([low, high]).view(np.int64)
+                t = np.int64((int(bits[0]) + int(bits[1])) // 2).view(float)
+            else:
+                t = low + (high - low) / 2
+            # low <= cut < high: either side of it is a smaller bracket.
+            cut = self.bounds(min(t, np.nextafter(high, -np.inf)))
+            lo, hi = (lo, cut) if k < self.count(cut) else (cut, hi)
 
     def median(self) -> float:
         """``np.median`` over all gaps' distances |gap| as ``pdist`` reports
@@ -254,7 +244,7 @@ class _PairGaps:
         d, n = self.cols.shape
         count = d * (n * (n - 1) // 2)
         k = (count - 1) // 2
-        middle = [self.kth(k, np.random.default_rng(0))]
+        middle = [self.kth(k)]
         if count % 2 == 0:
             b = self.bounds(middle[0])
             if self.count(b) > k + 1:
@@ -272,10 +262,12 @@ def median_heuristic(points: np.ndarray) -> KernelSpec:
     to the median pooled over all dimensions, and to 1.0 if that is also
     zero. The medians equal ``np.median`` over ``pdist`` of the column (or
     of every column, pooled) to the last bit, but are selected from the
-    sorted columns: exact pair counts below a threshold come from
-    ``searchsorted``, a fixed-seed sample of pairs proposes ever narrower
-    brackets around the middle rank, and only a bracket of O(n) pairs is
-    ever formed. Time is O(n log n) per column and memory O(n).
+    sorted columns by bisection: exact pair counts below a cut come from
+    ``searchsorted``, each cut halves the range of gaps (by value, or by
+    bit pattern across many binades) around the middle rank, and only a
+    bracket of O(n) pairs is ever formed. No random numbers are drawn, and
+    the step count has a fixed bound, so time is O(n log n) per column and
+    memory O(n).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:

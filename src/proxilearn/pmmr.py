@@ -252,7 +252,6 @@ def fit_pmmr(
     lam_grid=DEFAULT_LAMBDA_GRID,
     rank: int | None = None,
     split_seed: int = 0,
-    landmark_seed: int = 0,
 ) -> PmmrModel:
     """Full pipeline on one joint dataset.
 
@@ -261,7 +260,8 @@ def fit_pmmr(
     risk (``pmmr_validation_scores``), ties to the larger, and the model is
     refit on the full data at that value; ``search`` records the search
     (None for a given ``lam``). ``rank`` switches to the Nystrom-accelerated
-    solve after the same search; it is checked before the search runs.
+    solve after the same search, its landmarks drawn with ``split_seed``;
+    it is checked before the search runs.
     """
     if rank is not None and not 1 <= rank <= data.n:
         raise ValueError(f"rank must be in [1, {data.n}], got {rank}")
@@ -273,5 +273,5 @@ def fit_pmmr(
             *data.split_half(split_seed), specs, lam_grid))
         lam = search.lam
     model = (pmmr_fit(data, specs, lam) if rank is None
-             else pmmr_fit_nystrom(data, specs, lam, rank, landmark_seed))
+             else pmmr_fit_nystrom(data, specs, lam, rank, split_seed))
     return replace(model, search=search)

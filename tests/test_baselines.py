@@ -368,12 +368,27 @@ class TestLinearTwoStage:
                        y=3.0 + 0.5 * a + 2.0 * w)
         grid = np.array([-1.0, 0.0, 1.0])
         w_adjust = w[:, None] + 3.0
-        curve = linear_two_stage(data, grid, w_adjust)
+        curve = linear_two_stage(data, grid, Dataset(
+            a=a, x=np.empty((50, 0)), z=z, w=w_adjust, y=data.y))
         np.testing.assert_allclose(
             curve.estimate, 3.0 + 0.5 * grid + 2.0 * w_adjust.mean(),
             atol=1e-8)
         with pytest.raises(ValueError, match="empty"):
-            linear_two_stage(data, grid, np.empty((0, 1)))
+            linear_two_stage(data, grid, data.subset(np.arange(0)))
+
+    def test_adjusts_for_observed_covariates(self):
+        # U, X ~ N(0, 1), A = U + X + e, Z = U + e, W = U + e and
+        # Y = A + 2U + 3X: the effect of A is 1. Without X in both stages
+        # the slope is about 2.5.
+        rng = np.random.default_rng(0)
+        n = 20_000
+        u, x = rng.normal(size=n), rng.normal(size=n)
+        a = u + x + rng.normal(size=n)
+        data = Dataset(a=a, x=x, z=u + rng.normal(size=n),
+                       w=u + rng.normal(size=n), y=a + 2.0 * u + 3.0 * x)
+        curve = linear_two_stage(data, [0.0, 1.0])
+        assert curve.estimate[1] - curve.estimate[0] == pytest.approx(
+            1.0, abs=0.05)
 
     @pytest.mark.parametrize("n, duplicated", [(5, False), (40, True)])
     def test_two_treatment_columns_rejected_first(self, n, duplicated):

@@ -388,7 +388,7 @@ class TestAteWeightSources:
                          "--adjust", str(shifted_path))
         training = baselines.linear_two_stage(data, curve[:, 0])
         assert not np.allclose(curve[:, 1], training.estimate)
-        expected = baselines.linear_two_stage(data, curve[:, 0], shifted.w)
+        expected = baselines.linear_two_stage(data, curve[:, 0], shifted)
         np.testing.assert_allclose(curve[:, 1], expected.estimate,
                                    rtol=1e-12)
 

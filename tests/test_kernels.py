@@ -41,6 +41,17 @@ def median_case(kind, n, rng):
         pts = rng.normal(size=(n, 3))
         pts[:n // 2 + 1] = 0.7
         return pts
+    if kind == "wide":                 # lognormal, sigma = 20
+        return rng.lognormal(sigma=20.0, size=(n, 3))
+    if kind == "powers":
+        # +-2^e over 1000 binades; squared distances stay finite and normal.
+        return np.ldexp(rng.choice([-1.0, 1.0], size=(n, 3)),
+                        rng.integers(-500, 501, size=(n, 3)))
+    if kind == "tied-median":
+        # Two values split in halves: the gap between them is the median
+        # and is tied across more than half of the pairs.
+        halves = rng.permuted(np.tile(np.arange(n) % 2, (3, 1)), axis=1).T
+        return halves * [1.7, 0.1, 3e5] + [0.3, -2.0, 7.0]
     constant = int(kind[-1])           # "constant-k": k constant columns
     pts = rng.normal(size=(n, 3))
     pts[:, :constant] = [1.5, -2.0, 0.25][:constant]
@@ -313,11 +324,23 @@ class TestMedianHeuristic:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 50, 2000])
     @pytest.mark.parametrize("kind", [
         "normal", "ties", "rounded", "offset", "half-constant",
-        "constant-0", "constant-1", "constant-2", "constant-3"])
+        "constant-0", "constant-1", "constant-2", "constant-3",
+        "wide", "powers", "tied-median"])
     def test_matches_pdist_median_exactly(self, kind, n):
         pts = median_case(kind, n, np.random.default_rng(n))
         np.testing.assert_array_equal(median_heuristic(pts).bandwidths,
                                       pdist_median_heuristic(pts))
+
+    def test_selection_draws_no_random_numbers(self, monkeypatch):
+        pts = np.random.default_rng(14).normal(size=(50, 3))
+        expected = pdist_median_heuristic(pts)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the median heuristic drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        np.testing.assert_array_equal(median_heuristic(pts).bandwidths,
+                                      expected)
 
     def test_memory_is_linear_in_n(self):
         # pdist would need 1.6 GB for one column at n = 20000.

@@ -457,6 +457,15 @@ class TestSelection:
         assert model.search.lam == model.lam == 0.2
         assert model.search.edge
 
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_nystrom_landmarks_use_the_split_seed(self, seed):
+        data = rng_dataset(22, 40)
+        specs = KernelSpecs.from_data(data)
+        model = fit_pmmr(data, lam=0.1, rank=20, split_seed=seed)
+        np.testing.assert_array_equal(
+            model.alpha,
+            pmmr_fit_nystrom(data, specs, 0.1, 20, seed).alpha)
+
     @pytest.mark.parametrize("rank", [None, 10])
     def test_given_ridge_has_no_search(self, rank):
         assert fit_pmmr(rng_dataset(21, 12), lam=0.1,
