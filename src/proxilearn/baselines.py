@@ -1,11 +1,11 @@
 """Comparison estimators: kernel ridge regressions with and without proxy
 adjustment, and a linear two-stage method.
 
-A ridge baseline regresses Y on the groups ("a", *adjust) of its training
-``Dataset`` with the product kernel of one ``KernelSpecs``, as PMMR's
-bridge does. Averaged over an adjustment sample of the groups V =
-``adjust``, it has the effect curve k_A(a, A)' w with the n curve weights
-w = beta * (mean over adjustment rows of k_V) of
+A ridge baseline regresses Y on the groups ("a", "x", *adjust) of its
+training ``Dataset`` with the product kernel of one ``KernelSpecs``, as
+PMMR's bridge does. Averaged over an adjustment sample of the groups V =
+("x", *adjust), it has the effect curve k_A(a, A)' w with the n curve
+weights w = beta * (mean over adjustment rows of k_V) of
 ``adjusted_curve_weights``. A searched ridge is the leave-one-out pick
 over a grid, scored from the Gram's eigenpairs or, when the Gram's
 numerical rank is low, from those of a pivoted-Cholesky factor of it
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import Dataset, DoCurve, query_block
-from .kernels import KernelSpecs, effect_curve, product_gram
+from .data import GROUPS, Dataset, DoCurve, query_block
+from .kernels import KernelSpecs, effect_curve, group_gram
 from .numerics import (
     SearchRecord,
     loo_path,
@@ -37,8 +37,9 @@ DEFAULT_RIDGE_GRID = np.logspace(-7, 1, 25)
 
 @dataclass(frozen=True)
 class RidgeModel:
-    """Kernel ridge regression of ``sample.y`` on the groups ("a", *adjust)
-    of ``sample``, with coefficients beta = (K + n lam I)^{-1} y."""
+    """Kernel ridge regression of ``sample.y`` on the groups
+    ("a", "x", *adjust) of ``sample``, with coefficients
+    beta = (K + n lam I)^{-1} y."""
 
     sample: Dataset
     adjust: str
@@ -48,23 +49,17 @@ class RidgeModel:
     search: SearchRecord | None = None
 
 
-def _group_gram(groups, left: Dataset, right: Dataset, specs) -> np.ndarray:
-    """Product-kernel Gram matrix on ``groups`` between two samples."""
-    return product_gram([getattr(left, g) for g in groups],
-                        [getattr(right, g) for g in groups],
-                        [getattr(specs, g) for g in groups])
-
-
 def adjusted_curve_weights(model: RidgeModel, adjust: Dataset) -> np.ndarray:
     """Curve weights beta * (mean over the rows of ``adjust`` of k_V), V
-    the model's adjustment groups: the n values w with effect curve
-    k_A(a, A)' w. A model of the treatment alone has w = beta, plain
-    pointwise prediction."""
+    the groups ("x", *model.adjust): the n values w with effect curve
+    k_A(a, A)' w. A model of the treatment alone (no proxy, no X column)
+    has w = beta, plain pointwise prediction."""
     if adjust.n == 0:
         raise ValueError("adjustment sample is empty")
-    if not model.adjust:
+    groups = "x" + model.adjust
+    if not any(getattr(model.specs, g).dim for g in groups):
         return model.beta.copy()
-    kv = _group_gram(model.adjust, adjust, model.sample, model.specs)
+    kv = group_gram(groups, adjust, model.sample, model.specs)
     return kv.mean(axis=0) * model.beta
 
 
@@ -85,9 +80,9 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
                        lam_grid=DEFAULT_RIDGE_GRID,
                        specs: KernelSpecs | None = None,
                        ) -> RidgeModel:
-    """Fit Y ~ (A[, W][, Z]) kernel ridge.
+    """Fit Y ~ (A, X[, W][, Z]) kernel ridge, on ("a", "x", *adjust).
 
-    ``adjust`` is "" (treatment only), "w", or "wz"; ``specs`` None means
+    ``adjust`` is "" (no proxy), "w", or "wz"; ``specs`` None means
     ``KernelSpecs.from_data(data)``, the default of every kernel fit. A
     given ``lam`` is fit by one Cholesky solve. Otherwise the leave-one-out
     search scores the grid from the eigenpairs of ``numerics.low_rank_eigh``
@@ -105,7 +100,7 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
         specs = KernelSpecs.from_data(data)
 
     def gram():
-        return _group_gram(("a", *adjust), data, data, specs)
+        return group_gram("ax" + adjust, data, data, specs)
 
     search = beta = None
     if lam is None:
@@ -137,24 +132,28 @@ def linear_two_stage(data: Dataset, a_grid,
     """Two-stage least squares with intercepts and observed covariates.
 
     Stage 1 regresses W on (A, Z, X); stage 2 regresses Y on (A, W-hat,
-    X). The curve is intercept + coef_a * a + coef_w . mean(W) +
-    coef_x . mean(X), the means taken over the adjustment sample
-    ``adjust`` (default: ``data``). Each regression is LAPACK's ``gelsd``,
-    with singular values below eps * max(design shape) times the largest
-    counted as zero.
+    X), every variable but Y centred on its training mean so that no
+    offset shared by the rows cancels inside the fits. The curve is
+    intercept + coef_a (a - mean(A)) + coef_w . (mean(W) - mean(W_train))
+    + coef_x . (mean(X) - mean(X_train)), the means of W and X taken over
+    the adjustment sample ``adjust`` (default: ``data``). Each regression
+    is LAPACK's ``gelsd``, with singular values below eps * max(design
+    shape) times the largest counted as zero.
     """
     if data.a.shape[1] != 1:
         raise ValueError("linear two-stage supports scalar treatment only")
     a_grid = np.asarray(a_grid, dtype=float).ravel()
     n = data.n
-    stage1_design = np.column_stack([np.ones(n), data.a, data.z, data.x])
-    if n <= stage1_design.shape[1]:
+    if n <= 2 + data.z.shape[1] + data.x.shape[1]:
         raise ValueError("need more rows than stage-1 regressors")
-    coef1, _, rank1, _ = _lstsq(stage1_design, data.w)
+    mean = {g: getattr(data, g).mean(axis=0) for g in GROUPS}
+    c = {g: getattr(data, g) - mean[g] for g in GROUPS}
+    stage1_design = np.column_stack([np.ones(n), c["a"], c["z"], c["x"]])
+    coef1, _, rank1, _ = _lstsq(stage1_design, c["w"])
     if rank1 < stage1_design.shape[1]:
         raise np.linalg.LinAlgError("stage-1 design is rank deficient")
-    w_hat = matmul(stage1_design, coef1)
-    stage2_design = np.column_stack([np.ones(n), data.a, w_hat, data.x])
+    w_hat = matmul(stage1_design, coef1)        # less W's training mean
+    stage2_design = np.column_stack([np.ones(n), c["a"], w_hat, c["x"]])
     if n <= stage2_design.shape[1]:
         raise ValueError("need more rows than stage-2 regressors")
     coef2, _, rank2, _ = _lstsq(stage2_design, data.y)
@@ -167,5 +166,7 @@ def linear_two_stage(data: Dataset, a_grid,
         query_block(adjust.x, data.x.shape[1], "x", adjust.n)])
     if adjust_cols.shape[0] == 0:
         raise ValueError("adjustment sample is empty")
-    level = coef2[0] + float(matmul(coef2[2:], adjust_cols.mean(axis=0)))
-    return DoCurve(grid=a_grid, estimate=level + float(coef2[1]) * a_grid)
+    shift = adjust_cols - np.concatenate([mean["w"], mean["x"]])
+    level = coef2[0] + float(matmul(coef2[2:], shift.mean(axis=0)))
+    return DoCurve(grid=a_grid, estimate=level
+                   + float(coef2[1]) * (a_grid - mean["a"][0]))

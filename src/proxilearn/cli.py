@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from . import __version__, evaluation, synthdata
-from .data import Dataset, DoCurve
+from .data import GROUPS, Dataset, DoCurve
 from .kernels import KernelSpec, KernelSpecs, effect_curve
 from .numerics import ridge_grid
 
@@ -76,20 +76,13 @@ def _parse_bandwidth(text: str, data: Dataset) -> KernelSpecs:
     if text == "median":
         return KernelSpecs.from_data(data)
     values = [float(v) for v in text.split(",") if v.strip()]
-    dims = [data.a.shape[1], data.x.shape[1], data.z.shape[1],
-            data.w.shape[1]]
+    dims = [getattr(data, g).shape[1] for g in GROUPS]
     if len(values) != sum(dims):
-        raise ValueError(
-            f"--bandwidth needs {sum(dims)} values "
-            f"(A:{dims[0]} X:{dims[1]} Z:{dims[2]} W:{dims[3]}), "
-            f"got {len(values)}"
-        )
-    out = []
-    offset = 0
-    for d in dims:
-        out.append(KernelSpec(np.array(values[offset:offset + d])))
-        offset += d
-    return KernelSpecs(a=out[0], x=out[1], z=out[2], w=out[3])
+        widths = " ".join(f"{g.upper()}:{d}" for g, d in zip(GROUPS, dims))
+        raise ValueError(f"--bandwidth needs {sum(dims)} values ({widths}), "
+                         f"got {len(values)}")
+    parts = np.split(np.array(values), np.cumsum(dims)[:-1])
+    return KernelSpecs(**{g: KernelSpec(p) for g, p in zip(GROUPS, parts)})
 
 
 def _write_curve(path, curve: DoCurve) -> None:
@@ -196,12 +189,8 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
         "method": method,
         "training_data": {"path": str(data_path),
                           "sha256": _sha256(data_path)},
-        "bandwidths": {
-            "a": specs.a.bandwidths.tolist(),
-            "x": specs.x.bandwidths.tolist(),
-            "z": specs.z.bandwidths.tolist(),
-            "w": specs.w.bandwidths.tolist(),
-        },
+        "bandwidths": {g: getattr(specs, g).bandwidths.tolist()
+                       for g in GROUPS},
         **payload,
     }
     Path(out).write_text(json.dumps(artifact, indent=2, allow_nan=False))
@@ -241,7 +230,7 @@ def _vector(artifact, path: str, size: int) -> np.ndarray:
 def _specs_from_artifact(artifact) -> KernelSpecs:
     return KernelSpecs(**{
         g: KernelSpec(np.array(_field(artifact, f"bandwidths.{g}")))
-        for g in ("a", "x", "z", "w")})
+        for g in GROUPS})
 
 
 def _curve_from_artifact(artifact, data: Dataset, adjust: Dataset | None,

@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+# The variable groups of a sample, in the order of its fields, its CSV
+# columns, ``--bandwidth`` lists and artifacts.
+GROUPS = ("a", "x", "z", "w")
+
+
 class SchemaError(ValueError):
     """Raised when a CSV file does not match the dataset schema."""
 
@@ -117,10 +122,8 @@ class Dataset:
     def __post_init__(self):
         y = np.asarray(self.y, dtype=float).ravel()
         n = y.shape[0]
-        object.__setattr__(self, "a", _as_block(self.a, "a", n))
-        object.__setattr__(self, "x", _as_block(self.x, "x", n))
-        object.__setattr__(self, "z", _as_block(self.z, "z", n))
-        object.__setattr__(self, "w", _as_block(self.w, "w", n))
+        for g in GROUPS:
+            object.__setattr__(self, g, _as_block(getattr(self, g), g, n))
         if n and not np.isfinite(y).all():
             raise ValueError("y contains non-finite values")
         object.__setattr__(self, "y", y)
@@ -131,8 +134,8 @@ class Dataset:
 
     def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx)
-        return Dataset(self.a[idx], self.x[idx], self.z[idx],
-                       self.w[idx], self.y[idx])
+        return Dataset(*(getattr(self, g)[idx] for g in GROUPS),
+                       y=self.y[idx])
 
     def split_half(self, seed: int = 0) -> tuple["Dataset", "Dataset"]:
         """Split into two halves by a seeded shuffle (first half smaller
@@ -143,16 +146,16 @@ class Dataset:
         return self.subset(perm[:m]), self.subset(perm[m:])
 
     def column_names(self) -> list[str]:
-        names = ["A"] if self.a.shape[1] == 1 else [
-            f"A{i + 1}" for i in range(self.a.shape[1])]
-        names += [f"X{i + 1}" for i in range(self.x.shape[1])]
-        names += [f"Z{i + 1}" for i in range(self.z.shape[1])]
-        names += [f"W{i + 1}" for i in range(self.w.shape[1])]
-        names.append("Y")
-        return names
+        names = []
+        for g in GROUPS:
+            width = getattr(self, g).shape[1]
+            names += [g.upper()] if g == "a" and width == 1 else [
+                f"{g.upper()}{i + 1}" for i in range(width)]
+        return names + ["Y"]
 
     def to_csv(self, path) -> None:
-        table = np.column_stack([self.a, self.x, self.z, self.w, self.y])
+        table = np.column_stack([*(getattr(self, g) for g in GROUPS),
+                                 self.y])
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.column_names())
@@ -172,7 +175,7 @@ class Dataset:
             rows = list(reader)
 
         # Column index within its group -> position in the header.
-        groups = {"A": {}, "X": {}, "Z": {}, "W": {}, "Y": {}}
+        groups = {g.upper(): {} for g in (*GROUPS, "y")}
         for col, name in enumerate(header):
             prefix = name[:1].upper()
             suffix = name[1:]
@@ -184,8 +187,8 @@ class Dataset:
                     f"{path}: repeated column {name!r} (same as "
                     f"{header[groups[prefix][index]]!r})")
             groups[prefix][index] = col
-        for key in ("A", "Z", "W", "Y"):
-            if not groups[key]:
+        for key in groups:
+            if key != "X" and not groups[key]:
                 raise SchemaError(f"{path}: missing column group {key!r}")
 
         data = _parse_rows(path, header, rows)
@@ -197,9 +200,7 @@ class Dataset:
         y = block("Y")
         if y.shape[1] != 1:
             raise SchemaError(f"{path}: expected a single Y column")
-        return cls(a=block("A"), x=block("X") if groups["X"] else
-                   np.empty((len(rows), 0)), z=block("Z"), w=block("W"),
-                   y=y[:, 0])
+        return cls(*(block(g.upper()) for g in GROUPS), y=y[:, 0])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,8 @@ verbatim.
 
 A Gram matrix is filled one block of rows at a time, each block small
 enough (about 1 MiB) to stay in cache through the whole distance-to-kernel
-sequence, so the n x m result passes through main memory once.
+sequence, so the n x m result passes through main memory once. Points are
+centred on the second set's mean, so no offset far from 0 cancels.
 
 Every kernel estimator's effect curve E[Y | do(A = a)] is
 k_A(a, A_s)' w for one weight vector w over a treatment sample A_s: the
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm
 
-from .data import Dataset, DoCurve
+from .data import GROUPS, Dataset, DoCurve
 from .numerics import matmul
 
 # Bytes of output filled per block of rows in ``gram``: about L2-sized.
@@ -90,18 +91,21 @@ def gram(points_a: np.ndarray, points_b: np.ndarray,
     _check_dim(pa, pb, spec)
     if spec.dim == 0:
         return np.ones((pa.shape[0], pb.shape[0]))
+    n, m = pa.shape[0], pb.shape[0]
+    if n == 0 or m == 0:
+        return np.empty((n, m))
     # Product of per-dimension Gaussians == Gaussian of the scaled squared
-    # Euclidean distance |sa|^2 - 2 sa.sb + |sb|^2. Each block of rows runs
+    # Euclidean distance |sa|^2 - 2 sa.sb + |sb|^2, of points centred on
+    # pb's mean so that no shared offset cancels. Each block of rows runs
     # the whole sequence while it is in cache. Blocks hold at least two
     # rows, so every block is a matrix product, as the whole Gram would be.
-    sa = pa / spec.bandwidths
-    sb = pb / spec.bandwidths
+    centre = pb.mean(axis=0)
+    sa, sb = pa - centre, pb - centre
+    sa /= spec.bandwidths
+    sb /= spec.bandwidths
     sq_a = np.sum(sa**2, axis=1)[:, None]
     sq_b = np.sum(sb**2, axis=1)
-    n, m = sa.shape[0], sb.shape[0]
     out = np.empty((n, m))
-    if n == 0 or m == 0:
-        return out
     rows = max(2, _BLOCK_BYTES // (8 * m))
     blocks = max(1, n // rows)     # each has >= rows rows, or all n
     edges = [n * i // blocks for i in range(blocks + 1)]
@@ -138,6 +142,16 @@ def product_gram(groups_a, groups_b, specs) -> np.ndarray:
         _check_dim(pa, pb, spec)
     joint = KernelSpec(np.concatenate([s.bandwidths for s in specs]))
     return gram(np.hstack(blocks_a), np.hstack(blocks_b), joint)
+
+
+def group_gram(groups, left: Dataset, right: Dataset,
+               specs: KernelSpecs) -> np.ndarray:
+    """Gram matrix of the product kernel over the named ``groups`` (such
+    as "awx", in that column order) between the samples ``left`` and
+    ``right``, with the bandwidths of ``specs``."""
+    return product_gram([getattr(left, g) for g in groups],
+                        [getattr(right, g) for g in groups],
+                        [getattr(specs, g) for g in groups])
 
 
 def effect_curve(a_sample: np.ndarray, spec_a: KernelSpec, weights,
@@ -239,8 +253,8 @@ class _PairGaps:
             lo, hi = (lo, cut) if k < self.count(cut) else (cut, hi)
 
     def median(self) -> float:
-        """``np.median`` over all gaps' distances |gap| as ``pdist`` reports
-        them, i.e. sqrt(gap**2)."""
+        """``np.median`` over all gaps' distances |gap| (``pdist``'s
+        sqrt(gap**2) where the square neither overflows nor underflows)."""
         d, n = self.cols.shape
         count = d * (n * (n - 1) // 2)
         k = (count - 1) // 2
@@ -252,7 +266,7 @@ class _PairGaps:
             else:
                 rows = np.flatnonzero(b < self.end)
                 middle.append((self.flat[b[rows]] - self.flat[rows]).min())
-        return float(np.mean(np.sqrt(np.square(middle))))
+        return float(np.mean(np.abs(middle)))
 
 
 def median_heuristic(points: np.ndarray) -> KernelSpec:
@@ -261,7 +275,8 @@ def median_heuristic(points: np.ndarray) -> KernelSpec:
     A dimension whose median distance is zero (constant column) falls back
     to the median pooled over all dimensions, and to 1.0 if that is also
     zero. The medians equal ``np.median`` over ``pdist`` of the column (or
-    of every column, pooled) to the last bit, but are selected from the
+    of every column, pooled) to the last bit where its squares stay
+    normal floats, but are selected from the
     sorted columns by bisection: exact pair counts below a cut come from
     ``searchsorted``, each cut halves the range of gaps (by value, or by
     bit pattern across many binades) around the middle rank, and only a
@@ -289,7 +304,8 @@ def median_heuristic(points: np.ndarray) -> KernelSpec:
 
 @dataclass(frozen=True)
 class KernelSpecs:
-    """Bandwidth specs for the four variable groups of a proxy dataset."""
+    """Bandwidth specs for the variable groups ``data.GROUPS`` of a proxy
+    dataset, one field per group."""
 
     a: KernelSpec
     x: KernelSpec
@@ -299,9 +315,4 @@ class KernelSpecs:
     @classmethod
     def from_data(cls, data: Dataset) -> "KernelSpecs":
         """Median-heuristic bandwidths for every group of ``data``."""
-        return cls(
-            a=median_heuristic(data.a),
-            x=median_heuristic(data.x),
-            z=median_heuristic(data.z),
-            w=median_heuristic(data.w),
-        )
+        return cls(**{g: median_heuristic(getattr(data, g)) for g in GROUPS})

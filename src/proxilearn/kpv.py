@@ -37,7 +37,7 @@ import numpy as np
 import scipy.linalg
 
 from .data import Dataset, DoCurve, query_block
-from .kernels import KernelSpecs, effect_curve, gram, product_gram
+from .kernels import KernelSpecs, effect_curve, gram, group_gram, product_gram
 from .numerics import matmul, psd_factor, ridge_grid, solve_psd
 
 # The fixed ridges of both stages; the module docstring gives the evidence.
@@ -121,8 +121,7 @@ def _stage2_sigma(fit: Stage1Fit, sample2: Dataset):
     gamma2 = stage1_embedding(fit, sample2.a, sample2.x, sample2.z)
     k_ww = gram(fit.sample.w, fit.sample.w, fit.specs.w)
     sigma = matmul(matmul(gamma2.T, k_ww), gamma2)
-    sigma *= product_gram((sample2.a, sample2.x), (sample2.a, sample2.x),
-                          (fit.specs.a, fit.specs.x))
+    sigma *= group_gram("ax", sample2, sample2, fit.specs)
     return gamma2, sigma
 
 

@@ -44,7 +44,7 @@ import scipy.linalg
 from scipy.linalg.blas import dtrmm
 
 from .data import Dataset, DoCurve, query_block
-from .kernels import KernelSpecs, effect_curve, product_gram
+from .kernels import KernelSpecs, effect_curve, group_gram, product_gram
 from .numerics import (
     SearchRecord,
     eigh_in_place,
@@ -81,15 +81,13 @@ class PmmrModel:
 
 def h_side_gram(left: Dataset, right: Dataset, specs: KernelSpecs) -> np.ndarray:
     """Gram matrix of the kernel on (A, W, X) between two samples."""
-    return product_gram((left.a, left.w, left.x), (right.a, right.w, right.x),
-                        (specs.a, specs.w, specs.x))
+    return group_gram("awx", left, right, specs)
 
 
 def instrument_gram(left: Dataset, right: Dataset,
                     specs: KernelSpecs) -> np.ndarray:
     """Gram matrix of the kernel on (A, Z, X) between two samples."""
-    return product_gram((left.a, left.z, left.x), (right.a, right.z, right.x),
-                        (specs.a, specs.z, specs.x))
+    return group_gram("azx", left, right, specs)
 
 
 def _add_jitter(l_gram: np.ndarray) -> float:

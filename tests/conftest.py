@@ -80,15 +80,15 @@ def nystrom(k, rank, landmark_seed=0):
 
 def kernel_ridge_predict(model, queries):
     """Predictions of a ``baselines.RidgeModel`` at ``queries``, whose
-    columns are the model's groups ("a", *adjust) stacked in order: one
-    Gaussian over the stacked training columns with the groups'
+    columns are the model's groups ("a", "x", *adjust) stacked in order:
+    one Gaussian over the stacked training columns with the groups'
     concatenated bandwidths."""
     from proxilearn.kernels import KernelSpec, gram
 
     queries = np.asarray(queries, dtype=float)
     if queries.ndim == 1:
         queries = queries[:, None]
-    groups = ("a", *model.adjust)
+    groups = ("a", "x", *model.adjust)
     inputs = np.column_stack([getattr(model.sample, g) for g in groups])
     spec = KernelSpec(np.concatenate(
         [getattr(model.specs, g).bandwidths for g in groups]))

@@ -8,7 +8,7 @@ from proxilearn.baselines import (
     fit_ridge_baseline,
     linear_two_stage,
 )
-from proxilearn import baselines, numerics, synthdata
+from proxilearn import baselines, evaluation, numerics, synthdata
 from proxilearn.data import Dataset
 from proxilearn.kernels import KernelSpec, KernelSpecs, gram
 from tests.conftest import (kernel_ridge_predict, ridge_loo_scores,
@@ -83,7 +83,7 @@ class TestKernelRidge:
 def exact_scores(data, adjust, grid):
     """The leave-one-out scores of a ridge model on ``data`` over ``grid``
     from its Gram's exact eigenpairs."""
-    groups = ("a", *adjust)
+    groups = ("a", "x", *adjust)
     specs = KernelSpecs.from_data(data)
     inputs = np.column_stack([getattr(data, g) for g in groups])
     spec = KernelSpec(np.concatenate(
@@ -406,3 +406,38 @@ class TestLinearTwoStage:
         data = rng_dataset(13, 3)
         with pytest.raises(ValueError, match="more rows"):
             linear_two_stage(data, [0.0])
+
+
+def covariate_design(n, seed):
+    """U, X ~ N(0, 1), A = U + X + e, Z = U + e, W = U + e and
+    Y = A + 2U + 3X + 0.1 e, with independent standard normal noises e."""
+    rng = np.random.default_rng(seed)
+    u, x = rng.normal(size=n), rng.normal(size=n)
+    e = rng.normal(size=(4, n))
+    a = u + x + e[0]
+    return Dataset(a=a, x=x, z=u + e[1], w=u + e[2],
+                   y=a + 2.0 * u + 3.0 * x + 0.1 * e[3])
+
+
+@pytest.mark.parametrize("method, slope", [
+    ("ridge", 2.0), ("ridge-w", 5.0 / 3.0), ("ridge-wz", 1.5)])
+def test_ridge_baselines_regress_on_x(method, slope):
+    # The design is jointly Gaussian. Regressing on (A, X) and averaging
+    # over X gives the slope 1 + 2 d E[U | A, X] / dA = 1 + 2/2; each of W
+    # and Z is one more noisy view of U: 1 + 2/3 and 1 + 2/4. A regression
+    # that leaves X out has slopes of about 2.6 on all three.
+    grid = np.linspace(-1.5, 1.5, 9)
+    curve = evaluation.fit_method(method, covariate_design(2000, 0), grid)
+    assert np.polyfit(grid, curve.estimate, 1)[0] == pytest.approx(
+        slope, abs=0.15)
+
+
+def test_plain_ridge_on_x_averages_over_x():
+    # With an X column, plain ridge's curve weights average k_X over the
+    # adjustment sample, so they are no longer beta.
+    data = covariate_design(40, 1)
+    model = fit_ridge_baseline(data, "", lam=1e-2)
+    weights = adjusted_curve_weights(model, data)
+    k_x = gram(data.x, data.x, model.specs.x)
+    np.testing.assert_allclose(weights, k_x.mean(axis=0) * model.beta,
+                               rtol=1e-13)

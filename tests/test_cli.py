@@ -10,7 +10,7 @@ from proxilearn import (__version__, baselines, evaluation, kpv, numerics,
                         pmmr, synthdata)
 from proxilearn.cli import main
 from proxilearn.data import Dataset
-from proxilearn.kernels import KernelSpecs
+from proxilearn.kernels import KernelSpec, KernelSpecs
 from proxilearn.synthdata import gen_main
 
 
@@ -209,6 +209,36 @@ class TestFitAndAte:
         assert result.exit_code == 1
         payload = json.loads(result.stderr or result.output)
         assert "--bandwidth needs 5 values" in payload["message"]
+
+    def test_bandwidth_list_splits_a_x_z_w(self, runner, tmp_path):
+        # With one X column the list covers A, X1, Z1, Z2, W1, W2.
+        draw = gen_main(40, seed=2).data
+        data = Dataset(a=draw.a, x=np.random.default_rng(3).normal(size=40),
+                       z=draw.z, w=draw.w, y=draw.y)
+        data_path = tmp_path / "train-x.csv"
+        data.to_csv(data_path)
+        model_path = tmp_path / "m.json"
+        run_ok(runner, ["fit", "--data", str(data_path), "--method", "pmmr",
+                        "--lambda1", "1e-3", "--bandwidth",
+                        "0.3,0.4,0.5,0.6,0.7,0.8", "--out", str(model_path)])
+        bw = json.loads(model_path.read_text())["bandwidths"]
+        assert bw == {"a": [0.3], "x": [0.4], "z": [0.5, 0.6],
+                      "w": [0.7, 0.8]}
+        assert list(bw) == ["a", "x", "z", "w"]
+        specs = KernelSpecs(**{g: KernelSpec(v) for g, v in bw.items()})
+        model = pmmr.fit_pmmr(data, specs=specs, lam=1e-3)
+        curve = read_curve(str(model_path) + ".curve.csv")[1]
+        np.testing.assert_allclose(
+            curve[:, 1], pmmr.pmmr_ate(model, curve[:, 0], data.x,
+                                       data.w).estimate, rtol=1e-12)
+        result = runner.invoke(main, ["fit", "--data", str(data_path),
+                                      "--method", "pmmr", "--bandwidth",
+                                      "1,2,3", "--out",
+                                      str(tmp_path / "bad.json")])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload["message"] == (
+            "--bandwidth needs 6 values (A:1 X:1 Z:2 W:2), got 3")
 
     def test_model_artifact_fields(self, runner, tmp_path):
         data_path, model_path = self.fit(runner, tmp_path, "pmmr")

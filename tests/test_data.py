@@ -1,10 +1,12 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 from proxilearn import kpv, pmmr
-from proxilearn.data import Dataset, DoCurve, SchemaError
+from proxilearn.data import GROUPS, Dataset, DoCurve, SchemaError
+from proxilearn.kernels import KernelSpecs
 from proxilearn.synthdata import gen_main
 
 
@@ -91,6 +93,28 @@ class TestDataset:
     def test_header_names(self):
         data = gen_main(3, seed=0).data
         assert data.column_names() == ["A", "Z1", "Z2", "W1", "W2", "Y"]
+
+    def test_groups_name_the_fields_in_order(self):
+        # Datasets, bandwidth specs and CSV columns share one group order.
+        assert tuple(f.name for f in dataclasses.fields(Dataset)) == (
+            *GROUPS, "y")
+        assert tuple(f.name for f in dataclasses.fields(KernelSpecs)) == (
+            GROUPS)
+
+    def test_csv_round_trip_with_every_group(self, tmp_path):
+        rng = np.random.default_rng(6)
+        data = Dataset(a=rng.normal(size=(5, 2)), x=rng.normal(size=(5, 2)),
+                       z=rng.normal(size=5), w=rng.normal(size=(5, 3)),
+                       y=rng.normal(size=5))
+        assert data.column_names() == ["A1", "A2", "X1", "X2", "Z1", "W1",
+                                       "W2", "W3", "Y"]
+        path = tmp_path / "d.csv"
+        data.to_csv(path)
+        loaded = Dataset.from_csv(path)
+        for g in (*GROUPS, "y"):
+            np.testing.assert_array_equal(getattr(loaded, g),
+                                          getattr(data, g))
+        np.testing.assert_array_equal(loaded.subset([4, 0]).x, data.x[[4, 0]])
 
     def test_missing_column_reported(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -206,3 +206,36 @@ class TestTwentySeedInvariants:
 
     def test_pmmr_sample_size_trend(self, table200, table1000):
         assert table1000.mean("pmmr") <= table200.mean("pmmr")
+
+
+@pytest.mark.parametrize("offset", [1e4, 1e6])
+@pytest.mark.parametrize("method", list(evaluation.ESTIMATORS))
+def test_curves_do_not_move_with_an_offset(method, offset):
+    # Adding one constant to A, Z, W and the grid changes no population
+    # quantity: only the rounding of the shifted inputs may move a curve.
+    data = synthdata.gen_main(300, seed=1).data
+    shifted = Dataset(a=data.a + offset, x=data.x, z=data.z + offset,
+                      w=data.w + offset, y=data.y)
+    grid = evaluation.treatment_grid(data.a)
+    curve = evaluation.fit_method(method, data, grid, seed=1).estimate
+    moved = evaluation.fit_method(method, shifted, grid + offset,
+                                  seed=1).estimate
+    assert np.abs(moved - curve).max() <= 1e-9 * np.abs(curve).max()
+
+
+@pytest.mark.parametrize("exponents", [(10, -7, 5), (530, -530, 530)])
+@pytest.mark.parametrize("method", [m for m in evaluation.ESTIMATORS
+                                    if m != "linear2s"])
+def test_power_of_two_scales_change_no_kernel_curve(method, exponents):
+    # Bandwidths scale exactly with their groups, so no Gram changes at
+    # all, even where squared gaps would overflow or underflow.
+    ea, ez, ew = exponents
+    data = synthdata.gen_main(300, seed=1).data
+    scaled = Dataset(a=np.ldexp(data.a, ea), x=data.x,
+                     z=np.ldexp(data.z, ez), w=np.ldexp(data.w, ew),
+                     y=data.y)
+    grid = evaluation.treatment_grid(data.a)
+    curve = evaluation.fit_method(method, data, grid, seed=1).estimate
+    np.testing.assert_array_equal(
+        evaluation.fit_method(method, scaled, np.ldexp(grid, ea),
+                              seed=1).estimate, curve)

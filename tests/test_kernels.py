@@ -11,6 +11,7 @@ from proxilearn.kernels import (
     KernelSpecs,
     effect_curve,
     gram,
+    group_gram,
     median_heuristic,
     product_gram,
 )
@@ -56,6 +57,12 @@ def median_case(kind, n, rng):
     pts = rng.normal(size=(n, 3))
     pts[:, :constant] = [1.5, -2.0, 0.25][:constant]
     return pts
+
+
+def centred_scaled(pa, pb, spec):
+    """Both point sets less pb's column mean, over the bandwidths."""
+    centre = pb.mean(axis=0) if pb.shape[0] else 0.0
+    return (pa - centre) / spec.bandwidths, (pb - centre) / spec.bandwidths
 
 
 class TestGram:
@@ -118,6 +125,18 @@ class TestGram:
             gram(pa, pb, spec), gram(pa + shift, pb + shift, spec),
             atol=1e-12)
 
+    @pytest.mark.parametrize("offset", [1e4, 1e6, -1e8])
+    def test_translation_far_from_origin(self, offset):
+        # The expansion |a|^2 - 2 a.b + |b|^2 of uncentred points would
+        # cancel about offset^2 eps (2e-4 at 1e6); the only error left is
+        # the rounding of the shifted inputs.
+        rng = np.random.default_rng(4)
+        pa, pb = rng.normal(size=(30, 2)), rng.normal(size=(20, 2))
+        spec = KernelSpec([0.8, 1.3])
+        np.testing.assert_allclose(
+            gram(pa + offset, pb + offset, spec), gram(pa, pb, spec),
+            rtol=0, atol=10 * abs(offset) * np.finfo(float).eps)
+
     def test_joint_scale_invariance(self):
         rng = np.random.default_rng(5)
         pa, pb = rng.normal(size=(5, 2)), rng.normal(size=(4, 2))
@@ -131,12 +150,13 @@ class TestGram:
     @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 5, 1), (40, 30, 3)])
     def test_in_place_matches_expression(self, shape):
         # Reference: the temporaries-allocating expression the in-place
-        # arithmetic replaced; the operations are the same, so the bits are.
+        # arithmetic replaced, on points centred on pb's mean as ``gram``
+        # centres them; the operations are the same, so the bits are.
         n, m, d = shape
         rng = np.random.default_rng(11)
         pa, pb = rng.normal(size=(n, d)), rng.normal(size=(m, d))
         spec = KernelSpec(rng.uniform(0.5, 2.0, size=d))
-        sa, sb = pa / spec.bandwidths, pb / spec.bandwidths
+        sa, sb = centred_scaled(pa, pb, spec)
         sq = (np.sum(sa**2, axis=1)[:, None] - 2.0 * sa @ sb.T
               + np.sum(sb**2, axis=1)[None, :])
         np.maximum(sq, 0.0, out=sq)
@@ -146,7 +166,8 @@ class TestGram:
     @pytest.mark.parametrize("rows", ["empty-a", "empty-b", "one", "ragged",
                                       "wide", "wide-odd"])
     def test_blocked_matches_one_buffer_expression(self, rows, d):
-        # Reference: the whole Gram as one buffer, as before row blocks.
+        # Reference: the whole Gram as one buffer, as before row blocks,
+        # on points centred on pb's mean as ``gram`` centres them.
         # Every entry runs the same operations on the same inputs, but the
         # cross term sa.sb is a length-d BLAS dot product whose rounding
         # (order and fusion of the d multiply-adds) can depend on where the
@@ -162,7 +183,7 @@ class TestGram:
         rng = np.random.default_rng(21)
         pa, pb = rng.normal(size=(n, d)), rng.normal(size=(m, d))
         spec = KernelSpec(rng.uniform(0.5, 2.0, size=d))
-        sa, sb = pa / spec.bandwidths, pb / spec.bandwidths
+        sa, sb = centred_scaled(pa, pb, spec)
         expected = sa @ sb.T
         expected *= -2.0
         expected += np.sum(sa**2, axis=1)[:, None]
@@ -275,6 +296,38 @@ class TestProductGram:
             product_gram(pts, pts, specs)
 
 
+# Each group list with its blocks named by hand, in the same order.
+GROUP_BLOCKS = {
+    "awx": lambda d: (d.a, d.w, d.x),
+    "azx": lambda d: (d.a, d.z, d.x),
+    "ax": lambda d: (d.a, d.x),
+    "axwz": lambda d: (d.a, d.x, d.w, d.z),
+    "xw": lambda d: (d.x, d.w),
+    "x": lambda d: (d.x,),
+}
+
+
+class TestGroupGram:
+    @pytest.mark.parametrize("dx", [0, 2])
+    @pytest.mark.parametrize("groups", sorted(GROUP_BLOCKS))
+    def test_matches_product_gram_of_listed_blocks(self, groups, dx):
+        left, right = rng_dataset(1, 9, dx=dx), rng_dataset(2, 6, dx=dx)
+        specs = KernelSpecs.from_data(left)
+        blocks = GROUP_BLOCKS[groups]
+        expected = product_gram(blocks(left), blocks(right),
+                                blocks(specs))
+        got = group_gram(groups, left, right, specs)
+        assert got.shape == (9, 6)
+        np.testing.assert_array_equal(got, expected)
+        if groups == "x" and dx == 0:
+            np.testing.assert_array_equal(got, np.ones((9, 6)))
+
+    def test_group_width_checked(self):
+        left, right = rng_dataset(1, 5, dx=1), rng_dataset(2, 4, dx=0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            group_gram("ax", left, right, KernelSpecs.from_data(left))
+
+
 class TestMedianHeuristic:
     def test_three_point_line(self):
         # pairwise distances {1, 1, 2}, median 1
@@ -330,6 +383,22 @@ class TestMedianHeuristic:
         pts = median_case(kind, n, np.random.default_rng(n))
         np.testing.assert_array_equal(median_heuristic(pts).bandwidths,
                                       pdist_median_heuristic(pts))
+
+    @pytest.mark.parametrize("exponent", [530, -530])
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        # Squared gaps would overflow (2^1060) or go subnormal (2^-1060);
+        # the gaps themselves scale exactly, and so must the medians.
+        pts = np.random.default_rng(15).normal(size=(50, 2))
+        expected = np.ldexp(median_heuristic(pts).bandwidths, exponent)
+        np.testing.assert_array_equal(
+            median_heuristic(np.ldexp(pts, exponent)).bandwidths, expected)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+    def test_scales_with_data_far_from_unit_scale(self, scale):
+        pts = np.random.default_rng(15).normal(size=(50, 1))
+        got = median_heuristic(pts * scale).bandwidths
+        np.testing.assert_allclose(
+            got, median_heuristic(pts).bandwidths * scale, rtol=1e-15)
 
     def test_selection_draws_no_random_numbers(self, monkeypatch):
         pts = np.random.default_rng(14).normal(size=(50, 3))
