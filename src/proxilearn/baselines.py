@@ -9,8 +9,10 @@ weights w = beta * (mean over adjustment rows of k_V) of
 ``adjusted_curve_weights``. A searched ridge is the leave-one-out pick
 over a grid, scored from the Gram's eigenpairs or, when the Gram's
 numerical rank is low, from those of a pivoted-Cholesky factor of it
-(``numerics.low_rank_eigh``). The linear two-stage curve is affine in a
-and needs only the adjustment sample's W and X means.
+(``numerics.low_rank_eigh``). That factor keeps only the pivots the grid
+can resolve, those above ``numerics.PIVOT_FLOOR`` times n min(grid). The
+linear two-stage curve is affine in a and needs only the adjustment
+sample's W and X means.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     ``adjust`` is "" (no proxy), "w", or "wz"; ``specs`` None means
     ``KernelSpecs.from_data(data)``, the default of every kernel fit. A
     given ``lam`` is fit by one Cholesky solve. Otherwise the leave-one-out
-    search scores the grid from the eigenpairs of ``numerics.low_rank_eigh``
-    and picks the ridge with ``numerics.search_record``. If those are K's
+    search scores the grid from the eigenpairs of ``numerics.low_rank_eigh``,
+    its pivots floored at the grid's smallest shift n min(grid), and picks
+    the ridge with ``numerics.search_record``. If those are K's
     own, beta = U (U'y / (e + n lam)) comes from them. If they come from a
     low-rank factor of K, beta is the given-ridge solve at the picked ridge
     on a freshly built K, so the fit equals the fit at that ridge bit for
@@ -106,7 +109,7 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     if lam is None:
         lam_grid = ridge_grid(lam_grid)
         # Handed over unnamed, the Gram is freed once it is factored.
-        eigvals, eigvecs = low_rank_eigh(gram())
+        eigvals, eigvecs = low_rank_eigh(gram(), data.n * lam_grid.min())
         search = search_record(lam_grid,
                                loo_path(eigvals, eigvecs, data.y, lam_grid))
         lam = search.lam

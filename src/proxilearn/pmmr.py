@@ -23,10 +23,11 @@ candidate's validation predictions O(n^2). ``fit_pmmr`` picks from these
 scores with ``numerics.search_record`` and keeps the record as ``search``.
 
 Every n x n step works in the Grams' own memory. L is factored in place
-into U = R', which every solve uses as it stands, and R' W R is formed
-from W by two triangular multiplies (BLAS ``trmm``, n^3 flops each) that
-overwrite W. The fit factors R' W R + lam I in that buffer, and the
-search eigendecomposes R' W R there.
+into U = R', which every solve uses as it stands, and R' W R = U W U' is
+formed from W by LAPACK's congruence ``sygst`` (n^3 flops, half of two
+triangular multiplies), which overwrites W's upper triangle. The fit
+factors R' W R + lam I in that triangle, and the search eigendecomposes
+R' W R there.
 
 The effect curve is the mean of h over an adjustment sample. The kernel
 on (A, W, X) separates, so it is k_A(a, A)' w with the n curve weights
@@ -41,7 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import dtrmm
+from scipy.linalg.blas import dtrmv
+from scipy.linalg.lapack import dsygst
 
 from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, effect_curve, group_gram, product_gram
@@ -110,11 +112,14 @@ def _reduced_system(l_gram, w_gram, y):
     Takes over both Grams. L's transpose is the Fortran-ordered matrix
     whose upper triangle holds L's lower one, so LAPACK's in-place U'U
     factor of it is U = R'. U is returned as LAPACK leaves it, L below
-    the diagonal: ``trmm`` and ``solve_triangular(..., lower=False)`` read
-    only its upper triangle.
-    W is symmetric, so its Fortran-ordered transpose stands in for it:
-    W R and then R' W R overwrite that buffer, and the returned R' W R is
-    W's memory in Fortran order, where LAPACK factors it without a copy.
+    the diagonal: ``trmv``, ``sygst`` and ``solve_triangular(...,
+    lower=False)`` read only its upper triangle.
+    W is symmetric, so its Fortran-ordered transpose stands in for it.
+    R' W y = U (W y) is formed first; then ``sygst`` (itype 2) overwrites
+    that buffer's upper triangle with U W U' = R' W R. The returned R' W R
+    is W's memory in Fortran order, where LAPACK factors it without a
+    copy; only its upper triangle holds R' W R, the strict lower one
+    still holds W.
     """
     jitter = _add_jitter(l_gram)
     try:
@@ -124,9 +129,10 @@ def _reduced_system(l_gram, w_gram, y):
         raise np.linalg.LinAlgError(
             f"h-side Gram L is not positive definite even with diagonal "
             f"jitter {jitter:.3g}") from exc
-    wr = dtrmm(1.0, u, w_gram.T, side=1, trans_a=1, overwrite_b=1)  # W R
-    rwy = matmul(wr.T, y)
-    rwr = dtrmm(1.0, u, wr, overwrite_b=1)                          # R'W R
+    rwy = dtrmv(u, matmul(w_gram, y))
+    rwr, info = dsygst(w_gram.T, u, itype=2, overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK sygst failed with info {info}")
     return u, rwr, rwy
 
 
@@ -140,7 +146,7 @@ def pmmr_fit(data: Dataset, specs: KernelSpecs, lam: float) -> PmmrModel:
                                   instrument_gram(data, data, specs), data.y)
     rwr[np.diag_indices_from(rwr)] += lam
     beta = scipy.linalg.cho_solve(
-        scipy.linalg.cho_factor(rwr, lower=True, overwrite_a=True), rwy)
+        scipy.linalg.cho_factor(rwr, lower=False, overwrite_a=True), rwy)
     alpha = scipy.linalg.solve_triangular(u, beta, lower=False)
     return PmmrModel(sample=data, specs=specs, alpha=alpha, lam=lam)
 
@@ -230,7 +236,7 @@ def pmmr_validation_scores(train: Dataset, validate: Dataset,
     u, rwr, rwy = _reduced_system(h_side_gram(train, train, specs),
                                   instrument_gram(train, train, specs),
                                   train.y)
-    d, v = eigh_in_place(rwr)
+    d, v = eigh_in_place(rwr.T)      # whose lower triangle holds R' W R
     # d >= 0 up to round-off; clipping keeps d + lam > 0 for every lam > 0.
     coeffs = matmul(v.T, rwy) / (np.maximum(d, 0.0) + lam_grid[:, None])
     alphas = scipy.linalg.solve_triangular(u, matmul(v, coeffs.T),

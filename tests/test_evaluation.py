@@ -239,3 +239,27 @@ def test_power_of_two_scales_change_no_kernel_curve(method, exponents):
     np.testing.assert_array_equal(
         evaluation.fit_method(method, scaled, np.ldexp(grid, ea),
                               seed=1).estimate, curve)
+
+
+@pytest.mark.parametrize("exponent", [20, -20])
+@pytest.mark.parametrize("method", list(evaluation.ESTIMATORS))
+def test_power_of_two_scales_of_y_scale_every_curve(method, exponent):
+    # Every fit is linear in Y and every search score quadratic, so scaling
+    # Y by a power of two scales each curve and score exactly and moves no
+    # pick.
+    data = synthdata.gen_main(300, seed=1).data
+    scaled = dataclasses.replace(data, y=np.ldexp(data.y, exponent))
+    grid = evaluation.treatment_grid(data.a)
+    est = evaluation.estimator(method)
+    model = est.fit(data, None, 1, {})
+    model_scaled = est.fit(scaled, None, 1, {})
+    np.testing.assert_array_equal(
+        est.curve(model_scaled, scaled, grid).estimate,
+        np.ldexp(est.curve(model, data, grid).estimate, exponent))
+    search = getattr(model, "search", None)
+    search_scaled = getattr(model_scaled, "search", None)
+    assert (search is None) == (method in ("kpv", "linear2s"))
+    if search is not None:
+        assert search_scaled.lam == search.lam
+        np.testing.assert_array_equal(search_scaled.scores,
+                                      np.ldexp(search.scores, 2 * exponent))

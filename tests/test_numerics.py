@@ -246,8 +246,11 @@ class TestLowRankEigh:
 
     @staticmethod
     def scores(x, y, bandwidth):
+        # The factor keeps the pivots that the grid's smallest ridge can
+        # resolve, as a ridge search's does.
         spec = KernelSpec(np.full(x.shape[1], bandwidth))
-        eigvals, eigvecs = low_rank_eigh(gram(x, x, spec))
+        eigvals, eigvecs = low_rank_eigh(
+            gram(x, x, spec), x.shape[0] * TestLowRankEigh.GRID.min())
         return (eigvecs.shape[1],
                 loo_path(eigvals, eigvecs, y, TestLowRankEigh.GRID),
                 ridge_loo_scores(x, y, spec, TestLowRankEigh.GRID))
@@ -299,6 +302,45 @@ class TestLowRankEigh:
         # whole. The others take the factor path.
         assert (rank == x.shape[0]) == (case in ("n1", "n2"))
         np.testing.assert_allclose(got, exact, rtol=1e-8)
+
+    @staticmethod
+    def factor_sizes(monkeypatch):
+        """The sizes of the matrices ``low_rank_eigh`` eigendecomposes."""
+        sizes = []
+
+        def eigh(m):
+            sizes.append(m.shape[0])
+            return eigh_in_place(m)
+
+        monkeypatch.setattr(numerics, "eigh_in_place", eigh)
+        return sizes
+
+    @pytest.mark.parametrize("shift", [3e-2, 3e-3])
+    def test_shift_sets_the_pivot_floor(self, shift, monkeypatch):
+        # The rank is the number of pivots of LAPACK's default factor (its
+        # squared diagonal, non-increasing) above PIVOT_FLOOR * shift.
+        x = np.random.default_rng(65).normal(size=(300, 1))
+        k = gram(x, x, KernelSpec(np.array([1.0])))
+        factor, _, rank, _ = scipy.linalg.lapack.dpstrf(k, lower=True)
+        pivots = np.diag(factor)[:rank] ** 2
+        expected = int((pivots > numerics.PIVOT_FLOOR * shift).sum())
+        assert expected < rank
+        sizes = self.factor_sizes(monkeypatch)
+        low_rank_eigh(k, shift)
+        assert sizes == [expected]
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-300])
+    def test_floor_below_round_off_keeps_lapack_default(self, shift,
+                                                        monkeypatch):
+        x = np.random.default_rng(66).normal(size=(300, 1))
+        k = gram(x, x, KernelSpec(np.array([1.0])))
+        rank = scipy.linalg.lapack.dpstrf(k, lower=True)[2]
+        default = low_rank_eigh(k.copy())
+        sizes = self.factor_sizes(monkeypatch)
+        got = low_rank_eigh(k, shift)
+        assert sizes == [rank]
+        np.testing.assert_array_equal(got[0], default[0])
+        np.testing.assert_array_equal(got[1], default[1])
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="before 3.11 a caller keeps its call's "

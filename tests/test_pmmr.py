@@ -141,7 +141,9 @@ class TestPmmrFit:
         assert np.shares_memory(u, l_gram)
         r = np.triu(u).T      # U = R' is the upper triangle of u
         np.testing.assert_allclose(r @ r.T, l_jit, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(rwr, r.T @ w_gram @ r, atol=1e-12)
+        # Callers read R' W R from the upper triangle only.
+        np.testing.assert_allclose(np.triu(rwr), np.triu(r.T @ w_gram @ r),
+                                   atol=1e-12)
         np.testing.assert_allclose(rwy, r.T @ w_gram @ data.y, atol=1e-12)
 
     def test_reduced_system_forms_rwr_in_w(self):
@@ -153,8 +155,20 @@ class TestPmmrFit:
                                       w_gram, data.y)
         r = np.triu(u).T
         assert np.shares_memory(rwr, w_gram)
-        np.testing.assert_allclose(rwr, r.T @ w_ref @ r, atol=1e-12)
+        # The upper triangle holds R' W R; the strict lower one keeps the
+        # entries of W's Fortran-ordered transpose.
+        np.testing.assert_allclose(np.triu(rwr), np.triu(r.T @ w_ref @ r),
+                                   atol=1e-12)
+        np.testing.assert_array_equal(np.tril(rwr, -1), np.tril(w_ref.T, -1))
         np.testing.assert_allclose(rwy, r.T @ w_ref @ data.y, atol=1e-12)
+
+    def test_reduced_system_raises_on_sygst_failure(self, monkeypatch):
+        data = rng_dataset(4, 12)
+        specs = KernelSpecs.from_data(data)
+        monkeypatch.setattr(pmmr, "dsygst", lambda a, b, **kwargs: (a, -1))
+        with pytest.raises(np.linalg.LinAlgError, match="sygst"):
+            _reduced_system(h_side_gram(data, data, specs),
+                            instrument_gram(data, data, specs), data.y)
 
     def test_first_order_stationarity(self):
         data = rng_dataset(5, 9)
