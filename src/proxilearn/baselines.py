@@ -10,7 +10,9 @@ weights w = beta * (mean over adjustment rows of k_V) of
 over a grid, scored from the Gram's eigenpairs or, when the Gram's
 numerical rank is low, from those of a pivoted-Cholesky factor of it
 (``numerics.low_rank_eigh``). That factor keeps only the pivots the grid
-can resolve, those above ``numerics.PIVOT_FLOOR`` times n min(grid). The
+can resolve, those above ``numerics.PIVOT_FLOOR`` times n min(grid). Each
+Gram is built for the one factorization that takes it over and works in
+its memory, so a fit never holds two n x n matrices at once. The
 linear two-stage curve is affine in a and needs only the adjustment
 sample's W and X means.
 """
@@ -29,9 +31,9 @@ from .numerics import (
     loo_path,
     low_rank_eigh,
     matmul,
+    psd_factor,
     ridge_grid,
     search_record,
-    solve_psd,
 )
 
 DEFAULT_RIDGE_GRID = np.logspace(-7, 1, 25)
@@ -86,7 +88,8 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
 
     ``adjust`` is "" (no proxy), "w", or "wz"; ``specs`` None means
     ``KernelSpecs.from_data(data)``, the default of every kernel fit. A
-    given ``lam`` is fit by one Cholesky solve. Otherwise the leave-one-out
+    given ``lam`` is fit by one Cholesky solve of a Gram built for it, in
+    the Gram's own memory. Otherwise the leave-one-out
     search scores the grid from the eigenpairs of ``numerics.low_rank_eigh``,
     its pivots floored at the grid's smallest shift n min(grid), and picks
     the ridge with ``numerics.search_record``. If those are K's
@@ -97,6 +100,8 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     """
     if adjust not in ("", "w", "wz"):
         raise ValueError(f"adjust must be '', 'w' or 'wz', got {adjust!r}")
+    if data.n < 1:
+        raise ValueError("need at least 1 training point")
     if lam is not None:
         ridge_grid(lam, "lam")
     if specs is None:
@@ -108,19 +113,23 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     search = beta = None
     if lam is None:
         lam_grid = ridge_grid(lam_grid)
-        # Handed over unnamed, the Gram is freed once it is factored.
-        eigvals, eigvecs = low_rank_eigh(gram(), data.n * lam_grid.min())
-        search = search_record(lam_grid,
-                               loo_path(eigvals, eigvecs, data.y, lam_grid))
+        # Handed over unnamed, the Gram is factored in its own memory and
+        # freed on return. U's rows come in pivot order, and so does y.
+        eigvals, eigvecs, rows = low_rank_eigh(gram(),
+                                               data.n * lam_grid.min())
+        y = data.y[rows]
+        search = search_record(lam_grid, loo_path(eigvals, eigvecs, y,
+                                                  lam_grid))
         lam = search.lam
         if eigvecs.shape[1] == data.n:
-            # K's own eigenpairs: e >= 0 up to round-off; clipping keeps
-            # e + n lam > 0.
-            beta = matmul(eigvecs, matmul(eigvecs.T, data.y)
+            # K's own eigenpairs, rows in K's order: e >= 0 up to
+            # round-off; clipping keeps e + n lam > 0.
+            beta = matmul(eigvecs, matmul(eigvecs.T, y)
                           / (np.maximum(eigvals, 0.0) + data.n * lam))
         del eigvals, eigvecs    # before the Gram is built again
     if beta is None:
-        beta = solve_psd(gram(), data.n * lam, data.y)
+        beta = scipy.linalg.cho_solve(psd_factor(gram(), data.n * lam),
+                                      data.y)
     return RidgeModel(sample=data, adjust=adjust, specs=specs, lam=lam,
                       beta=beta, search=search)
 

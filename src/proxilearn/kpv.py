@@ -38,7 +38,7 @@ import scipy.linalg
 
 from .data import Dataset, DoCurve, query_block
 from .kernels import KernelSpecs, effect_curve, gram, group_gram, product_gram
-from .numerics import matmul, psd_factor, ridge_grid, solve_psd
+from .numerics import matmul, psd_factor, ridge_grid
 
 # The fixed ridges of both stages; the module docstring gives the evidence.
 DEFAULT_LAMBDA1 = 1e-3
@@ -154,7 +154,8 @@ def kpv_fit(fit: Stage1Fit, sample2: Dataset, lam2: float) -> KpvModel:
     if sample2.n < 1:
         raise ValueError("stage 2 needs at least 1 point")
     gamma2, sigma = _stage2_sigma(fit, sample2)
-    c = solve_psd(sigma, sample2.n * lam2, sample2.y)
+    c = scipy.linalg.cho_solve(psd_factor(sigma, sample2.n * lam2),
+                               sample2.y)
     return kpv_model(fit, sample2, c, lam2, gamma2=gamma2)
 
 

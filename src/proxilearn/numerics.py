@@ -13,6 +13,11 @@ while after each call. Alternating the two libraries therefore leaves one
 pool spinning on the cores the other needs: on a 2-vCPU VM, a scipy
 Cholesky at n = 2000 took 0.07 s cold or right after a scipy
 matrix-vector product, and 0.12 s right after a numpy one (medians of 7).
+
+``psd_factor`` and ``low_rank_eigh`` take over the matrix they are given
+and work in its memory, so a fit hands them a Gram built for the purpose
+and never holds a second n x n copy of it; the public ``solve_psd``
+factors a copy and leaves its argument as it was.
 """
 
 from __future__ import annotations
@@ -91,31 +96,35 @@ def matmul(a, b):
 
 
 def psd_factor(m: np.ndarray, ridge: float):
-    """Cholesky factor of (m + ridge*I) with one jitter retry.
+    """Cholesky factor of (m + ridge*I) with one jitter retry, formed in
+    the memory of ``m``, which the caller gives up.
 
-    Raises ``numpy.linalg.LinAlgError`` if the matrix is still not positive
-    definite after the retry, which signals an indefinite input.
+    The lower triangle of m's Fortran view (m's upper one when m is
+    C-ordered) is factored after a diagonal shift. If that fails, the
+    diagonal is restored and the other triangle, which the failed attempt
+    never touched, is factored at a slightly larger shift. Raises
+    ``numpy.linalg.LinAlgError`` if that fails too, which signals an
+    indefinite input.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     ridge_grid(ridge, "ridge")
-
-    def factor(diagonal):
-        # One Fortran-ordered copy, which LAPACK factors in place.
-        shifted = np.array(m, order="F")
-        shifted[np.diag_indices_from(shifted)] += diagonal
-        return scipy.linalg.cho_factor(shifted, lower=True, overwrite_a=True)
-
+    f, _ = _fortran(m)
+    diagonal = f.diagonal().copy()
+    np.fill_diagonal(f, diagonal + ridge)
     try:
-        return factor(ridge)
+        return scipy.linalg.cho_factor(f, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError:
-        return factor(ridge * (1.0 + 1e-8) + 1e-10)
+        np.fill_diagonal(f, diagonal + (ridge * (1.0 + 1e-8) + 1e-10))
+        return scipy.linalg.cho_factor(f, lower=False, overwrite_a=True)
 
 
 def solve_psd(m: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
-    """Solve (m + ridge*I) r = rhs for symmetric PSD ``m`` via Cholesky."""
-    return scipy.linalg.cho_solve(psd_factor(m, ridge), np.asarray(rhs, float))
+    """Solve (m + ridge*I) r = rhs for symmetric PSD ``m`` via Cholesky of
+    one copy of ``m`` (``psd_factor``), leaving ``m`` as it was."""
+    return scipy.linalg.cho_solve(psd_factor(np.array(m, dtype=float), ridge),
+                                  np.asarray(rhs, float))
 
 
 def eigh_in_place(m: np.ndarray):
@@ -143,43 +152,48 @@ def eigh_in_place(m: np.ndarray):
 
 
 def low_rank_eigh(k: np.ndarray, shift: float = 0.0):
-    """Eigenpairs (e, U) with k ~= U diag(e) U' of a symmetric PSD ``k``,
-    taken from a pivoted-Cholesky factor when k's numerical rank is low.
+    """Eigenpairs (e, U) of a symmetric PSD ``k`` and U's row order
+    ``rows``, with k[rows][:, rows] ~= U diag(e) U', taken from a
+    pivoted-Cholesky factor when k's numerical rank is low.
 
-    LAPACK's ``pstrf`` factors a copy of k as P'kP = LL' up to the rank r
-    at which every remaining pivot is at most ``PIVOT_FLOOR`` times
-    ``shift``, the smallest diagonal shift the caller will add to k. Where
-    that is at most the round-off level n eps max(diag k), as for shift 0,
-    pstrf keeps its own default tolerance, of that order. A rank-deficient
-    k is expected, not an error. If r <= ``LOW_RANK_SHARE`` n, k and the
-    copy are released, the r x r matrix G'G of the n x r factor G = PL is
+    Takes over ``k``: LAPACK's ``pstrf`` factors it in place, in the lower
+    triangle of its Fortran view, as P'kP = LL' up to the rank r at which
+    every remaining pivot is at most ``PIVOT_FLOOR`` times ``shift``, the
+    smallest diagonal shift the caller will add to k. Where that is at most
+    the round-off level n eps max(diag k), as for shift 0, pstrf keeps its
+    own default tolerance, of that order. A rank-deficient k is expected,
+    not an error. If r <= ``LOW_RANK_SHARE`` n, the factor G, the first r
+    columns of L, stays in k's memory in pivot order: G'G (r x r) is
     eigendecomposed as V diag(e) V', and U = G V diag(e)^{-1/2} is n x r
-    with orthonormal columns (pairs with e <= 0 are dropped). Otherwise k
-    itself is eigendecomposed in place (``eigh_in_place``), and U is n x n:
-    k's own eigenpairs. k is freed only if the caller holds no other
-    reference.
+    with orthonormal columns (pairs with e <= 0 are dropped), its rows the
+    pivots in order; besides k, only U, G'G and the eigensolver's
+    workspace are allocated. Otherwise k's
+    diagonal is restored and the triangle pstrf never touched is
+    eigendecomposed in place (``eigh_in_place``): U is n x n, k's own
+    eigenpairs, and ``rows`` is 0..n-1.
     """
     if k.ndim != 2 or k.shape[0] != k.shape[1] or k.dtype != np.float64:
         raise ValueError("need a square float64 matrix")
     n = k.shape[0]
+    f, _ = _fortran(k)
+    diagonal = f.diagonal().copy()
     tol = PIVOT_FLOOR * shift
-    if tol <= n * np.finfo(float).eps * k.diagonal().max(initial=0.0):
+    if tol <= n * np.finfo(float).eps * diagonal.max(initial=0.0):
         tol = -1.0                      # LAPACK's default
-    # Both triangles of k hold k, so its Fortran view serves either order.
-    factor, piv, rank, _ = dpstrf(k.T if k.flags.c_contiguous else k,
-                                  tol=tol, lower=True)
+    factor, piv, rank, _ = dpstrf(f, tol=tol, lower=True, overwrite_a=1)
     if rank > LOW_RANK_SHARE * n:
-        del factor
-        return eigh_in_place(k)
-    del k
-    # G = PL: the first r columns of the factor's lower triangle (its strict
-    # upper triangle still holds k), with the rows put back in k's order.
-    g = np.tril(factor[:, :rank])
-    del factor
-    g = g[np.argsort(piv)]
-    eigvals, eigvecs = eigh_in_place(dsyrk(1.0, g.T, lower=True))
-    keep = eigvals > 0
-    return eigvals[keep], matmul(g, eigvecs[:, keep] / np.sqrt(eigvals[keep]))
+        np.fill_diagonal(f, diagonal)
+        # pstrf left f's strict upper triangle, k's, as it was;
+        # eigh_in_place reads it as the lower triangle of f'.
+        return (*eigh_in_place(f.T), np.arange(n))
+    g = factor[:, :rank]
+    for j in range(1, rank):
+        g[:j, j] = 0.0      # the top block's strict upper triangle held k
+    eigvals, eigvecs = eigh_in_place(dsyrk(1.0, g, trans=1, lower=True))
+    start = np.searchsorted(eigvals, 0.0, side="right")    # e ascends
+    eigvals, eigvecs = eigvals[start:], eigvecs[:, start:]
+    eigvecs /= np.sqrt(eigvals)
+    return eigvals, matmul(g, eigvecs), piv - 1
 
 
 def loo_path(eigvals: np.ndarray, eigvecs: np.ndarray, y: np.ndarray,
@@ -311,9 +325,9 @@ def nystrom_solve(psi: np.ndarray, l: np.ndarray, lam: float,
 
     By the push-through identity this is psi (psi' l psi + lam I)^{-1}
     psi' rhs: one r x r system, positive definite for symmetric PSD ``l``
-    and lam > 0, solved by Cholesky (``solve_psd``).
+    and lam > 0, factored in its own memory (``psd_factor``).
     """
     ridge_grid(lam, "lam")
     psi = np.asarray(psi, dtype=float)
-    system = matmul(psi.T, matmul(l, psi))
-    return matmul(psi, solve_psd(system, lam, matmul(psi.T, rhs)))
+    factor = psd_factor(matmul(psi.T, matmul(l, psi)), lam)
+    return matmul(psi, scipy.linalg.cho_solve(factor, matmul(psi.T, rhs)))

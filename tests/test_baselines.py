@@ -185,6 +185,15 @@ class TestSearchedFit:
         with pytest.raises(ValueError, match="positive and finite"):
             fit_ridge_baseline(data, "w", lam_grid=[bad, 0.1])
 
+    @pytest.mark.parametrize("lam", [None, 0.1], ids=["searched", "given"])
+    def test_empty_sample_refused_before_lapack(self, lam, capfd):
+        # Refused with PMMR's message before any factorization, so LAPACK
+        # prints no argument error to stderr.
+        data = rng_dataset(15, 10).subset(np.arange(0))
+        with pytest.raises(ValueError, match="need at least 1 training point"):
+            fit_ridge_baseline(data, "w", lam=lam)
+        assert capfd.readouterr().err == ""
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("adjust,seed", [

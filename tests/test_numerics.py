@@ -1,7 +1,6 @@
 import ast
 import os
-import sys
-import weakref
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,16 +189,75 @@ class TestSolvePsd:
             solve_psd(m, 1e-3, np.ones(2))
 
     def test_factor_matches_identity_shift(self):
-        # Reference: the factor of m + ridge * I formed with an n x n
-        # identity; the diagonal shift of one copy factors the same matrix.
+        # Reference: the factor of the same triangle plus ridge * I formed
+        # with an n x n identity. psd_factor factors the lower triangle of
+        # m's Fortran view, m' for this C-ordered m, after shifting its
+        # diagonal in place.
         rng = np.random.default_rng(3)
         pts = rng.normal(size=(40, 2))
         m = gram(pts, pts, KernelSpec([0.7, 1.3]))
-        factor, lower = psd_factor(m, 1e-6)
-        expected, _ = scipy.linalg.cho_factor(m + 1e-6 * np.eye(40),
+        expected, _ = scipy.linalg.cho_factor(m.T + 1e-6 * np.eye(40),
                                               lower=True)
+        factor, lower = psd_factor(m, 1e-6)
         assert lower
         np.testing.assert_array_equal(np.tril(factor), np.tril(expected))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_factor_shares_memory_with_input(self, order):
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(30, 2))
+        m = np.array(gram(pts, pts, KernelSpec([0.7, 1.3])), order=order)
+        rhs = rng.normal(size=30)
+        expected = solve_psd(m, 1e-6, rhs)      # factors a copy of m
+        factor, lower = psd_factor(m, 1e-6)
+        assert np.shares_memory(factor, m)
+        np.testing.assert_array_equal(
+            scipy.linalg.cho_solve((factor, lower), rhs), expected)
+
+    @staticmethod
+    def just_indefinite(ridge):
+        """A symmetric matrix whose smallest eigenvalue lies 5e-9 below
+        -ridge: m + ridge I is indefinite, while the retry's diagonal
+        ridge (1 + 1e-8) + 1e-10 makes it positive definite."""
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        a = (q * [-ridge - 5e-9, 0.5, 1.0, 2.0, 3.0, 4.0]) @ q.T
+        return (a + a.T) / 2          # exactly symmetric
+
+    def test_jitter_retry_factors_the_other_triangle(self, monkeypatch):
+        ridge = 1.0
+        m = self.just_indefinite(ridge)
+        attempts = []
+
+        def cho_factor(a, lower, **kwargs):
+            try:
+                out = cholesky(a, lower=lower, **kwargs)
+            except np.linalg.LinAlgError:
+                attempts.append((lower, False))
+                raise
+            attempts.append((lower, True))
+            return out
+
+        cholesky = scipy.linalg.cho_factor
+        monkeypatch.setattr(scipy.linalg, "cho_factor", cho_factor)
+        rhs = np.random.default_rng(6).normal(size=6)
+        got = solve_psd(m, ridge, rhs)
+        assert attempts == [(True, False), (False, True)]
+        retry = ridge * (1.0 + 1e-8) + 1e-10
+        np.testing.assert_allclose(
+            got, np.linalg.solve(m + retry * np.eye(6), rhs), rtol=1e-6)
+
+    @pytest.mark.parametrize("case", ["C", "F", "retry"])
+    def test_solve_psd_leaves_its_argument(self, case):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(25, 2))
+        m = (self.just_indefinite(1.0) if case == "retry" else
+             np.array(gram(pts, pts, KernelSpec([0.7, 1.3])), order=case))
+        before = m.copy(order="K")
+        solve_psd(m, 1.0 if case == "retry" else 1e-6,
+                  np.ones(m.shape[0]))
+        assert m.flags.c_contiguous == before.flags.c_contiguous
+        np.testing.assert_array_equal(m, before)
 
 
 def dense_loo_scores(eigvals, eigvecs, y, lam_grid):
@@ -247,12 +305,13 @@ class TestLowRankEigh:
     @staticmethod
     def scores(x, y, bandwidth):
         # The factor keeps the pivots that the grid's smallest ridge can
-        # resolve, as a ridge search's does.
+        # resolve, as a ridge search's does. U's rows come in the order
+        # ``rows``, and y is put in that order.
         spec = KernelSpec(np.full(x.shape[1], bandwidth))
-        eigvals, eigvecs = low_rank_eigh(
+        eigvals, eigvecs, rows = low_rank_eigh(
             gram(x, x, spec), x.shape[0] * TestLowRankEigh.GRID.min())
         return (eigvecs.shape[1],
-                loo_path(eigvals, eigvecs, y, TestLowRankEigh.GRID),
+                loo_path(eigvals, eigvecs, y[rows], TestLowRankEigh.GRID),
                 ridge_loo_scores(x, y, spec, TestLowRankEigh.GRID))
 
     @pytest.mark.parametrize("n", [60, 400])
@@ -269,22 +328,37 @@ class TestLowRankEigh:
         rng = np.random.default_rng(61)
         x = rng.normal(size=(300, 1))
         k = gram(x, x, KernelSpec(np.array([1.0])))
-        eigvals, eigvecs = low_rank_eigh(k.copy())
+        eigvals, eigvecs, rows = low_rank_eigh(k.copy())
         assert eigvecs.shape[1] < 50 and (eigvals > 0).all()
+        assert sorted(rows) == list(range(300))
         np.testing.assert_allclose(eigvecs.T @ eigvecs,
                                    np.eye(eigvecs.shape[1]), atol=1e-6)
         # Only the pivots below n eps max(diag) were left out.
-        np.testing.assert_allclose((eigvecs * eigvals) @ eigvecs.T, k,
-                                   atol=1e-11)
+        np.testing.assert_allclose((eigvecs * eigvals) @ eigvecs.T,
+                                   k[rows][:, rows], atol=1e-11)
 
-    def test_full_rank_gram_gives_its_own_eigenpairs(self):
-        rng = np.random.default_rng(62)
-        x = rng.normal(size=(80, 3))
-        k = gram(x, x, KernelSpec(np.full(3, 0.5)))
-        eigvals, eigvecs = low_rank_eigh(k.copy())
-        expected_vals, expected_vecs = eigh_in_place(k)
+    @staticmethod
+    def assert_own_eigenpairs(order):
+        """A full-rank k's eigenpairs equal, bit for bit, those that
+        eigh_in_place reads from the triangle pstrf never touched. pstrf
+        factors the lower triangle of k's Fortran view, so that is k's
+        lower triangle for a C-ordered k and its upper one (the lower one
+        of the C-ordered k') for an F-ordered k. The Gram is not
+        bit-symmetric, so the triangle matters."""
+        x = np.random.default_rng(62).normal(size=(80, 3))
+        k = np.array(gram(x, x, KernelSpec(np.full(3, 0.5))), order=order)
+        eigvals, eigvecs, rows = low_rank_eigh(k.copy(order="K"))
+        expected_vals, expected_vecs = eigh_in_place(
+            k if order == "C" else k.T)
+        np.testing.assert_array_equal(rows, np.arange(80))
         np.testing.assert_array_equal(eigvals, expected_vals)
         np.testing.assert_array_equal(eigvecs, expected_vecs)
+
+    def test_full_rank_gram_gives_its_own_eigenpairs(self):
+        self.assert_own_eigenpairs("C")
+
+    def test_full_rank_fortran_gram_reads_its_upper_triangle(self):
+        self.assert_own_eigenpairs("F")
 
     @pytest.mark.parametrize("case", ["n1", "n2", "n2-identical",
                                       "identical", "duplicated"])
@@ -342,25 +416,22 @@ class TestLowRankEigh:
         np.testing.assert_array_equal(got[0], default[0])
         np.testing.assert_array_equal(got[1], default[1])
 
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="before 3.11 a caller keeps its call's "
-                               "arguments alive until the call returns")
-    def test_gram_released_before_small_eigensolve(self, monkeypatch):
-        x = np.random.default_rng(64).normal(size=(200, 1))
-        refs, alive = [], []
-
-        def unnamed_gram():
-            k = gram(x, x, KernelSpec(np.array([1.0])))
-            refs.append(weakref.ref(k))
-            return k
-
-        def eigh(m):
-            alive.append(refs[0]() is not None)
-            return eigh_in_place(m)
-
-        monkeypatch.setattr(numerics, "eigh_in_place", eigh)
-        low_rank_eigh(unnamed_gram())
-        assert alive == [False]
+    def test_factor_path_holds_no_second_gram(self):
+        # The factor path works in k's own memory: besides k it allocates
+        # U (n x r) and G'G (r x r), plus O(n) vectors, and no n x n copy
+        # (8 n^2 = 8 MB here).
+        n = 1000
+        x = np.random.default_rng(64).normal(size=(n, 1))
+        k = gram(x, x, KernelSpec(np.array([1.0])))
+        tracemalloc.start()
+        try:
+            eigvals, eigvecs, _ = low_rank_eigh(k, n * 1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        r = eigvecs.shape[1]
+        assert r < 50
+        assert peak < 8 * (n * r + r * r) + 64 * n
 
     def test_rejects_non_square_input(self):
         with pytest.raises(ValueError, match="square"):
