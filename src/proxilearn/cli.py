@@ -11,7 +11,6 @@ machine-readable JSON object on stderr and a nonzero exit code.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -22,7 +21,7 @@ import click
 import numpy as np
 
 from . import __version__, evaluation, synthdata
-from .data import GROUPS, Dataset, DoCurve
+from .data import GROUPS, Dataset, DoCurve, write_csv
 from .kernels import KernelSpec, KernelSpecs, effect_curve
 from .numerics import ridge_grid
 
@@ -51,10 +50,14 @@ def _sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _write_json(path, value) -> None:
+    """Write ``value`` as strict JSON: a NaN or infinity is an error."""
+    Path(path).write_text(json.dumps(value, indent=2, allow_nan=False))
+
+
 def _write_meta(out_path, config: dict, **fields) -> None:
-    meta = {"proxilearn_version": __version__, "config": config, **fields}
-    Path(str(out_path) + ".meta.json").write_text(
-        json.dumps(meta, indent=2, allow_nan=False))
+    _write_json(str(out_path) + ".meta.json", {
+        "proxilearn_version": __version__, "config": config, **fields})
 
 
 def _parse_a_grid(text: str) -> np.ndarray:
@@ -86,11 +89,8 @@ def _parse_bandwidth(text: str, data: Dataset) -> KernelSpecs:
 
 
 def _write_curve(path, curve: DoCurve) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["a", "estimate"])
-        for a, est in zip(curve.grid, curve.estimate):
-            writer.writerow([repr(float(a)), repr(float(est))])
+    write_csv(path, ["a", "estimate"],
+              zip(curve.grid.tolist(), curve.estimate.tolist()))
 
 
 @click.group()
@@ -126,7 +126,7 @@ def gen(n, seed, out):
 @click.option("--lambda-grid", "lambda_grid", type=str, default=None,
               help="Comma-separated ridge grid (pmmr/ridge selection).")
 @click.option("--bandwidth", type=str, default="median", show_default=True,
-              help="'median' or comma list over A,X,Z,W columns.")
+              help="'median' or a list over A,X,Z,W columns (kernel methods).")
 @click.option("--rank", type=int, default=None,
               help="Nystrom landmark count (pmmr-nystrom).")
 @click.option("--a-grid", "a_grid_text", type=str, default=None,
@@ -140,12 +140,15 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
     """Fit an estimator and write the model plus its effect curve.
 
     Kernel methods store their curve weights in the model, so ``ate``
-    evaluates the curve on any grid without refitting."""
+    evaluates the curve on any grid without refitting. The curve file is
+    read back from the model the way ``ate`` reads it."""
     est = evaluation.ESTIMATORS[method]
     flags = {"lambda1": lambda1, "lambda2": lambda2,
              "lambda_grid": lambda_grid, "rank": rank}
     unused = [f"--{name.replace('_', '-')}" for name, value in flags.items()
               if value is not None and name not in est.reads]
+    if bandwidth != "median" and est.weights is None:
+        unused.append("--bandwidth")
     if unused:
         raise ValueError(f"--method {method} does not use "
                          f"{', '.join(unused)}")
@@ -163,7 +166,7 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
     a_grid = _parse_a_grid(a_grid_text) if a_grid_text else None
     data = Dataset.from_csv(data_path)
     evaluation.check_treatment(data)
-    specs = _parse_bandwidth(bandwidth, data)
+    specs = None if est.weights is None else _parse_bandwidth(bandwidth, data)
     if a_grid is None:
         a_grid = evaluation.treatment_grid(data.a)
     config = {
@@ -175,27 +178,24 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
     }
     model = est.fit(data, specs, seed, options)
     payload = {**est.record(model, seed, options), "coefficients": {}}
-    if est.weights is None:
-        curve = est.curve(model, data, a_grid)
-    else:
-        *sample, weights = est.weights(model, data)
+    if est.weights is not None:
         payload["coefficients"] = {
             est.coefficients: getattr(model, est.coefficients).tolist()}
-        payload["curve_weights"] = weights.tolist()
-        curve = effect_curve(*sample, weights, a_grid)
+        payload["curve_weights"] = est.weights(model, data).tolist()
     artifact = {
         "proxilearn_version": __version__,
         "config": config,
         "method": method,
         "training_data": {"path": str(data_path),
                           "sha256": _sha256(data_path)},
-        "bandwidths": {g: getattr(specs, g).bandwidths.tolist()
-                       for g in GROUPS},
+        "bandwidths": None if specs is None else {
+            g: getattr(specs, g).bandwidths.tolist() for g in GROUPS},
         **payload,
     }
-    Path(out).write_text(json.dumps(artifact, indent=2, allow_nan=False))
+    _write_json(out, artifact)
     curve_path = str(out) + ".curve.csv"
-    _write_curve(curve_path, curve)
+    _write_curve(curve_path,
+                 _curve_from_artifact(artifact, data, None, a_grid))
     _write_meta(out, config, lambdas=payload["lambdas"],
                 search=payload["search"])
     click.echo(f"wrote model to {out} and curve to {curve_path}")
@@ -326,17 +326,12 @@ def experiment(n_values, seeds, methods, out):
         for m in method_list:
             rows.append((m, n, result.mean(m), result.std(m)))
     csv_path = str(out) + ".csv"
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "n", "cmae_mean", "cmae_std"])
-        for row in rows:
-            writer.writerow([row[0], row[1], repr(row[2]), repr(row[3])])
+    write_csv(csv_path, ["method", "n", "cmae_mean", "cmae_std"], rows)
     json_path = str(out) + ".json"
     config = {"command": "experiment", "n": list(n_values), "seeds": seeds,
               "methods": method_list, "out": str(out)}
-    Path(json_path).write_text(json.dumps(
-        {"proxilearn_version": __version__, "config": config,
-         "results": summaries}, indent=2, allow_nan=False))
+    _write_json(json_path, {"proxilearn_version": __version__,
+                            "config": config, "results": summaries})
     _write_meta(out, config)
     click.echo(f"wrote {csv_path} and {json_path}")
     for m, n, mean, std in rows:

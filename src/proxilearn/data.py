@@ -47,9 +47,8 @@ def query_block(values, dim: int, name: str, n_queries: int | None = None):
         raise ValueError(f"{name} queries are required (dim={dim})")
     arr = np.asarray(values, dtype=float)
     if dim == 0:
-        nq = 1 if arr.ndim == 0 else arr.shape[0]
-        return np.empty((nq, 0))
-    if arr.ndim == 0:
+        arr = np.empty((1 if arr.ndim == 0 else arr.shape[0], 0))
+    elif arr.ndim == 0:
         arr = arr.reshape(1, 1)
     elif arr.ndim == 1:
         arr = arr[None, :] if arr.shape[0] == dim and dim > 1 else arr[:, None]
@@ -63,6 +62,16 @@ def query_block(values, dim: int, name: str, n_queries: int | None = None):
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``header`` and ``rows`` as CSV, each cell as its ``str``. A
+    Python float's ``str`` is its ``repr``, the shortest string that
+    ``Dataset.from_csv`` parses back to the same float."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _parse_rows(path, header: list[str], rows: list[list[str]]):
@@ -156,11 +165,7 @@ class Dataset:
     def to_csv(self, path) -> None:
         table = np.column_stack([*(getattr(self, g) for g in GROUPS),
                                  self.y])
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.column_names())
-            for row in table.tolist():
-                writer.writerow([repr(v) for v in row])
+        write_csv(path, self.column_names(), table.tolist())
 
     @classmethod
     def from_csv(cls, path) -> "Dataset":

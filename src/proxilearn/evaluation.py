@@ -11,7 +11,7 @@ import numpy as np
 
 from . import baselines, kpv, pmmr, synthdata
 from .data import Dataset, DoCurve
-from .kernels import KernelSpecs, effect_curve
+from .kernels import KernelSpecs
 
 ORACLE_SEED = 20_210_601
 ORACLE_MC_SAMPLES = 1_000_000
@@ -59,8 +59,10 @@ class Estimator:
     - ``record(model, seed, options)``: the artifact's ``lambdas``,
       ``search`` and method fields. Its coefficients are the model
       attribute named ``coefficients``.
-    - ``weights(model, adjust)``: A_s, the A kernel and the weights w of
-      the effect curve k_A(a, A_s)' w over an adjustment sample.
+    - ``curve(model, adjust, a_grid)``: the model's effect curve over the
+      sample ``adjust``, by its module's public curve function.
+    - ``weights(model, adjust)``: the weights w of that curve
+      k_A(a, A_s)' w, which the artifact stores.
     - ``sample(data, read)``: the training rows whose treatments are A_s.
     - ``rebuild(read, data, specs, coefficients)``: the model again from
       an artifact, whose dotted paths ``read`` looks up.
@@ -72,17 +74,12 @@ class Estimator:
     fit: Callable
     reads: tuple[str, ...]
     record: Callable
+    curve: Callable
     coefficients: str = ""
     weights: Callable | None = None
     sample: Callable = lambda data, read: data
     rebuild: Callable | None = None
     compared: bool = True   # one of ``run_table``'s default methods
-
-    def curve(self, model, adjust: Dataset, a_grid) -> DoCurve:
-        """The fitted model's effect curve over the sample ``adjust``."""
-        if self.weights is None:
-            return baselines.linear_two_stage(model, a_grid, adjust)
-        return effect_curve(*self.weights(model, adjust), a_grid)
 
 
 def _kpv_rebuild(read, data, specs, c):
@@ -113,10 +110,11 @@ def _pmmr(nystrom: bool) -> Estimator:
             rank=rank(data.n, o), split_seed=seed),
         reads=("lambda1", "lambda_grid") + (("rank",) if nystrom else ()),
         record=lambda m, seed, o: {**_searched(m), "rank": rank(m.n, o)},
+        curve=lambda m, adjust, grid: pmmr.pmmr_ate(
+            m, grid, adjust.x, adjust.w),
         coefficients="alpha",
-        weights=lambda m, adjust: (
-            m.sample.a, m.specs.a,
-            pmmr.pmmr_curve_weights(m, adjust.x, adjust.w)),
+        weights=lambda m, adjust: pmmr.pmmr_curve_weights(
+            m, adjust.x, adjust.w),
         rebuild=lambda read, data, specs, alpha: pmmr.PmmrModel(
             sample=data, specs=specs, alpha=alpha,
             lam=read("lambdas.lambda")),
@@ -131,10 +129,9 @@ def _ridge(groups: str) -> Estimator:
             specs=specs),
         reads=("lambda1", "lambda_grid"),
         record=lambda m, seed, o: {**_searched(m), "adjust": groups},
+        curve=lambda m, adjust, grid: baselines.adjusted_ate(m, grid, adjust),
         coefficients="beta",
-        weights=lambda m, adjust: (
-            m.sample.a, m.specs.a,
-            baselines.adjusted_curve_weights(m, adjust)),
+        weights=lambda m, adjust: baselines.adjusted_curve_weights(m, adjust),
         rebuild=lambda read, data, specs, beta: baselines.RidgeModel(
             sample=data, adjust=groups, specs=specs,
             lam=read("lambdas.lambda"), beta=beta))
@@ -151,10 +148,9 @@ ESTIMATORS = {
         record=lambda m, seed, o: {
             "lambdas": {"lambda1": m.stage1.lam1, "lambda2": m.lam2},
             "search": None, "split_seed": seed},
+        curve=lambda m, adjust, grid: kpv.kpv_ate(m, grid, adjust.x, adjust.w),
         coefficients="c",
-        weights=lambda m, adjust: (
-            m.sample2.a, m.stage1.specs.a,
-            kpv.kpv_curve_weights(m, adjust.x, adjust.w)),
+        weights=lambda m, adjust: kpv.kpv_curve_weights(m, adjust.x, adjust.w),
         sample=lambda data, read: data.split_half(read("split_seed"))[1],
         rebuild=_kpv_rebuild),
     "pmmr": _pmmr(nystrom=False),
@@ -162,9 +158,11 @@ ESTIMATORS = {
     "ridge": _ridge(""),
     "ridge-w": _ridge("w"),
     "ridge-wz": _ridge("wz"),
-    "linear2s": Estimator(fit=lambda data, specs, seed, o: data, reads=(),
-                          record=lambda m, seed, o: {"lambdas": {},
-                                                     "search": None}),
+    "linear2s": Estimator(
+        fit=lambda data, specs, seed, o: data, reads=(),
+        record=lambda m, seed, o: {"lambdas": {}, "search": None},
+        curve=lambda m, adjust, grid: baselines.linear_two_stage(
+            m, grid, adjust)),
 }
 
 DEFAULT_METHODS = tuple(m for m, e in ESTIMATORS.items() if e.compared)

@@ -467,6 +467,7 @@ UNUSED_FLAGS = (
        ("kpv", "pmmr", "ridge", "ridge-w", "ridge-wz", "linear2s")]
     + [(m, ["--lambda-grid", "0.1,1"]) for m in ("kpv", "linear2s")]
     + [("linear2s", ["--lambda1", "0.1"])]
+    + [("linear2s", ["--bandwidth", "1,1,1,1,1"])]
 )
 
 
@@ -484,6 +485,52 @@ def test_fit_rejects_flags_the_method_ignores(runner, tmp_path, method,
     assert payload["error"] == "ValueError"
     assert f"--method {method} does not use {flag[0]}" in payload["message"]
     assert not model_path.exists()
+
+
+def test_linear2s_records_no_bandwidths(runner, tmp_path, monkeypatch):
+    # linear2s reads no kernel: fit runs no median heuristic and its
+    # artifact records no bandwidths.
+    def heuristic(*args):
+        raise AssertionError("median heuristic ran")
+
+    monkeypatch.setattr(KernelSpecs, "from_data", heuristic)
+    data_path = tmp_path / "train.csv"
+    gen_main(20, seed=1).data.to_csv(data_path)
+    model_path = tmp_path / "m.json"
+    run_ok(runner, ["fit", "--data", str(data_path), "--method", "linear2s",
+                    "--out", str(model_path)])
+    assert json.loads(model_path.read_text())["bandwidths"] is None
+
+
+@pytest.mark.parametrize("method", evaluation.ESTIMATORS)
+def test_round_trip_with_an_x_column(runner, tmp_path, method):
+    # Both samples get an observed covariate X1, so the X branches of
+    # every method run end to end: ate reproduces fit's curve byte for
+    # byte, and ate --adjust over the other sample keeps fit's grid and
+    # gives finite estimates.
+    paths = []
+    for name, n, seed in (("train", 120, 0), ("other", 60, 1)):
+        data = dataclasses.replace(gen_main(n, seed=seed).data,
+                                   x=np.sin(3.0 * np.arange(1, n + 1)))
+        paths.append(tmp_path / f"{name}-x.csv")
+        data.to_csv(paths[-1])
+    assert paths[0].read_text().startswith("A,X1,")
+    train, other = map(str, paths)
+    model_path = tmp_path / "m.json"
+    run_ok(runner, ["fit", "--data", train, "--method", method,
+                    "--out", str(model_path)])
+    fitted = read_curve(str(model_path) + ".curve.csv")[1]
+    out = tmp_path / "again.csv"
+    run_ok(runner, ["ate", "--model", str(model_path), "--data", train,
+                    "--out", str(out)])
+    assert out.read_bytes() == \
+        (tmp_path / "m.json.curve.csv").read_bytes()
+    out = tmp_path / "adjusted.csv"
+    run_ok(runner, ["ate", "--model", str(model_path), "--data", train,
+                    "--adjust", other, "--out", str(out)])
+    adjusted = read_curve(out)[1]
+    np.testing.assert_array_equal(adjusted[:, 0], fitted[:, 0])
+    assert np.isfinite(adjusted[:, 1]).all()
 
 
 @pytest.mark.parametrize("method", evaluation.ESTIMATORS)

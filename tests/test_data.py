@@ -72,6 +72,18 @@ class TestDataset:
             ",".join(repr(float(v)) for v in row) + "\r\n" for row in table)
         assert path.read_bytes() == expected.encode()
 
+    def test_empty_file_refused(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        with pytest.raises(SchemaError, match="empty file"):
+            Dataset.from_csv(path)
+
+    def test_two_outcome_columns_refused(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("A,Z1,W1,Y1,Y2\n1,2,3,4,5\n")
+        with pytest.raises(SchemaError, match="expected a single Y column"):
+            Dataset.from_csv(path)
+
     def test_header_only_csv_has_no_rows(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("A,Z1,W1,Y\n")
@@ -160,6 +172,11 @@ class TestDoCurve:
         with pytest.raises(ValueError, match="finite"):
             DoCurve(grid=[0.0], estimate=[np.inf])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_finite_truth_required(self, bad):
+        with pytest.raises(ValueError, match="truth must be finite"):
+            DoCurve(grid=[0.0, 1.0], estimate=[1.0, 2.0], truth=[0.0, bad])
+
 
 @pytest.fixture(scope="module")
 def fitted():
@@ -180,6 +197,19 @@ QUERY_CALLS = {
         p, None, np.vstack([d.w[:3], [0.0, bad]])),
 }
 
+# The same functions with three treatment (or W) queries and five X
+# queries: X has no columns, so only its row count is wrong.
+SHORT_X_CALLS = {
+    "kpv_h": lambda d, k, p, x: kpv.kpv_h(k, d.a[:3], x, d.w[:3]),
+    "pmmr_h": lambda d, k, p, x: pmmr.pmmr_h(p, d.a[:3], d.w[:3], x),
+    "stage1_embedding": lambda d, k, p, x: kpv.stage1_embedding(
+        k.stage1, d.a[:3], x, d.z[:3]),
+    "kpv_curve_weights": lambda d, k, p, x: kpv.kpv_curve_weights(
+        k, x, d.w[:3]),
+    "pmmr_curve_weights": lambda d, k, p, x: pmmr.pmmr_curve_weights(
+        p, x, d.w[:3]),
+}
+
 
 class TestQueryRule:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -187,3 +217,11 @@ class TestQueryRule:
     def test_nonfinite_query_rejected(self, fitted, call, bad):
         with pytest.raises(ValueError, match="non-finite"):
             QUERY_CALLS[call](*fitted, bad)
+
+    @pytest.mark.parametrize("call", SHORT_X_CALLS)
+    def test_zero_width_query_count_checked(self, fitted, call):
+        with pytest.raises(ValueError, match="x query count differs from "
+                                             "treatment count"):
+            SHORT_X_CALLS[call](*fitted, np.empty((5, 0)))
+        assert np.isfinite(SHORT_X_CALLS[call](*fitted,
+                                               np.empty((3, 0)))).all()

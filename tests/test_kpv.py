@@ -232,10 +232,20 @@ class TestKpvFit:
         with pytest.raises(ValueError, match="c has 4 values"):
             kpv_model(fit, s2, np.zeros(4), 1e-2)
 
+    def test_empty_stage2_refused_before_lapack(self, capfd):
+        # Refused before any factorization, so LAPACK prints no argument
+        # error to stderr.
+        s1, s2 = rng_dataset(21, 4), rng_dataset(22, 3)
+        fit = stage1_fit(s1, KernelSpecs.from_data(s1), 1e-3)
+        with pytest.raises(ValueError, match="stage 2 needs at least 1"):
+            kpv_fit(fit, s2.subset(np.arange(0)), 1e-2)
+        assert capfd.readouterr().err == ""
+
 
 class TestKpvEvaluation:
-    def make_model(self, seed=17, m1=5, m2=4):
-        s1, s2 = rng_dataset(seed, m1), rng_dataset(seed + 1, m2)
+    def make_model(self, seed=17, m1=5, m2=4, dx=0):
+        s1 = rng_dataset(seed, m1, dx=dx)
+        s2 = rng_dataset(seed + 1, m2, dx=dx)
         specs = KernelSpecs.from_data(s1)
         return kpv_fit(stage1_fit(s1, specs, 1e-2), s2, 1e-2)
 
@@ -302,6 +312,19 @@ class TestKpvEvaluation:
             mean_h = np.mean([kpv_h(model, float(g), None, w_adj[k])
                               for k in range(7)])
             assert est == pytest.approx(mean_h, abs=1e-9)
+
+    @pytest.mark.parametrize("dx", [1, 2])
+    def test_ate_with_x_equals_mean_of_h(self, dx):
+        # The curve is h(a, x_k, w_k) averaged over the adjustment rows k,
+        # so its X factor pairs each row's x with that row's w.
+        model = self.make_model(seed=25, m1=6, m2=5, dx=dx)
+        rng = np.random.default_rng(26)
+        x_adj, w_adj = rng.normal(size=(7, dx)), rng.normal(size=(7, 2))
+        grid = np.linspace(-1, 1, 4)
+        curve = kpv_ate(model, grid, x_adj, w_adj)
+        for g, est in zip(grid, curve.estimate):
+            h = kpv_h(model, np.full(7, g), x_adj, w_adj)
+            assert est == pytest.approx(h.mean(), rel=1e-12, abs=1e-12)
 
     def test_empty_adjustment_rejected(self):
         model = self.make_model()

@@ -75,6 +75,15 @@ class TestPmmrFit:
         # L11 = W11 = 1 for Gaussian kernels, so alpha = y / (1 + lam)
         assert model.alpha[0] == pytest.approx(3.0 / 1.7, rel=1e-6)
 
+    def test_empty_sample_refused_before_lapack(self, capfd):
+        # Refused before any factorization, so LAPACK prints no argument
+        # error to stderr.
+        data = rng_dataset(3, 5)
+        with pytest.raises(ValueError, match="need at least 1 training"):
+            pmmr_fit(data.subset(np.arange(0)), KernelSpecs.from_data(data),
+                     0.1)
+        assert capfd.readouterr().err == ""
+
     def test_positive_lam_required(self):
         data = rng_dataset(3, 5)
         with pytest.raises(ValueError, match="lam"):
@@ -321,8 +330,8 @@ class TestPmmrNystrom:
 
 
 class TestPmmrEvaluation:
-    def make_model(self, seed=10, n=5):
-        data = rng_dataset(seed, n)
+    def make_model(self, seed=10, n=5, dx=0):
+        data = rng_dataset(seed, n, dx=dx)
         return pmmr_fit(data, KernelSpecs.from_data(data), 0.1)
 
     def test_h_zero_alpha(self):
@@ -384,6 +393,18 @@ class TestPmmrEvaluation:
             mean_h = np.mean([pmmr_h(model, float(g), w_adj[k])
                               for k in range(5)])
             assert est == pytest.approx(mean_h, abs=1e-12)
+
+    @pytest.mark.parametrize("dx", [1, 2])
+    def test_ate_with_x_equals_mean_of_h(self, dx):
+        # The curve is h(a, w_k, x_k) averaged over the adjustment rows k,
+        # so its X factor pairs each row's x with that row's w.
+        model = self.make_model(seed=17, n=7, dx=dx)
+        rng = np.random.default_rng(18)
+        x_adj, w_adj = rng.normal(size=(5, dx)), rng.normal(size=(5, 2))
+        curve = pmmr_ate(model, [0.0, 1.0], x_adj, w_adj)
+        for g, est in zip(curve.grid, curve.estimate):
+            h = pmmr_h(model, np.full(5, g), w_adj, x_adj)
+            assert est == pytest.approx(h.mean(), rel=1e-12, abs=1e-12)
 
     def test_empty_adjustment_rejected(self):
         model = self.make_model()
