@@ -5,8 +5,8 @@ from .kernels import (
     KernelSpec,
     KernelSpecs,
     gram,
+    group_gram,
     median_heuristic,
-    product_gram,
 )
 from .numerics import khatri_rao_cols, solve_psd
 from .kpv import (
@@ -45,8 +45,8 @@ __all__ = [
     "KernelSpec",
     "KernelSpecs",
     "gram",
+    "group_gram",
     "median_heuristic",
-    "product_gram",
     "khatri_rao_cols",
     "solve_psd",
     "KpvModel",

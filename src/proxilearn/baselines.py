@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import GROUPS, Dataset, DoCurve, query_block
+from .data import GROUPS, Dataset, DoCurve, query_rows
 from .kernels import KernelSpecs, effect_curve, group_gram
 from .numerics import (
     SearchRecord,
@@ -107,7 +107,7 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     if specs is None:
         specs = KernelSpecs.from_data(data)
 
-    def gram():
+    def joint_gram():
         return group_gram("ax" + adjust, data, data, specs)
 
     search = beta = None
@@ -115,7 +115,7 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
         lam_grid = ridge_grid(lam_grid)
         # Handed over unnamed, the Gram is factored in its own memory and
         # freed on return. U's rows come in pivot order, and so does y.
-        eigvals, eigvecs, rows = low_rank_eigh(gram(),
+        eigvals, eigvecs, rows = low_rank_eigh(joint_gram(),
                                                data.n * lam_grid.min())
         y = data.y[rows]
         search = search_record(lam_grid, loo_path(eigvals, eigvecs, y,
@@ -128,7 +128,7 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
                           / (np.maximum(eigvals, 0.0) + data.n * lam))
         del eigvals, eigvecs    # before the Gram is built again
     if beta is None:
-        beta = scipy.linalg.cho_solve(psd_factor(gram(), data.n * lam),
+        beta = scipy.linalg.cho_solve(psd_factor(joint_gram(), data.n * lam),
                                       data.y)
     return RidgeModel(sample=data, adjust=adjust, specs=specs, lam=lam,
                       beta=beta, search=search)
@@ -173,9 +173,8 @@ def linear_two_stage(data: Dataset, a_grid,
         raise np.linalg.LinAlgError("stage-2 design is rank deficient")
     adjust = data if adjust is None else adjust
     # Columns in stage 2's order after (1, A): W-hat, then X.
-    adjust_cols = np.column_stack([
-        query_block(adjust.w, data.w.shape[1], "w"),
-        query_block(adjust.x, data.x.shape[1], "x", adjust.n)])
+    query = query_rows(data, w=adjust.w, x=adjust.x)
+    adjust_cols = np.column_stack([query.w, query.x])
     if adjust_cols.shape[0] == 0:
         raise ValueError("adjustment sample is empty")
     shift = adjust_cols - np.concatenate([mean["w"], mean["x"]])

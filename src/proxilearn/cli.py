@@ -74,11 +74,27 @@ def _parse_a_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, count)
 
 
+def _parse_numbers(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers given to ``flag``, none for an empty
+    text. An empty or non-numeric item is refused by its position."""
+    if not text.strip():
+        return []
+    values = []
+    for i, item in enumerate(text.split(","), 1):
+        try:
+            values.append(float(item))
+        except ValueError:
+            what = "is empty" if not item.strip() else (
+                f"is not a number: {item.strip()!r}")
+            raise ValueError(f"{flag} item {i} {what}") from None
+    return values
+
+
 def _parse_bandwidth(text: str, data: Dataset) -> KernelSpecs:
     """'median' or a comma list covering the A, X, Z, W columns in order."""
     if text == "median":
         return KernelSpecs.from_data(data)
-    values = [float(v) for v in text.split(",") if v.strip()]
+    values = _parse_numbers(text, "--bandwidth")
     dims = [getattr(data, g).shape[1] for g in GROUPS]
     if len(values) != sum(dims):
         widths = " ".join(f"{g.upper()}:{d}" for g, d in zip(GROUPS, dims))
@@ -159,8 +175,7 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
         if value is not None:
             ridge_grid(value, flag)
     lam_grid = None if lambda_grid is None else ridge_grid(
-        [float(v) for v in lambda_grid.split(",") if v.strip()],
-        "--lambda-grid")
+        _parse_numbers(lambda_grid, "--lambda-grid"), "--lambda-grid")
     options = {name: value for name, value in
                {**flags, "lambda_grid": lam_grid}.items() if value is not None}
     a_grid = _parse_a_grid(a_grid_text) if a_grid_text else None
@@ -213,17 +228,19 @@ def _field(artifact, path: str):
     return value
 
 
-def _vector(artifact, path: str, size: int) -> np.ndarray:
-    """The ``size`` floats at ``path``; a missing or misshapen field is a
-    ValueError naming it."""
+def _vector(artifact, path: str, size: int | None = None) -> np.ndarray:
+    """The flat list of finite numbers at ``path``: ``size`` of them, or
+    for None at least one, as ``--a-grid`` gives. A missing or misshapen
+    field is a ValueError naming it."""
     value = _field(artifact, path)
-    try:
-        vector = np.array(value, dtype=float)
-    except (TypeError, ValueError):
-        vector = None
-    if vector is None or vector.shape != (size,):
-        raise ValueError(f"model artifact field {path!r} is not a list of "
-                         f"{size} numbers; refit the model with this version")
+    numbers = isinstance(value, list) and all(
+        type(v) in (int, float) for v in value)
+    vector = np.array(value if numbers else [], dtype=float)
+    wrong_size = vector.size < 1 if size is None else vector.size != size
+    if not numbers or wrong_size or not np.isfinite(vector).all():
+        count = "a nonempty list" if size is None else f"a list of {size}"
+        raise ValueError(f"model artifact field {path!r} is not {count} "
+                         f"finite numbers; refit the model with this version")
     return vector
 
 
@@ -284,7 +301,7 @@ def ate(model_path, data_path, adjust_path, a_grid_text, out):
     data = Dataset.from_csv(data_path)
     adjust = Dataset.from_csv(adjust_path) if adjust_path else None
     if a_grid is None:
-        a_grid = np.array(_field(artifact, "config.a_grid"))
+        a_grid = _vector(artifact, "config.a_grid")
     curve = _curve_from_artifact(artifact, data, adjust, a_grid)
     _write_curve(out, curve)
     _write_meta(out, {"command": "ate", "model": str(model_path),
@@ -308,7 +325,7 @@ def ate(model_path, data_path, adjust_path, a_grid_text, out):
 def experiment(n_values, seeds, methods, out):
     """Reproduce the multi-seed synthetic comparison."""
     method_list = evaluation.check_table(
-        seeds, [m.strip() for m in methods.split(",") if m.strip()])
+        n_values, seeds, [m.strip() for m in methods.split(",") if m.strip()])
     repeated = sorted({n for n in n_values if n_values.count(n) > 1})
     if repeated:
         raise ValueError(f"--n must not repeat, got "

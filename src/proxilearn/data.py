@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,9 +39,25 @@ def _as_block(values, name: str, n_rows: int | None = None) -> np.ndarray:
     return arr
 
 
-def query_block(values, dim: int, name: str, n_queries: int | None = None):
-    """Coerce query points for one variable group to shape (nq, dim).
-    Like data, they must be finite: every estimator's queries pass here."""
+def query_rows(sample, **groups) -> SimpleNamespace:
+    """Coerce a query's variable groups, named as keywords (``a=...``,
+    ``w=...``), to 2-D blocks as wide as ``sample``'s groups, returned as
+    attributes of one object that ``kernels.group_gram`` accepts.
+
+    The first group sets the row count and every other group must match
+    it, zero-width groups included; a zero-width group given as None has
+    that many rows. Like data, queries must be finite: every estimator's
+    queries pass here."""
+    rows, count = {}, None
+    for name, values in groups.items():
+        rows[name] = _coerce_group(values, getattr(sample, name).shape[1],
+                                   name, count)
+        count = rows[name].shape[0]
+    return SimpleNamespace(**rows)
+
+
+def _coerce_group(values, dim: int, name: str, n_queries: int | None):
+    """One group of ``query_rows``, shape (nq, dim)."""
     if values is None:
         if dim == 0:
             return np.empty((1 if n_queries is None else n_queries, 0))

@@ -226,9 +226,13 @@ def max_workers() -> int:
     return 1
 
 
-def check_table(n_seeds: int, methods) -> list[str]:
-    """Check ``run_table``'s seed count and method names before anything
-    is drawn; returns the methods as a list."""
+def check_table(n_values, n_seeds: int, methods) -> list[str]:
+    """Check the sample sizes ``n_values`` of one or more ``run_table``
+    calls, their seed count and their method names before anything is
+    drawn; returns the methods as a list."""
+    for n in n_values:
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be at least 1, got {n_seeds}")
     methods = list(methods)
@@ -262,7 +266,7 @@ def run_table(
     methods. A method failing on more than a quarter of the seeds aborts
     the run with diagnostics.
     """
-    methods = check_table(n_seeds, methods)
+    methods = check_table([n], n_seeds, methods)
     if a_grid is None:
         a_grid = default_a_grid()
     if truth is None:

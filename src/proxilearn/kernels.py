@@ -4,10 +4,11 @@ Every variable group carries one bandwidth per scalar coordinate, and the
 kernel over the group is the product of per-dimension Gaussian kernels
 exp(-(a_d - b_d)^2 / (2 sigma_d^2)). A product over several groups is
 therefore one Gaussian over the concatenated columns with the concatenated
-bandwidths, so ``product_gram`` builds it as a single Gram matrix. A group
-with zero columns (a null covariate set) has the constant kernel 1: it
-contributes nothing to the concatenation, and downstream formulas hold
-verbatim.
+bandwidths, so ``group_gram`` builds it as a single Gram matrix between
+any two row sets with named groups: ``Dataset`` samples or the query rows
+of ``data.query_rows``. A group with zero columns (a null covariate set)
+has the constant kernel 1: it contributes nothing to the concatenation,
+and downstream formulas hold verbatim.
 
 A Gram matrix is filled one block of rows at a time, each block small
 enough (about 1 MiB) to stay in cache through the whole distance-to-kernel
@@ -124,34 +125,25 @@ def gram(points_a: np.ndarray, points_b: np.ndarray,
     return out
 
 
-def product_gram(groups_a, groups_b, specs) -> np.ndarray:
-    """Gram matrix of the product kernel over several variable groups.
-
-    ``groups_a`` and ``groups_b`` hold one point block per group and
-    ``specs`` one :class:`KernelSpec` per group. The product of the group
-    kernels is the Gaussian over the concatenated columns with the
-    concatenated bandwidths, so this is one call to :func:`gram`;
-    zero-width groups (kernel 1) drop out of the concatenation.
-    """
-    blocks_a = [_columns(g) for g in groups_a]
-    blocks_b = [_columns(g) for g in groups_b]
-    if not len(blocks_a) == len(blocks_b) == len(specs):
-        raise ValueError("need one point block per group on each side and "
-                         "one spec per group")
-    for pa, pb, spec in zip(blocks_a, blocks_b, specs):
-        _check_dim(pa, pb, spec)
-    joint = KernelSpec(np.concatenate([s.bandwidths for s in specs]))
-    return gram(np.hstack(blocks_a), np.hstack(blocks_b), joint)
-
-
-def group_gram(groups, left: Dataset, right: Dataset,
-               specs: KernelSpecs) -> np.ndarray:
+def group_gram(groups, left, right, specs: KernelSpecs) -> np.ndarray:
     """Gram matrix of the product kernel over the named ``groups`` (such
-    as "awx", in that column order) between the samples ``left`` and
-    ``right``, with the bandwidths of ``specs``."""
-    return product_gram([getattr(left, g) for g in groups],
-                        [getattr(right, g) for g in groups],
-                        [getattr(specs, g) for g in groups])
+    as "awx", in that column order) between the rows ``left`` and
+    ``right``, with the bandwidths of ``specs``.
+
+    ``left`` and ``right`` are any objects with the groups as attributes:
+    a ``Dataset``, or the query rows of ``data.query_rows``. Each group's
+    width is checked against its spec. The product of the group kernels
+    is the Gaussian over the concatenated columns with the concatenated
+    bandwidths, so this is one call to :func:`gram`; zero-width groups
+    (kernel 1) drop out of the concatenation.
+    """
+    blocks_a = [_columns(getattr(left, g)) for g in groups]
+    blocks_b = [_columns(getattr(right, g)) for g in groups]
+    group_specs = [getattr(specs, g) for g in groups]
+    for pa, pb, spec in zip(blocks_a, blocks_b, group_specs):
+        _check_dim(pa, pb, spec)
+    joint = KernelSpec(np.concatenate([s.bandwidths for s in group_specs]))
+    return gram(np.hstack(blocks_a), np.hstack(blocks_b), joint)
 
 
 def effect_curve(a_sample: np.ndarray, spec_a: KernelSpec, weights,

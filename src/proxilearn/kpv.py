@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .data import Dataset, DoCurve, query_block
-from .kernels import KernelSpecs, effect_curve, gram, group_gram, product_gram
+from .data import Dataset, DoCurve, query_rows
+from .kernels import KernelSpecs, effect_curve, group_gram
 from .numerics import matmul, psd_factor, ridge_grid
 
 # The fixed ridges of both stages; the module docstring gives the evidence.
@@ -59,18 +59,13 @@ class Stage1Fit:
         return self.sample.n
 
 
-def _gram_axz(sample_left: Dataset, a, x, z, specs: KernelSpecs) -> np.ndarray:
-    return product_gram((sample_left.a, sample_left.x, sample_left.z),
-                        (a, x, z), (specs.a, specs.x, specs.z))
-
-
 def stage1_fit(sample1: Dataset, specs: KernelSpecs,
                lam1: float) -> Stage1Fit:
     """Fit the first-stage embedding on ``sample1`` with ridge ``lam1``."""
     if sample1.n < 2:
         raise ValueError("stage 1 needs at least 2 points")
     ridge_grid(lam1, "lam1")
-    k_axz = _gram_axz(sample1, sample1.a, sample1.x, sample1.z, specs)
+    k_axz = group_gram("axz", sample1, sample1, specs)
     factor = psd_factor(k_axz, sample1.n * lam1)
     return Stage1Fit(sample=sample1, specs=specs, lam1=lam1, _factor=factor)
 
@@ -82,10 +77,8 @@ def stage1_embedding(fit: Stage1Fit, a, x, z) -> np.ndarray:
     (m1,); arrays are treated as query batches and return (m1, nq).
     """
     single = np.ndim(a) == 0
-    aq = query_block(a, fit.sample.a.shape[1], "a")
-    xq = query_block(x, fit.sample.x.shape[1], "x", aq.shape[0])
-    zq = query_block(z, fit.sample.z.shape[1], "z", aq.shape[0])
-    k_cross = _gram_axz(fit.sample, aq, xq, zq, fit.specs)
+    query = query_rows(fit.sample, a=a, x=x, z=z)
+    k_cross = group_gram("axz", fit.sample, query, fit.specs)
     coeff = scipy.linalg.cho_solve(fit._factor, k_cross)
     return coeff[:, 0] if single else coeff
 
@@ -119,7 +112,7 @@ def _stage2_sigma(fit: Stage1Fit, sample2: Dataset):
     Sigma_qp = (Gamma_q' K_WW Gamma_p) * k(a_q, a_p) * k(x_q, x_p), with
     K_WW the Gram of the stage-1 W."""
     gamma2 = stage1_embedding(fit, sample2.a, sample2.x, sample2.z)
-    k_ww = gram(fit.sample.w, fit.sample.w, fit.specs.w)
+    k_ww = group_gram("w", fit.sample, fit.sample, fit.specs)
     sigma = matmul(matmul(gamma2.T, k_ww), gamma2)
     sigma *= group_gram("ax", sample2, sample2, fit.specs)
     return gamma2, sigma
@@ -165,14 +158,11 @@ def kpv_h(model: KpvModel, a, x, w):
     Scalar treatment input -> float; array inputs -> ndarray of shape
     (nq,) over the query batch.
     """
-    specs = model.stage1.specs
+    sample1, specs = model.stage1.sample, model.stage1.specs
     single = np.ndim(a) == 0
-    aq = query_block(a, model.sample2.a.shape[1], "a")
-    xq = query_block(x, model.sample2.x.shape[1], "x", aq.shape[0])
-    wq = query_block(w, model.stage1.sample.w.shape[1], "w", aq.shape[0])
-    u = gram(model.stage1.sample.w, wq, specs.w)            # m1 x nq
-    v = product_gram((model.sample2.a, model.sample2.x), (aq, xq),
-                     (specs.a, specs.x))                    # m2 x nq
+    query = query_rows(sample1, a=a, x=x, w=w)
+    u = group_gram("w", sample1, query, specs)              # m1 x nq
+    v = group_gram("ax", model.sample2, query, specs)       # m2 x nq
     vals = (matmul(model.alpha, v) * u).sum(axis=0)
     return float(vals[0]) if single else vals
 
@@ -187,15 +177,14 @@ def kpv_curve_weights(model: KpvModel, x_adjust, w_adjust) -> np.ndarray:
     mean of ``kpv_h`` over the adjustment rows, without its treatment
     factor.
     """
-    specs = model.stage1.specs
-    wq = query_block(w_adjust, model.stage1.sample.w.shape[1], "w")
-    xq = query_block(x_adjust, model.sample2.x.shape[1], "x", wq.shape[0])
-    if wq.shape[0] == 0:
+    sample1, specs = model.stage1.sample, model.stage1.specs
+    query = query_rows(sample1, w=w_adjust, x=x_adjust)
+    if query.w.shape[0] == 0:
         raise ValueError("adjustment sample is empty")
-    b = gram(model.stage1.sample.w, wq, specs.w)             # m1 x nt
+    b = group_gram("w", sample1, query, specs)               # m1 x nt
     if specs.x.dim:
         t = matmul(model.alpha.T, b)                         # m2 x nt
-        t *= gram(model.sample2.x, xq, specs.x)
+        t *= group_gram("x", model.sample2, query, specs)
         return t.mean(axis=1)
     # k(x_k, x_j) = 1: the mean over adjustment rows moves inside.
     return matmul(model.alpha.T, b.mean(axis=1))

@@ -45,8 +45,8 @@ import scipy.linalg
 from scipy.linalg.blas import dtrmv
 from scipy.linalg.lapack import dsygst
 
-from .data import Dataset, DoCurve, query_block
-from .kernels import KernelSpecs, effect_curve, group_gram, product_gram
+from .data import Dataset, DoCurve, query_rows
+from .kernels import KernelSpecs, effect_curve, group_gram
 from .numerics import (
     SearchRecord,
     eigh_in_place,
@@ -81,8 +81,9 @@ class PmmrModel:
         return self.sample.n
 
 
-def h_side_gram(left: Dataset, right: Dataset, specs: KernelSpecs) -> np.ndarray:
-    """Gram matrix of the kernel on (A, W, X) between two samples."""
+def h_side_gram(left, right, specs: KernelSpecs) -> np.ndarray:
+    """Gram matrix of the kernel on (A, W, X) between two samples, or a
+    sample and query rows."""
     return group_gram("awx", left, right, specs)
 
 
@@ -179,25 +180,18 @@ def pmmr_h(model: PmmrModel, a, w, x=None):
     Scalar treatment input -> float; array inputs -> ndarray (nq,).
     """
     single = np.ndim(a) == 0
-    s = model.sample
-    aq = query_block(a, s.a.shape[1], "a")
-    wq = query_block(w, s.w.shape[1], "w", aq.shape[0])
-    xq = query_block(x, s.x.shape[1], "x", aq.shape[0])
-    vals = matmul(model.alpha, product_gram((s.a, s.w, s.x), (aq, wq, xq),
-                                            (model.specs.a, model.specs.w,
-                                             model.specs.x)))
+    query = query_rows(model.sample, a=a, w=w, x=x)
+    vals = matmul(model.alpha, h_side_gram(model.sample, query, model.specs))
     return float(vals[0]) if single else vals
 
 
 def pmmr_curve_weights(model: PmmrModel, x_adjust, w_adjust) -> np.ndarray:
     """Curve weights alpha * (mean over adjustment rows of k_{W,X}): the
     n values w with effect curve k_A(a, A)' w."""
-    wq = query_block(w_adjust, model.sample.w.shape[1], "w")
-    xq = query_block(x_adjust, model.sample.x.shape[1], "x", wq.shape[0])
-    if wq.shape[0] == 0:
+    query = query_rows(model.sample, w=w_adjust, x=x_adjust)
+    if query.w.shape[0] == 0:
         raise ValueError("adjustment sample is empty")
-    kw = product_gram((model.sample.w, model.sample.x), (wq, xq),
-                      (model.specs.w, model.specs.x))        # n x nt
+    kw = group_gram("wx", model.sample, query, model.specs)  # n x nt
     return kw.mean(axis=1) * model.alpha
 
 

@@ -445,6 +445,26 @@ class TestAteWeightSources:
         assert payload["error"] == "ValueError"
         assert repr(field) in payload["message"]
 
+    @pytest.mark.parametrize("a_grid", [[], [[1.0, 2.0]], "oops",
+                                        [0.5, "1"], [0.0, float("inf")]])
+    def test_bad_artifact_a_grid_reports_json(self, runner, tmp_path,
+                                              a_grid):
+        # Without --a-grid, ate reads the grid the artifact records; it
+        # must be a flat list of at least one finite number.
+        data_path, model_path = self.fit(runner, tmp_path, "ridge-w")
+        artifact = json.loads(model_path.read_text())
+        artifact["config"]["a_grid"] = a_grid
+        model_path.write_text(json.dumps(artifact))
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["ate", "--model", str(model_path),
+                                      "--data", str(data_path), "--out",
+                                      str(out)])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload["error"] == "ValueError"
+        assert repr("config.a_grid") in payload["message"]
+        assert not list(tmp_path.glob("x.csv*"))
+
 
 @pytest.mark.parametrize("method", evaluation.ESTIMATORS)
 def test_fit_curve_is_fit_method_curve(runner, tmp_path, method):
@@ -761,6 +781,51 @@ class TestErrors:
         payload = json.loads(result.stderr or result.output)
         assert payload == {"error": "ValueError", "message": message}
         assert not list(tmp_path.glob("exp*"))
+
+    @pytest.mark.parametrize("n_values", [["1000", "0"], ["0", "1000"],
+                                          ["60", "-3"]])
+    def test_experiment_nonpositive_n_reports_json_before_any_draw(
+            self, runner, tmp_path, monkeypatch, n_values):
+        draws = []
+
+        def counting_draw(*args, **kwargs):
+            draws.append(args)
+            raise AssertionError("drew data")
+
+        monkeypatch.setattr(synthdata, "true_ate", counting_draw)
+        monkeypatch.setattr(synthdata, "gen_main", counting_draw)
+        args = [arg for n in n_values for arg in ("--n", n)]
+        result = runner.invoke(main, ["experiment", *args, "--seeds", "3",
+                                      "--methods", "pmmr",
+                                      "--out", str(tmp_path / "exp")])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        bad = min(n_values, key=int)
+        assert payload == {"error": "ValueError",
+                           "message": f"n must be at least 1, got {bad}"}
+        assert draws == []
+        assert not list(tmp_path.glob("exp*"))
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lambda-grid", "0.1,,0.2", "--lambda-grid item 2 is empty"),
+        ("--lambda-grid", "0.1,0.2,", "--lambda-grid item 3 is empty"),
+        ("--lambda-grid", "abc", "--lambda-grid item 1 is not a number: "
+                                 "'abc'"),
+        ("--bandwidth", "1,,1,1,1,1", "--bandwidth item 2 is empty"),
+        ("--bandwidth", "1,2,x,4,5", "--bandwidth item 3 is not a number: "
+                                     "'x'"),
+    ])
+    def test_bad_list_item_reports_flag_and_position(
+            self, runner, tmp_path, flag, value, message):
+        data_path = tmp_path / "train.csv"
+        gen_main(20, seed=1).data.to_csv(data_path)
+        result = runner.invoke(main, ["fit", "--data", str(data_path),
+                                      "--method", "pmmr", f"{flag}={value}",
+                                      "--out", str(tmp_path / "m.json")])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload == {"error": "ValueError", "message": message}
+        assert not list(tmp_path.glob("m.json*"))
 
     def test_nonpositive_lambda_grid_reports_json(self, runner, tmp_path):
         data_path = tmp_path / "train.csv"

@@ -210,6 +210,17 @@ SHORT_X_CALLS = {
         p, x, d.w[:3]),
 }
 
+# The functions that take treatment queries, with three of them and a
+# proxy group (W or Z, named first) of ``rows`` rows.
+SHORT_PROXY_CALLS = {
+    "kpv_h": ("w", lambda d, k, p, rows: kpv.kpv_h(
+        k, d.a[:3], None, d.w[:rows])),
+    "pmmr_h": ("w", lambda d, k, p, rows: pmmr.pmmr_h(
+        p, d.a[:3], d.w[:rows])),
+    "stage1_embedding": ("z", lambda d, k, p, rows: kpv.stage1_embedding(
+        k.stage1, d.a[:3], None, d.z[:rows])),
+}
+
 
 class TestQueryRule:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -225,3 +236,11 @@ class TestQueryRule:
             SHORT_X_CALLS[call](*fitted, np.empty((5, 0)))
         assert np.isfinite(SHORT_X_CALLS[call](*fitted,
                                                np.empty((3, 0)))).all()
+
+    @pytest.mark.parametrize("call", SHORT_PROXY_CALLS)
+    def test_proxy_query_count_checked(self, fitted, call):
+        group, run = SHORT_PROXY_CALLS[call]
+        with pytest.raises(ValueError, match=f"^{group} query count differs "
+                                             f"from treatment count$"):
+            run(*fitted, 2)
+        assert np.isfinite(run(*fitted, 3)).all()

@@ -104,6 +104,17 @@ class TestRunTable:
         with pytest.raises(ValueError, match="n_seeds must be at least 1"):
             evaluation.run_table(60, n_seeds=n_seeds, methods=("ridge",))
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_nonpositive_n_rejected_before_any_draw(self, monkeypatch, n):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew data")
+
+        monkeypatch.setattr(evaluation.synthdata, "true_ate", no_draw)
+        monkeypatch.setattr(evaluation.synthdata, "gen_main", no_draw)
+        with pytest.raises(ValueError,
+                           match=f"^n must be at least 1, got {n}$"):
+            evaluation.run_table(n, n_seeds=2, methods=("ridge",))
+
     def test_aggregates_recomputable(self):
         result = self.small_table()
         for m in result.methods:

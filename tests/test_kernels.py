@@ -1,10 +1,12 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
 from proxilearn import kernels
+from proxilearn.data import query_rows
 from proxilearn.kernels import (
     _BLOCK_BYTES,
     KernelSpec,
@@ -13,7 +15,6 @@ from proxilearn.kernels import (
     gram,
     group_gram,
     median_heuristic,
-    product_gram,
 )
 from tests.conftest import hadamard, rng_dataset
 
@@ -275,7 +276,18 @@ class TestHadamard:
         assert np.linalg.eigvalsh(product).min() >= -1e-8
 
 
+def rows_of_widths(points, groups="axz"):
+    """The query rows of ``points``, one block per named group, coerced
+    against a sample of the blocks' widths."""
+    widths = SimpleNamespace(**{g: np.empty((0, p.shape[1]))
+                                for g, p in zip(groups, points)})
+    return query_rows(widths, **dict(zip(groups, points)))
+
+
 class TestProductGram:
+    """``group_gram`` over query rows is the product of the group
+    kernels."""
+
     @pytest.mark.parametrize("widths", [(1, 0, 2), (1, 2, 3), (0, 0, 0)])
     def test_matches_hadamard_of_group_grams(self, widths):
         rng = np.random.default_rng(12)
@@ -285,15 +297,17 @@ class TestProductGram:
         expected = np.ones((9, 6))
         for pa, pb, spec in zip(left, right, specs):
             expected = hadamard(expected, gram(pa, pb, spec))
-        np.testing.assert_allclose(product_gram(left, right, specs),
-                                   expected, rtol=1e-12)
+        got = group_gram("axz", rows_of_widths(left), rows_of_widths(right),
+                         KernelSpecs(*specs, w=KernelSpec([1.0])))
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_group_width_checked_per_group(self):
         # Concatenated widths agree (3 == 3), but each group's does not.
-        pts = [np.ones((2, 2)), np.ones((2, 1))]
-        specs = [KernelSpec([1.0]), KernelSpec([1.0, 1.0])]
+        rows = rows_of_widths([np.ones((2, 2)), np.ones((2, 1))], "ax")
+        specs = SimpleNamespace(a=KernelSpec([1.0]),
+                                x=KernelSpec([1.0, 1.0]))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            product_gram(pts, pts, specs)
+            group_gram("ax", rows, rows, specs)
 
 
 # Each group list with its blocks named by hand, in the same order.
@@ -311,11 +325,13 @@ class TestGroupGram:
     @pytest.mark.parametrize("dx", [0, 2])
     @pytest.mark.parametrize("groups", sorted(GROUP_BLOCKS))
     def test_matches_product_gram_of_listed_blocks(self, groups, dx):
+        # One gram over the hand-stacked blocks and bandwidths.
         left, right = rng_dataset(1, 9, dx=dx), rng_dataset(2, 6, dx=dx)
         specs = KernelSpecs.from_data(left)
         blocks = GROUP_BLOCKS[groups]
-        expected = product_gram(blocks(left), blocks(right),
-                                blocks(specs))
+        bandwidths = np.concatenate([s.bandwidths for s in blocks(specs)])
+        expected = gram(np.hstack(blocks(left)), np.hstack(blocks(right)),
+                        KernelSpec(bandwidths))
         got = group_gram(groups, left, right, specs)
         assert got.shape == (9, 6)
         np.testing.assert_array_equal(got, expected)

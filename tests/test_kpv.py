@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from proxilearn import kpv
+from proxilearn import kernels, kpv
 from proxilearn.data import Dataset
-from proxilearn.kernels import KernelSpec, KernelSpecs, gram
+from proxilearn.kernels import KernelSpec, KernelSpecs, gram, group_gram
 from proxilearn.kpv import (
     fit_kpv,
     kpv_ate,
@@ -95,19 +95,20 @@ class TestStage1:
         # K_WW belongs to stage 2 (kpv_fit); stage 1 needs only K_AXZ.
         data = rng_dataset(3, 10)
         specs = KernelSpecs.from_data(data)
-        calls = {"gram": 0, "product_gram": 0}
+        calls = {"gram": 0, "group_gram": []}
 
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counting_gram(*args, **kwargs):
+            calls["gram"] += 1
+            return gram(*args, **kwargs)
 
-        monkeypatch.setattr(kpv, "gram", counting("gram", kpv.gram))
-        monkeypatch.setattr(kpv, "product_gram",
-                            counting("product_gram", kpv.product_gram))
+        def recording_group_gram(groups, *args, **kwargs):
+            calls["group_gram"].append(groups)
+            return group_gram(groups, *args, **kwargs)
+
+        monkeypatch.setattr(kernels, "gram", counting_gram)
+        monkeypatch.setattr(kpv, "group_gram", recording_group_gram)
         stage1_fit(data, specs, 1e-3)
-        assert calls == {"gram": 0, "product_gram": 1}
+        assert calls == {"gram": 1, "group_gram": ["axz"]}
 
 
 class TestStage1Embedding:
@@ -341,7 +342,7 @@ class TestSelection:
         # ||T^{-1} H K_WW H T^{-1}||_2 / m1 with
         # H = m1 lam (K_AXZ + m1 lam I)^{-1} and T = diag(H).
         m1 = sample.n
-        k_axz = kpv._gram_axz(sample, sample.a, sample.x, sample.z, specs)
+        k_axz = group_gram("axz", sample, sample, specs)
         k_ww = gram(sample.w, sample.w, specs.w)
         scores = []
         for lam in grid:

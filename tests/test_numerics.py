@@ -151,6 +151,21 @@ def test_package_calls_no_numpy_blas():
     assert found == []
 
 
+def test_only_kernels_calls_gram():
+    # Every Gram between rows is a ``kernels.group_gram`` over named
+    # groups; only ``kernels`` itself calls ``gram``.
+    found = []
+    for path in sorted(Path(proxilearn.__file__).parent.glob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "gram" in (
+                    getattr(func, "id", None), getattr(func, "attr", None)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 class TestSolvePsd:
     def test_identity_system(self):
         e1 = np.array([1.0, 0.0, 0.0])
