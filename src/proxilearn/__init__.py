@@ -29,9 +29,10 @@ from .pmmr import (
     pmmr_h,
 )
 from .baselines import (
+    Linear2sModel,
     RidgeModel,
     adjusted_ate,
-    linear_two_stage,
+    fit_linear2s,
 )
 from .synthdata import DiscreteToy, SyntheticDraw, gen_discrete_toy, gen_main, true_ate
 from .evaluation import ExperimentResult, cmae, run_table
@@ -64,9 +65,10 @@ __all__ = [
     "pmmr_fit",
     "pmmr_fit_nystrom",
     "pmmr_h",
+    "Linear2sModel",
     "RidgeModel",
     "adjusted_ate",
-    "linear_two_stage",
+    "fit_linear2s",
     "DiscreteToy",
     "SyntheticDraw",
     "gen_discrete_toy",

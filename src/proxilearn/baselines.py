@@ -13,8 +13,8 @@ numerical rank is low, from those of a pivoted-Cholesky factor of it
 can resolve, those above ``numerics.PIVOT_FLOOR`` times n min(grid). Each
 Gram is built for the one factorization that takes it over and works in
 its memory, so a fit never holds two n x n matrices at once. The
-linear two-stage curve is affine in a and needs only the adjustment
-sample's W and X means.
+linear two-stage model keeps its stage-2 coefficients; its curve is
+affine in a and needs only the adjustment sample's W and X means.
 """
 
 from __future__ import annotations
@@ -51,6 +51,35 @@ class RidgeModel:
     lam: float
     beta: np.ndarray
     search: SearchRecord | None = None
+
+    def curve(self, adjust: Dataset, a_grid) -> DoCurve:
+        """``adjusted_ate`` over the adjustment sample ``adjust``."""
+        return adjusted_ate(self, a_grid, adjust)
+
+    def to_record(self, adjust: Dataset) -> dict:
+        """The artifact's model fields, curve weights over ``adjust``."""
+        return {"bandwidths": self.specs.to_record(),
+                "lambdas": {"lambda": self.lam},
+                "search": self.search and self.search.to_json(),
+                "adjust": self.adjust,
+                "coefficients": {"beta": self.beta.tolist()},
+                "curve_weights": adjusted_curve_weights(
+                    self, adjust).tolist()}
+
+    @classmethod
+    def from_record(cls, read, data: Dataset) -> RidgeModel:
+        """The model again; its method is "ridge-<adjust>" or "ridge"."""
+        groups = read("method").partition("-")[2]
+        return cls(sample=data, specs=KernelSpecs.from_record(read, data),
+                   adjust=read("adjust", lambda v: v == groups, repr(groups)),
+                   lam=read.ridge("lambdas.lambda"),
+                   beta=read.vector("coefficients.beta", data.n))
+
+    @classmethod
+    def stored_curve(cls, read, data: Dataset, a_grid) -> DoCurve:
+        """The stored weights' curve, every field checked; fits nothing."""
+        return effect_curve(data.a, cls.from_record(read, data).specs.a,
+                            read.vector("curve_weights", data.n), a_grid)
 
 
 def adjusted_curve_weights(model: RidgeModel, adjust: Dataset) -> np.ndarray:
@@ -139,27 +168,62 @@ def _lstsq(design: np.ndarray, target: np.ndarray):
                               cond=np.finfo(float).eps * max(design.shape))
 
 
-def linear_two_stage(data: Dataset, a_grid,
-                     adjust: Dataset | None = None) -> DoCurve:
+@dataclass(frozen=True)
+class Linear2sModel:
+    """Two-stage least squares: ``coef`` is stage 2's intercept and slopes
+    on A, W-hat and X, each regressor centred on its ``sample`` mean."""
+
+    sample: Dataset
+    coef: np.ndarray
+
+    def curve(self, adjust: Dataset, a_grid) -> DoCurve:
+        """c_0 + c_a (a - mean A) + c_wx . (mean (W, X) over ``adjust`` -
+        mean (W, X)), the unmarked means over the training ``sample``."""
+        a_grid = np.asarray(a_grid, dtype=float).ravel()
+        mean = {g: getattr(self.sample, g).mean(axis=0) for g in "awx"}
+        # Columns in stage 2's order after (1, A): W-hat, then X.
+        query = query_rows(self.sample, w=adjust.w, x=adjust.x)
+        adjust_cols = np.column_stack([query.w, query.x])
+        if adjust_cols.shape[0] == 0:
+            raise ValueError("adjustment sample is empty")
+        shift = adjust_cols - np.concatenate([mean["w"], mean["x"]])
+        level = self.coef[0] + float(matmul(self.coef[2:],
+                                            shift.mean(axis=0)))
+        return DoCurve(grid=a_grid, estimate=level
+                       + float(self.coef[1]) * (a_grid - mean["a"][0]))
+
+    def to_record(self, adjust: Dataset) -> dict:
+        """The artifact's model fields: no kernel, no ridge, ``coef``."""
+        return {"bandwidths": None, "lambdas": {}, "search": None,
+                "coefficients": {"coef": self.coef.tolist()}}
+
+    @classmethod
+    def from_record(cls, read, data: Dataset) -> Linear2sModel:
+        """The model again: 2 + dim W + dim X checked coefficients."""
+        return cls(sample=data, coef=read.vector(
+            "coefficients.coef", 2 + data.w.shape[1] + data.x.shape[1]))
+
+    @classmethod
+    def stored_curve(cls, read, data: Dataset, a_grid) -> DoCurve:
+        """The curve over ``data``, every field checked; no regression."""
+        return cls.from_record(read, data).curve(data, a_grid)
+
+
+def fit_linear2s(data: Dataset) -> Linear2sModel:
     """Two-stage least squares with intercepts and observed covariates.
 
     Stage 1 regresses W on (A, Z, X); stage 2 regresses Y on (A, W-hat,
     X), every variable but Y centred on its training mean so that no
-    offset shared by the rows cancels inside the fits. The curve is
-    intercept + coef_a (a - mean(A)) + coef_w . (mean(W) - mean(W_train))
-    + coef_x . (mean(X) - mean(X_train)), the means of W and X taken over
-    the adjustment sample ``adjust`` (default: ``data``). Each regression
-    is LAPACK's ``gelsd``, with singular values below eps * max(design
-    shape) times the largest counted as zero.
+    offset shared by the rows cancels inside the fits. Each regression is
+    LAPACK's ``gelsd``, with singular values below eps * max(design shape)
+    times the largest counted as zero.
     """
     if data.a.shape[1] != 1:
         raise ValueError("linear two-stage supports scalar treatment only")
-    a_grid = np.asarray(a_grid, dtype=float).ravel()
     n = data.n
     if n <= 2 + data.z.shape[1] + data.x.shape[1]:
         raise ValueError("need more rows than stage-1 regressors")
-    mean = {g: getattr(data, g).mean(axis=0) for g in GROUPS}
-    c = {g: getattr(data, g) - mean[g] for g in GROUPS}
+    c = {g: getattr(data, g) - getattr(data, g).mean(axis=0) for g in GROUPS}
     stage1_design = np.column_stack([np.ones(n), c["a"], c["z"], c["x"]])
     coef1, _, rank1, _ = _lstsq(stage1_design, c["w"])
     if rank1 < stage1_design.shape[1]:
@@ -171,13 +235,4 @@ def linear_two_stage(data: Dataset, a_grid,
     coef2, _, rank2, _ = _lstsq(stage2_design, data.y)
     if rank2 < stage2_design.shape[1]:
         raise np.linalg.LinAlgError("stage-2 design is rank deficient")
-    adjust = data if adjust is None else adjust
-    # Columns in stage 2's order after (1, A): W-hat, then X.
-    query = query_rows(data, w=adjust.w, x=adjust.x)
-    adjust_cols = np.column_stack([query.w, query.x])
-    if adjust_cols.shape[0] == 0:
-        raise ValueError("adjustment sample is empty")
-    shift = adjust_cols - np.concatenate([mean["w"], mean["x"]])
-    level = coef2[0] + float(matmul(coef2[2:], shift.mean(axis=0)))
-    return DoCurve(grid=a_grid, estimate=level
-                   + float(coef2[1]) * (a_grid - mean["a"][0]))
+    return Linear2sModel(sample=data, coef=coef2)

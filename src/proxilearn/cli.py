@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, evaluation, synthdata
 from .data import GROUPS, Dataset, DoCurve, write_csv
-from .kernels import KernelSpec, KernelSpecs, effect_curve
+from .kernels import KernelSpec, KernelSpecs
 from .numerics import ridge_grid
 
 
@@ -91,9 +91,7 @@ def _parse_numbers(text: str, flag: str) -> list[float]:
 
 
 def _parse_bandwidth(text: str, data: Dataset) -> KernelSpecs:
-    """'median' or a comma list covering the A, X, Z, W columns in order."""
-    if text == "median":
-        return KernelSpecs.from_data(data)
+    """A comma list covering the A, X, Z, W columns in order."""
     values = _parse_numbers(text, "--bandwidth")
     dims = [getattr(data, g).shape[1] for g in GROUPS]
     if len(values) != sum(dims):
@@ -155,16 +153,15 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
         a_grid_text, seed, out):
     """Fit an estimator and write the model plus its effect curve.
 
-    Kernel methods store their curve weights in the model, so ``ate``
-    evaluates the curve on any grid without refitting. The curve file is
-    read back from the model the way ``ate`` reads it."""
+    The model writes its artifact fields, so ``ate`` evaluates the curve on
+    any grid without refitting. The curve file is read back from the model
+    the way ``ate`` reads it."""
     est = evaluation.ESTIMATORS[method]
     flags = {"lambda1": lambda1, "lambda2": lambda2,
-             "lambda_grid": lambda_grid, "rank": rank}
+             "lambda_grid": lambda_grid, "rank": rank,
+             "bandwidth": None if bandwidth == "median" else bandwidth}
     unused = [f"--{name.replace('_', '-')}" for name, value in flags.items()
               if value is not None and name not in est.reads]
-    if bandwidth != "median" and est.weights is None:
-        unused.append("--bandwidth")
     if unused:
         raise ValueError(f"--method {method} does not use "
                          f"{', '.join(unused)}")
@@ -181,7 +178,8 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
     a_grid = _parse_a_grid(a_grid_text) if a_grid_text else None
     data = Dataset.from_csv(data_path)
     evaluation.check_treatment(data)
-    specs = None if est.weights is None else _parse_bandwidth(bandwidth, data)
+    specs = None if bandwidth == "median" else _parse_bandwidth(bandwidth,
+                                                                data)
     if a_grid is None:
         a_grid = evaluation.treatment_grid(data.a)
     config = {
@@ -191,83 +189,68 @@ def fit(data_path, method, lambda1, lambda2, lambda_grid, bandwidth, rank,
         "bandwidth": bandwidth, "rank": rank, "seed": seed,
         "a_grid": a_grid.tolist(), "out": str(out),
     }
-    model = est.fit(data, specs, seed, options)
-    payload = {**est.record(model, seed, options), "coefficients": {}}
-    if est.weights is not None:
-        payload["coefficients"] = {
-            est.coefficients: getattr(model, est.coefficients).tolist()}
-        payload["curve_weights"] = est.weights(model, data).tolist()
+    record = est.fit(data, specs, seed, options).to_record(data)
     artifact = {
         "proxilearn_version": __version__,
         "config": config,
         "method": method,
         "training_data": {"path": str(data_path),
                           "sha256": _sha256(data_path)},
-        "bandwidths": None if specs is None else {
-            g: getattr(specs, g).bandwidths.tolist() for g in GROUPS},
-        **payload,
+        **record,
     }
     _write_json(out, artifact)
     curve_path = str(out) + ".curve.csv"
-    _write_curve(curve_path,
-                 _curve_from_artifact(artifact, data, None, a_grid))
-    _write_meta(out, config, lambdas=payload["lambdas"],
-                search=payload["search"])
+    _write_curve(curve_path, est.model.stored_curve(
+        ArtifactReader(artifact), data, a_grid))
+    _write_meta(out, config, lambdas=record["lambdas"],
+                search=record["search"])
     click.echo(f"wrote model to {out} and curve to {curve_path}")
 
 
-def _field(artifact, path: str):
-    """The artifact value at a dotted ``path``; a missing field is a
-    ValueError naming it."""
-    value = artifact
-    for key in path.split("."):
-        if not isinstance(value, dict) or key not in value:
-            raise ValueError(f"model artifact has no {path!r} field; "
+class ArtifactReader:
+    """Reads a model artifact's fields by dotted path. A missing field, or
+    one that the check ``ok`` refuses, is a ValueError naming it."""
+
+    def __init__(self, artifact):
+        self.artifact = artifact
+
+    def __call__(self, path: str, ok=None, what: str = ""):
+        value = self.artifact
+        for key in path.split("."):
+            if not isinstance(value, dict) or key not in value:
+                raise ValueError(f"model artifact has no {path!r} field; "
+                                 f"refit the model with this version")
+            value = value[key]
+        if ok is not None and not ok(value):
+            raise ValueError(f"model artifact field {path!r} is not {what}; "
                              f"refit the model with this version")
-        value = value[key]
-    return value
+        return value
 
+    def vector(self, path: str, size: int | None = None,
+               positive: bool = False) -> np.ndarray:
+        """The ``size`` finite numbers listed at ``path`` (for None, one or
+        more, as ``--a-grid`` gives), each positive if ``positive``."""
+        def ok(value):
+            if not (isinstance(value, list)
+                    and all(type(v) in (int, float) for v in value)):
+                return False
+            v = np.array(value, dtype=float)
+            return (np.isfinite(v).all() and not (positive and (v <= 0).any())
+                    and (v.size >= 1 if size is None else v.size == size))
 
-def _vector(artifact, path: str, size: int | None = None) -> np.ndarray:
-    """The flat list of finite numbers at ``path``: ``size`` of them, or
-    for None at least one, as ``--a-grid`` gives. A missing or misshapen
-    field is a ValueError naming it."""
-    value = _field(artifact, path)
-    numbers = isinstance(value, list) and all(
-        type(v) in (int, float) for v in value)
-    vector = np.array(value if numbers else [], dtype=float)
-    wrong_size = vector.size < 1 if size is None else vector.size != size
-    if not numbers or wrong_size or not np.isfinite(vector).all():
         count = "a nonempty list" if size is None else f"a list of {size}"
-        raise ValueError(f"model artifact field {path!r} is not {count} "
-                         f"finite numbers; refit the model with this version")
-    return vector
+        return np.array(self(path, ok, f"{count} finite"
+                             f"{' positive' * positive} numbers"), dtype=float)
 
+    def ridge(self, path: str) -> float:
+        """The positive finite number at ``path``."""
+        return self(path, lambda v: type(v) in (int, float) and 0 < v < np.inf,
+                    "a positive finite number")
 
-def _specs_from_artifact(artifact) -> KernelSpecs:
-    return KernelSpecs(**{
-        g: KernelSpec(np.array(_field(artifact, f"bandwidths.{g}")))
-        for g in GROUPS})
-
-
-def _curve_from_artifact(artifact, data: Dataset, adjust: Dataset | None,
-                         a_grid: np.ndarray) -> DoCurve:
-    """The artifact's effect curve on ``a_grid``: from its stored curve
-    weights, or from weights its coefficients give over ``adjust``."""
-    est = evaluation.estimator(_field(artifact, "method"))
-    read = functools.partial(_field, artifact)
-    if est.weights is None:
-        return est.curve(data, data if adjust is None else adjust, a_grid)
-    a_sample = est.sample(data, read).a
-    coefficients = _vector(artifact, f"coefficients.{est.coefficients}",
-                           a_sample.shape[0])
-    weights = _vector(artifact, "curve_weights", a_sample.shape[0])
-    if adjust is not None:
-        model = est.rebuild(read, data, _specs_from_artifact(artifact),
-                            coefficients)
-        return est.curve(model, adjust, a_grid)
-    return effect_curve(a_sample, KernelSpec(np.array(read("bandwidths.a"))),
-                        weights, a_grid)
+    def seed(self, path: str) -> int:
+        """The non-negative integer at ``path``; a bool is not one."""
+        return self(path, lambda v: type(v) is int and v >= 0,
+                    "a non-negative integer")
 
 
 @main.command()
@@ -277,32 +260,36 @@ def _curve_from_artifact(artifact, data: Dataset, adjust: Dataset | None,
               required=True, help="The training CSV (hash-checked).")
 @click.option("--adjust", "adjust_path", type=click.Path(exists=True),
               default=None,
-              help="Adjustment sample CSV; recomputes the curve weights "
-                   "from the coefficients (default: the stored weights "
-                   "over --data).")
+              help="Adjustment sample CSV; rebuilds the model from its "
+                   "coefficients and averages over it (default: the "
+                   "stored curve over --data).")
 @click.option("--a-grid", "a_grid_text", type=str, default=None)
 @click.option("--out", type=click.Path(), required=True)
 @_cli_errors
 def ate(model_path, data_path, adjust_path, a_grid_text, out):
     """Evaluate a fitted model's effect curve on a treatment grid.
 
-    Without --adjust, a kernel method's curve comes from the weights the
-    artifact stores, in O(n * grid) time and without refitting anything;
-    linear2s refits its two regressions."""
+    Without --adjust, the curve comes from the curve weights (linear2s:
+    the coefficients) the artifact stores, in O(n * grid) time and without
+    refitting anything. Every artifact field read is checked."""
     a_grid = _parse_a_grid(a_grid_text) if a_grid_text else None
-    artifact = json.loads(Path(model_path).read_text())
-    recorded = _field(artifact, "training_data.sha256")
+    read = ArtifactReader(json.loads(Path(model_path).read_text()))
+    recorded = read("training_data.sha256", lambda v: isinstance(v, str),
+                    "a string")
     actual = _sha256(data_path)
     if recorded != actual:
-        raise ValueError(
-            f"training data hash mismatch: model was fit on sha256 "
-            f"{recorded[:12]}..., got {actual[:12]}..."
-        )
+        raise ValueError(f"training data hash mismatch: model was fit on "
+                         f"sha256 {recorded[:12]}..., got {actual[:12]}...")
     data = Dataset.from_csv(data_path)
     adjust = Dataset.from_csv(adjust_path) if adjust_path else None
     if a_grid is None:
-        a_grid = _vector(artifact, "config.a_grid")
-    curve = _curve_from_artifact(artifact, data, adjust, a_grid)
+        a_grid = read.vector("config.a_grid")
+    # The stored curve is read on either path, as that checks every field.
+    method = read("method", lambda v: isinstance(v, str), "a string")
+    model = evaluation.estimator(method).model
+    curve = model.stored_curve(read, data, a_grid)
+    if adjust is not None:
+        curve = model.from_record(read, data).curve(adjust, a_grid)
     _write_curve(out, curve)
     _write_meta(out, {"command": "ate", "model": str(model_path),
                       "data": str(data_path),

@@ -56,69 +56,27 @@ class Estimator:
     - ``fit(data, specs, seed, options)``: the fitted model. ``specs``
       None means median-heuristic bandwidths; ``options`` holds the
       ``fit`` flags given, by the names in ``reads``.
-    - ``record(model, seed, options)``: the artifact's ``lambdas``,
-      ``search`` and method fields. Its coefficients are the model
-      attribute named ``coefficients``.
-    - ``curve(model, adjust, a_grid)``: the model's effect curve over the
-      sample ``adjust``, by its module's public curve function.
-    - ``weights(model, adjust)``: the weights w of that curve
-      k_A(a, A_s)' w, which the artifact stores.
-    - ``sample(data, read)``: the training rows whose treatments are A_s.
-    - ``rebuild(read, data, specs, coefficients)``: the model again from
-      an artifact, whose dotted paths ``read`` looks up.
-
-    ``linear2s`` has no kernel model: its model is the training data, it
-    has no weights, and its curve refits the two regressions.
+    - ``model``: the type ``fit`` returns, which answers for itself:
+      ``curve(adjust, a_grid)`` (its module's public curve function),
+      ``to_record(adjust)`` and, from a ``cli.ArtifactReader``,
+      ``from_record(read, data)`` and ``stored_curve(read, data, a_grid)``.
     """
 
     fit: Callable
     reads: tuple[str, ...]
-    record: Callable
-    curve: Callable
-    coefficients: str = ""
-    weights: Callable | None = None
-    sample: Callable = lambda data, read: data
-    rebuild: Callable | None = None
-    compared: bool = True   # one of ``run_table``'s default methods
-
-
-def _kpv_rebuild(read, data, specs, c):
-    sample1, sample2 = data.split_half(read("split_seed"))
-    stage1 = kpv.stage1_fit(sample1, specs, read("lambdas.lambda1"))
-    return kpv.kpv_model(stage1, sample2, c, read("lambdas.lambda2"))
-
-
-def _searched(model) -> dict:
-    """A single-ridge model's ``lambdas`` and its ridge search as JSON
-    values: None if no ridge was searched, and a non-finite score None."""
-    s = model.search
-    search = None if s is None else {
-        "grid": s.grid.tolist(), "scores": [
-            v if np.isfinite(v) else None for v in s.scores.tolist()],
-        "lambda": s.lam, "edge": s.edge}
-    return {"lambdas": {"lambda": model.lam}, "search": search}
+    model: type
 
 
 def _pmmr(nystrom: bool) -> Estimator:
-    def rank(n, options):
-        return options.get("rank", max(1, n // 2)) if nystrom else None
-
     return Estimator(
         fit=lambda data, specs, seed, o: pmmr.fit_pmmr(
             data, specs=specs, lam=o.get("lambda1"),
             lam_grid=o.get("lambda_grid", pmmr.DEFAULT_LAMBDA_GRID),
-            rank=rank(data.n, o), split_seed=seed),
-        reads=("lambda1", "lambda_grid") + (("rank",) if nystrom else ()),
-        record=lambda m, seed, o: {**_searched(m), "rank": rank(m.n, o)},
-        curve=lambda m, adjust, grid: pmmr.pmmr_ate(
-            m, grid, adjust.x, adjust.w),
-        coefficients="alpha",
-        weights=lambda m, adjust: pmmr.pmmr_curve_weights(
-            m, adjust.x, adjust.w),
-        rebuild=lambda read, data, specs, alpha: pmmr.PmmrModel(
-            sample=data, specs=specs, alpha=alpha,
-            lam=read("lambdas.lambda")),
-        compared=not nystrom)
+            rank=o.get("rank", max(1, data.n // 2)) if nystrom else None,
+            split_seed=seed),
+        reads=("lambda1", "lambda_grid", "bandwidth")
+        + (("rank",) if nystrom else ()),
+        model=pmmr.PmmrModel)
 
 
 def _ridge(groups: str) -> Estimator:
@@ -127,45 +85,32 @@ def _ridge(groups: str) -> Estimator:
             data, groups, lam=o.get("lambda1"),
             lam_grid=o.get("lambda_grid", baselines.DEFAULT_RIDGE_GRID),
             specs=specs),
-        reads=("lambda1", "lambda_grid"),
-        record=lambda m, seed, o: {**_searched(m), "adjust": groups},
-        curve=lambda m, adjust, grid: baselines.adjusted_ate(m, grid, adjust),
-        coefficients="beta",
-        weights=lambda m, adjust: baselines.adjusted_curve_weights(m, adjust),
-        rebuild=lambda read, data, specs, beta: baselines.RidgeModel(
-            sample=data, adjust=groups, specs=specs,
-            lam=read("lambdas.lambda"), beta=beta))
+        reads=("lambda1", "lambda_grid", "bandwidth"),
+        model=baselines.RidgeModel)
 
 
 # The entries call estimator functions through their modules at call time,
 # so a rebound module attribute (a test double, a tracing span) is seen.
+# A ridge baseline's name is "ridge-<groups>", which its artifact checks.
 ESTIMATORS = {
     "kpv": Estimator(
         fit=lambda data, specs, seed, o: kpv.fit_kpv(
             data, specs=specs, lam1=o.get("lambda1"), lam2=o.get("lambda2"),
             split_seed=seed),
-        reads=("lambda1", "lambda2"),
-        record=lambda m, seed, o: {
-            "lambdas": {"lambda1": m.stage1.lam1, "lambda2": m.lam2},
-            "search": None, "split_seed": seed},
-        curve=lambda m, adjust, grid: kpv.kpv_ate(m, grid, adjust.x, adjust.w),
-        coefficients="c",
-        weights=lambda m, adjust: kpv.kpv_curve_weights(m, adjust.x, adjust.w),
-        sample=lambda data, read: data.split_half(read("split_seed"))[1],
-        rebuild=_kpv_rebuild),
+        reads=("lambda1", "lambda2", "bandwidth"),
+        model=kpv.KpvModel),
     "pmmr": _pmmr(nystrom=False),
     "pmmr-nystrom": _pmmr(nystrom=True),
     "ridge": _ridge(""),
     "ridge-w": _ridge("w"),
     "ridge-wz": _ridge("wz"),
     "linear2s": Estimator(
-        fit=lambda data, specs, seed, o: data, reads=(),
-        record=lambda m, seed, o: {"lambdas": {}, "search": None},
-        curve=lambda m, adjust, grid: baselines.linear_two_stage(
-            m, grid, adjust)),
+        fit=lambda data, specs, seed, o: baselines.fit_linear2s(data),
+        reads=(), model=baselines.Linear2sModel),
 }
 
-DEFAULT_METHODS = tuple(m for m, e in ESTIMATORS.items() if e.compared)
+# ``run_table``'s methods: all but pmmr-nystrom, an approximation of pmmr.
+DEFAULT_METHODS = ("kpv", "pmmr", "ridge", "ridge-w", "ridge-wz", "linear2s")
 
 
 def estimator(name: str) -> Estimator:
@@ -183,7 +128,7 @@ def fit_method(name: str, data: Dataset, a_grid: np.ndarray,
     ``KernelSpecs.from_data(data)``."""
     est = estimator(name)
     check_treatment(data)
-    return est.curve(est.fit(data, specs, seed, {}), data, a_grid)
+    return est.fit(data, specs, seed, {}).curve(data, a_grid)
 
 
 @dataclass

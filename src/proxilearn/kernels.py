@@ -308,3 +308,15 @@ class KernelSpecs:
     def from_data(cls, data: Dataset) -> "KernelSpecs":
         """Median-heuristic bandwidths for every group of ``data``."""
         return cls(**{g: median_heuristic(getattr(data, g)) for g in GROUPS})
+
+    @classmethod
+    def from_record(cls, read, data: Dataset) -> "KernelSpecs":
+        """The bandwidths an artifact over ``data`` records, checked by
+        ``read``: a positive finite number per column of each group."""
+        return cls(**{g: KernelSpec(read.vector(
+            f"bandwidths.{g}", getattr(data, g).shape[1], positive=True))
+            for g in GROUPS})
+
+    def to_record(self) -> dict:
+        """The bandwidths of each group as JSON lists."""
+        return {g: getattr(self, g).bandwidths.tolist() for g in GROUPS}

@@ -31,7 +31,7 @@ estimates the bridge function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -88,7 +88,7 @@ class KpvModel:
     """Fitted bridge function h(a, x, w) with coefficient matrix alpha.
 
     ``c`` holds the m2 stage-2 coefficients alpha was expanded from (see
-    ``kpv_model``).
+    ``kpv_model``), ``split_seed`` that of ``fit_kpv``'s split, if any.
     """
 
     stage1: Stage1Fit
@@ -96,6 +96,7 @@ class KpvModel:
     alpha: np.ndarray
     lam2: float
     c: np.ndarray
+    split_seed: int | None = None
 
     @property
     def m2(self) -> int:
@@ -105,6 +106,41 @@ class KpvModel:
     def nu(self) -> np.ndarray:
         """Coefficients flattened row-major (sample-1 index outer)."""
         return self.alpha.reshape(-1)
+
+    def curve(self, adjust: Dataset, a_grid) -> DoCurve:
+        """``kpv_ate`` over the adjustment sample ``adjust``."""
+        return kpv_ate(self, a_grid, adjust.x, adjust.w)
+
+    def to_record(self, adjust: Dataset) -> dict:
+        """The artifact's model fields, curve weights over ``adjust``."""
+        return {"bandwidths": self.stage1.specs.to_record(),
+                "lambdas": {"lambda1": self.stage1.lam1,
+                            "lambda2": self.lam2},
+                "search": None, "split_seed": self.split_seed,
+                "coefficients": {"c": self.c.tolist()},
+                "curve_weights": kpv_curve_weights(
+                    self, adjust.x, adjust.w).tolist()}
+
+    @classmethod
+    def from_record(cls, read, data: Dataset) -> KpvModel:
+        """The model again: stage 1 refitted on the recorded split."""
+        seed = read.seed("split_seed")
+        sample1, sample2 = data.split_half(seed)
+        stage1 = stage1_fit(sample1, KernelSpecs.from_record(read, data),
+                            read.ridge("lambdas.lambda1"))
+        return replace(kpv_model(stage1, sample2, read.vector(
+            "coefficients.c", sample2.n), read.ridge("lambdas.lambda2")),
+            split_seed=seed)
+
+    @classmethod
+    def stored_curve(cls, read, data: Dataset, a_grid) -> DoCurve:
+        """The stored weights' curve, every field checked; fits nothing."""
+        sample2 = data.split_half(read.seed("split_seed"))[1]
+        read.ridge("lambdas.lambda1")
+        read.ridge("lambdas.lambda2")
+        read.vector("coefficients.c", sample2.n)
+        return effect_curve(sample2.a, KernelSpecs.from_record(read, data).a,
+                            read.vector("curve_weights", sample2.n), a_grid)
 
 
 def _stage2_sigma(fit: Stage1Fit, sample2: Dataset):
@@ -217,4 +253,5 @@ def fit_kpv(
     sample1, sample2 = data.split_half(split_seed)
     fit = stage1_fit(sample1, specs,
                      DEFAULT_LAMBDA1 if lam1 is None else lam1)
-    return kpv_fit(fit, sample2, DEFAULT_LAMBDA2 if lam2 is None else lam2)
+    model = kpv_fit(fit, sample2, DEFAULT_LAMBDA2 if lam2 is None else lam2)
+    return replace(model, split_seed=split_seed)

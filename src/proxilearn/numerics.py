@@ -254,6 +254,12 @@ class SearchRecord:
     lam: float
     edge: bool
 
+    def to_json(self) -> dict:
+        """The record as JSON values, a non-finite score None."""
+        return {"grid": self.grid.tolist(), "scores": [
+            v if np.isfinite(v) else None for v in self.scores.tolist()],
+            "lambda": self.lam, "edge": self.edge}
+
 
 def search_record(grid, scores) -> SearchRecord:
     """The record of a search that scored ``grid`` with ``scores``."""

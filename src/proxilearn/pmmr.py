@@ -68,17 +68,42 @@ _JITTER_SCALE = 1e-8
 
 @dataclass(frozen=True)
 class PmmrModel:
-    """Fitted bridge h(a, w, x) = sum_i alpha_i l((a_i, w_i, x_i), .)."""
+    """Fitted bridge h(a, w, x) = sum_i alpha_i l((a_i, w_i, x_i), .).
+    ``rank`` is the Nystrom rank of the solve, None for the exact one."""
 
     sample: Dataset
     specs: KernelSpecs
     alpha: np.ndarray
     lam: float
     search: SearchRecord | None = None
+    rank: int | None = None
 
-    @property
-    def n(self) -> int:
-        return self.sample.n
+    def curve(self, adjust: Dataset, a_grid) -> DoCurve:
+        """``pmmr_ate`` over the adjustment sample ``adjust``."""
+        return pmmr_ate(self, a_grid, adjust.x, adjust.w)
+
+    def to_record(self, adjust: Dataset) -> dict:
+        """The artifact's model fields, curve weights over ``adjust``."""
+        return {"bandwidths": self.specs.to_record(),
+                "lambdas": {"lambda": self.lam},
+                "search": self.search and self.search.to_json(),
+                "rank": self.rank,
+                "coefficients": {"alpha": self.alpha.tolist()},
+                "curve_weights": pmmr_curve_weights(
+                    self, adjust.x, adjust.w).tolist()}
+
+    @classmethod
+    def from_record(cls, read, data: Dataset) -> PmmrModel:
+        """The model again."""
+        return cls(sample=data, specs=KernelSpecs.from_record(read, data),
+                   alpha=read.vector("coefficients.alpha", data.n),
+                   lam=read.ridge("lambdas.lambda"))
+
+    @classmethod
+    def stored_curve(cls, read, data: Dataset, a_grid) -> DoCurve:
+        """The stored weights' curve, every field checked; fits nothing."""
+        return effect_curve(data.a, cls.from_record(read, data).specs.a,
+                            read.vector("curve_weights", data.n), a_grid)
 
 
 def h_side_gram(left, right, specs: KernelSpecs) -> np.ndarray:
@@ -272,4 +297,4 @@ def fit_pmmr(
         lam = search.lam
     model = (pmmr_fit(data, specs, lam) if rank is None
              else pmmr_fit_nystrom(data, specs, lam, rank, split_seed))
-    return replace(model, search=search)
+    return replace(model, search=search, rank=rank)

@@ -6,7 +6,7 @@ from proxilearn.baselines import (
     adjusted_ate,
     adjusted_curve_weights,
     fit_ridge_baseline,
-    linear_two_stage,
+    fit_linear2s,
 )
 from proxilearn import baselines, evaluation, numerics, synthdata
 from proxilearn.data import Dataset
@@ -338,7 +338,7 @@ class TestLinearTwoStage:
         y = 3.0 + 0.5 * a + 2.0 * w
         data = Dataset(a=a, x=np.empty((n, 0)), z=z, w=w, y=y)
         grid = np.array([-1.0, 0.0, 1.0])
-        curve = linear_two_stage(data, grid)
+        curve = fit_linear2s(data).curve(data, grid)
         expected = 3.0 + 0.5 * grid + 2.0 * np.mean(w)
         np.testing.assert_allclose(curve.estimate, expected, atol=1e-8)
 
@@ -350,13 +350,13 @@ class TestLinearTwoStage:
         w = 0.5 * z + rng.normal(size=n)
         y = np.full(n, 2.5)
         data = Dataset(a=a, x=np.empty((n, 0)), z=z, w=w, y=y)
-        curve = linear_two_stage(data, np.linspace(-2, 2, 5))
+        curve = fit_linear2s(data).curve(data, np.linspace(-2, 2, 5))
         np.testing.assert_allclose(curve.estimate, 2.5, atol=1e-8)
 
     def test_curve_is_affine_in_treatment(self):
         data = rng_dataset(11, 40)
         grid = np.linspace(-1, 2, 7)
-        curve = linear_two_stage(data, grid)
+        curve = fit_linear2s(data).curve(data, grid)
         slopes = np.diff(curve.estimate) / np.diff(grid)
         np.testing.assert_allclose(slopes, slopes[0], atol=1e-10)
 
@@ -368,7 +368,7 @@ class TestLinearTwoStage:
                        z=np.column_stack([a, a]),  # collinear with a
                        w=rng.normal(size=(n, 1)), y=rng.normal(size=n))
         with pytest.raises(np.linalg.LinAlgError, match="rank deficient"):
-            linear_two_stage(data, [0.0])
+            fit_linear2s(data).curve(data, [0.0])
 
     def test_level_uses_adjustment_w_mean(self):
         # w = 1 + 2a - z and y = 3 + 0.5a + 2w exactly, so the curve over
@@ -381,13 +381,13 @@ class TestLinearTwoStage:
                        y=3.0 + 0.5 * a + 2.0 * w)
         grid = np.array([-1.0, 0.0, 1.0])
         w_adjust = w[:, None] + 3.0
-        curve = linear_two_stage(data, grid, Dataset(
-            a=a, x=np.empty((50, 0)), z=z, w=w_adjust, y=data.y))
+        curve = fit_linear2s(data).curve(Dataset(
+            a=a, x=np.empty((50, 0)), z=z, w=w_adjust, y=data.y), grid)
         np.testing.assert_allclose(
             curve.estimate, 3.0 + 0.5 * grid + 2.0 * w_adjust.mean(),
             atol=1e-8)
         with pytest.raises(ValueError, match="empty"):
-            linear_two_stage(data, grid, data.subset(np.arange(0)))
+            fit_linear2s(data).curve(data.subset(np.arange(0)), grid)
 
     def test_adjusts_for_observed_covariates(self):
         # U, X ~ N(0, 1), A = U + X + e, Z = U + e, W = U + e and
@@ -399,7 +399,7 @@ class TestLinearTwoStage:
         a = u + x + rng.normal(size=n)
         data = Dataset(a=a, x=x, z=u + rng.normal(size=n),
                        w=u + rng.normal(size=n), y=a + 2.0 * u + 3.0 * x)
-        curve = linear_two_stage(data, [0.0, 1.0])
+        curve = fit_linear2s(data).curve(data, [0.0, 1.0])
         assert curve.estimate[1] - curve.estimate[0] == pytest.approx(
             1.0, abs=0.05)
 
@@ -413,12 +413,12 @@ class TestLinearTwoStage:
         data = Dataset(a=np.column_stack([data.a, second]), x=data.x,
                        z=data.z, w=data.w, y=data.y)
         with pytest.raises(ValueError, match="scalar treatment only"):
-            linear_two_stage(data, [0.0])
+            fit_linear2s(data).curve(data, [0.0])
 
     def test_needs_enough_rows(self):
         data = rng_dataset(13, 3)
         with pytest.raises(ValueError, match="more rows"):
-            linear_two_stage(data, [0.0])
+            fit_linear2s(data).curve(data, [0.0])
 
 
 def covariate_design(n, seed):

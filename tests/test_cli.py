@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import json
 
 import numpy as np
@@ -320,6 +321,27 @@ KERNEL_FITS = {
 }
 
 
+# Values that ate refuses at a dotted field path, and the method whose
+# artifact each field belongs to (pmmr's if not named).
+BAD_VALUES = [
+    *[("split_seed", v) for v in (None, True, "abc", -1, 1.5)],
+    ("lambdas.lambda1", None), ("lambdas.lambda2", 0),
+    *[("lambdas.lambda", v) for v in (-0.1, "0.1", True)],
+    ("bandwidths.w", ["x"]), ("bandwidths.w", [1.0, 0.0]),
+    ("bandwidths.a", [1.0, 1.0]), ("bandwidths.z", None),
+    ("adjust", "wz"), ("method", ["pmmr"]), ("training_data.sha256", 7),
+]
+FIELD_METHODS = {"split_seed": "kpv", "lambdas.lambda1": "kpv",
+                 "lambdas.lambda2": "kpv", "adjust": "ridge-w"}
+
+
+def set_field(artifact, path, value):
+    *keys, last = path.split(".")
+    for key in keys:
+        artifact = artifact[key]
+    artifact[last] = value
+
+
 def library_ate(method, model, grid, adjust: Dataset):
     if method == "kpv":
         return kpv.kpv_ate(model, grid, adjust.x, adjust.w)
@@ -416,11 +438,28 @@ class TestAteWeightSources:
         shifted.to_csv(shifted_path)
         curve = self.ate(runner, model_path, data_path, tmp_path / "a.csv",
                          "--adjust", str(shifted_path))
-        training = baselines.linear_two_stage(data, curve[:, 0])
+        training = baselines.fit_linear2s(data).curve(data, curve[:, 0])
         assert not np.allclose(curve[:, 1], training.estimate)
-        expected = baselines.linear_two_stage(data, curve[:, 0], shifted)
+        expected = baselines.fit_linear2s(data).curve(shifted, curve[:, 0])
         np.testing.assert_allclose(curve[:, 1], expected.estimate,
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("adjust", [False, True])
+    def test_linear2s_ate_runs_no_regression(self, runner, tmp_path, adjust,
+                                             monkeypatch):
+        # The artifact stores the stage-2 coefficients, so ate over the
+        # training data reproduces fit's curve bytes without a regression.
+        data_path, model_path = self.fit(runner, tmp_path, "linear2s")
+
+        def regress(*args, **kwargs):
+            raise AssertionError("ate ran a regression")
+
+        monkeypatch.setattr(baselines, "_lstsq", regress)
+        out = tmp_path / "again.csv"
+        extra = ["--adjust", str(data_path)] if adjust else []
+        self.ate(runner, model_path, data_path, out, *extra)
+        assert out.read_bytes() == \
+            (tmp_path / "linear2s.json.curve.csv").read_bytes()
 
     @pytest.mark.parametrize("adjust", [False, True])
     @pytest.mark.parametrize("field, edit", [
@@ -429,10 +468,15 @@ class TestAteWeightSources:
         ("curve_weights", lambda art: art.update(curve_weights="oops")),
         ("coefficients.alpha",
          lambda art: art["coefficients"]["alpha"].append(0.0)),
+        *[pytest.param(field, functools.partial(set_field, path=field,
+                                                value=value),
+                       id=f"{field}-{value!r}")
+          for field, value in BAD_VALUES],
     ])
     def test_bad_weight_fields_report_json(self, runner, tmp_path, field,
                                            edit, adjust):
-        data_path, model_path = self.fit(runner, tmp_path, "pmmr")
+        method = FIELD_METHODS.get(field, "pmmr")
+        data_path, model_path = self.fit(runner, tmp_path, method)
         artifact = json.loads(model_path.read_text())
         edit(artifact)
         model_path.write_text(json.dumps(artifact))
@@ -444,6 +488,7 @@ class TestAteWeightSources:
         payload = json.loads(result.stderr or result.output)
         assert payload["error"] == "ValueError"
         assert repr(field) in payload["message"]
+        assert not list(tmp_path.glob("x.csv*"))
 
     @pytest.mark.parametrize("a_grid", [[], [[1.0, 2.0]], "oops",
                                         [0.5, "1"], [0.0, float("inf")]])

@@ -265,8 +265,8 @@ def test_power_of_two_scales_of_y_scale_every_curve(method, exponent):
     model = est.fit(data, None, 1, {})
     model_scaled = est.fit(scaled, None, 1, {})
     np.testing.assert_array_equal(
-        est.curve(model_scaled, scaled, grid).estimate,
-        np.ldexp(est.curve(model, data, grid).estimate, exponent))
+        model_scaled.curve(scaled, grid).estimate,
+        np.ldexp(model.curve(data, grid).estimate, exponent))
     search = getattr(model, "search", None)
     search_scaled = getattr(model_scaled, "search", None)
     assert (search is None) == (method in ("kpv", "linear2s"))
