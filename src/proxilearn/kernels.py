@@ -107,10 +107,7 @@ def gram(points_a: np.ndarray, points_b: np.ndarray,
     sq_a = np.sum(sa**2, axis=1)[:, None]
     sq_b = np.sum(sb**2, axis=1)
     out = np.empty((n, m))
-    rows = max(2, _BLOCK_BYTES // (8 * m))
-    blocks = max(1, n // rows)     # each has >= rows rows, or all n
-    edges = [n * i // blocks for i in range(blocks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
+    for lo, hi in row_blocks(n, m):
         block = out[lo:hi]
         # block' = -2 sb sa[lo:hi]', written by dgemm into block's memory,
         # which is the Fortran-ordered block'.
@@ -123,6 +120,16 @@ def gram(points_a: np.ndarray, points_b: np.ndarray,
         block *= -0.5
         np.exp(block, out=block)
     return out
+
+
+def row_blocks(n: int, m: int) -> list[tuple[int, int]]:
+    """The (lo, hi) row ranges in which ``gram`` fills an n x m output
+    (m >= 1): about ``_BLOCK_BYTES`` each, and at least two rows each
+    unless n is smaller."""
+    rows = max(2, _BLOCK_BYTES // (8 * m))
+    blocks = max(1, n // rows)     # each has >= rows rows, or all n
+    edges = [n * i // blocks for i in range(blocks + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 def group_gram(groups, left, right, specs: KernelSpecs) -> np.ndarray:

@@ -3,8 +3,9 @@ in-place symmetric eigensolve and one that works from a pivoted-Cholesky
 factor when the matrix's numerical rank is low (the factor stops at the
 pivots a ridge search can still resolve), closed-form leave-one-out
 scores over a ridge path, the ridge rule, the grid selection rule and its
-search record, Khatri-Rao products, Nystrom features and the low-rank
-regularized solve built on them.
+search record, Khatri-Rao products, Nystrom features from a pivoted
+Cholesky of the landmark block, and the low-rank regularized solve built
+on them, which takes l psi in place of the n x n l.
 
 Every product and solve in the package goes through scipy's BLAS and
 LAPACK, products through ``matmul``. numpy and scipy each bundle their own
@@ -26,9 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk
+from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk, dtrsm
 from scipy.linalg.lapack import dpstrf
 
+# ``nystrom_features`` stops the pivoted Cholesky of the landmark block
+# over n^2 once every remaining pivot (a diagonal entry of the Schur
+# complement not yet factored) is at most this value. Each pivot is at
+# least the block's smallest eigenvalue, so a block whose eigenvalues all
+# clear the floor keeps every landmark.
 EIGENVALUE_FLOOR = 1e-12
 
 # ``low_rank_eigh`` works from the factor while the numerical rank r is at
@@ -301,12 +307,17 @@ def nystrom_features(columns: np.ndarray,
     """Nystrom features psi (n x r') with psi psi' ~= k / n^2.
 
     ``columns`` is the n x r block C = k[:, landmarks] of a symmetric PSD
-    k, so k itself is never needed. The landmark block over n^2 is
-    eigendecomposed as Q diag(e) Q', eigenvalues at or below
-    ``EIGENVALUE_FLOOR`` are dropped, and psi = C Q diag(e)^{-1/2} / n^2,
-    which makes psi psi' = (C/n^2) B^+ (C/n^2)' for the scaled block B.
-    B is eigendecomposed from its lower triangle in a Fortran-ordered
-    copy, as LAPACK's ``syevd`` reads it without another copy.
+    k, so k itself is never needed. The landmark block over n^2,
+    B = C[landmarks] / n^2, is factored in its own memory by LAPACK's
+    pivoted Cholesky ``pstrf``, which stops once every remaining pivot is
+    at most ``EIGENVALUE_FLOOR``. With S the r' kept pivots and
+    G1 G1' = B[S][:, S] (G1 lower triangular), psi = (C[:, S] / n^2)
+    G1^{-T}, one triangular solve, which makes psi psi' =
+    C_S B_SS^{-1} C_S' / n^2 for C_S = C[:, S] and the unscaled block
+    B_SS = C[S][:, S]: the Nystrom approximation on the kept pivots. The
+    pivots left out bound the error of the landmark block (Harbrecht,
+    Peters and Schneider, Appl. Numer. Math. 2012). Raises
+    ``numpy.linalg.LinAlgError`` if no pivot is above the floor.
     """
     columns = np.asarray(columns, dtype=float)
     landmarks = np.asarray(landmarks)
@@ -314,26 +325,31 @@ def nystrom_features(columns: np.ndarray,
     if columns.ndim != 2 or columns.shape[1] != landmarks.size:
         raise ValueError("need one column per landmark")
     scale = float(n) ** 2
-    eigvals, eigvecs = eigh_in_place(
-        np.asfortranarray(columns[landmarks] / scale))
-    keep = eigvals > EIGENVALUE_FLOOR
-    if not keep.any():
+    block = columns[landmarks]
+    block /= scale
+    # pstrf factors the lower triangle of the Fortran view B' (B is
+    # symmetric); the top r' x r' block of its lower triangle is G1.
+    factor, piv, rank, _ = dpstrf(block.T, tol=EIGENVALUE_FLOOR, lower=True,
+                                  overwrite_a=1)
+    if rank == 0:
         raise np.linalg.LinAlgError(
-            "all landmark eigenvalues below the floor"
-        )
-    return matmul(columns,
-                  eigvecs[:, keep] / (scale * np.sqrt(eigvals[keep])))
+            f"no landmark pivot above the floor {EIGENVALUE_FLOOR:g}")
+    # psi G1' = C_S / n^2, solved in the memory of the Fortran-ordered C_S.
+    return dtrsm(1.0 / scale, factor[:rank, :rank],
+                 columns.T[piv[:rank] - 1].T, side=1, lower=1, trans_a=1,
+                 overwrite_b=1)
 
 
-def nystrom_solve(psi: np.ndarray, l: np.ndarray, lam: float,
+def nystrom_solve(psi: np.ndarray, l_psi: np.ndarray, lam: float,
                   rhs: np.ndarray) -> np.ndarray:
-    """Apply (psi psi' l + lam I)^{-1} psi psi' to ``rhs``.
+    """Apply (psi psi' l + lam I)^{-1} psi psi' to ``rhs``, given
+    ``l_psi`` = l psi (n x r') in place of the n x n ``l``.
 
     By the push-through identity this is psi (psi' l psi + lam I)^{-1}
-    psi' rhs: one r x r system, positive definite for symmetric PSD ``l``
-    and lam > 0, factored in its own memory (``psd_factor``).
+    psi' rhs: one r' x r' system, positive definite for symmetric PSD
+    ``l`` and lam > 0, factored in its own memory (``psd_factor``).
     """
     ridge_grid(lam, "lam")
     psi = np.asarray(psi, dtype=float)
-    factor = psd_factor(matmul(psi.T, matmul(l, psi)), lam)
+    factor = psd_factor(matmul(psi.T, l_psi), lam)
     return matmul(psi, scipy.linalg.cho_solve(factor, matmul(psi.T, rhs)))

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from proxilearn import (__version__, baselines, evaluation, kpv, numerics,
                         pmmr, synthdata)
-from proxilearn.cli import main
+from proxilearn.cli import ArtifactReader, main
 from proxilearn.data import Dataset
 from proxilearn.kernels import KernelSpec, KernelSpecs
 from proxilearn.synthdata import gen_main
@@ -330,9 +330,11 @@ BAD_VALUES = [
     ("bandwidths.w", ["x"]), ("bandwidths.w", [1.0, 0.0]),
     ("bandwidths.a", [1.0, 1.0]), ("bandwidths.z", None),
     ("adjust", "wz"), ("method", ["pmmr"]), ("training_data.sha256", 7),
+    *[("rank", v) for v in (0, 61, 2.0, True, "20")],
 ]
 FIELD_METHODS = {"split_seed": "kpv", "lambdas.lambda1": "kpv",
-                 "lambdas.lambda2": "kpv", "adjust": "ridge-w"}
+                 "lambdas.lambda2": "kpv", "adjust": "ridge-w",
+                 "rank": "pmmr-nystrom"}
 
 
 def set_field(artifact, path, value):
@@ -401,6 +403,14 @@ class TestAteWeightSources:
         self.ate(runner, model_path, data_path, out)
         assert out.read_bytes() == \
             (tmp_path / f"{method}.json.curve.csv").read_bytes()
+
+    @pytest.mark.parametrize("method", ["pmmr", "pmmr-nystrom"])
+    def test_model_from_record_keeps_rank(self, runner, tmp_path, method):
+        data_path, model_path = self.fit(runner, tmp_path, method)
+        artifact = json.loads(model_path.read_text())
+        data = Dataset.from_csv(data_path)
+        model = pmmr.PmmrModel.from_record(ArtifactReader(artifact), data)
+        assert model.to_record(data)["rank"] == artifact["rank"]
 
     @pytest.mark.parametrize("method", KERNEL_FITS)
     def test_adjust_over_training_data_matches_stored_weights(

@@ -13,6 +13,7 @@ from proxilearn.baselines import fit_ridge_baseline
 from proxilearn.kernels import KernelSpec, KernelSpecs, gram
 from proxilearn.kpv import kpv_fit, stage1_fit
 from proxilearn.numerics import (
+    EIGENVALUE_FLOOR,
     argmin_ties_larger,
     eigh_in_place,
     khatri_rao_cols,
@@ -27,7 +28,8 @@ from proxilearn.numerics import (
     search_record,
     solve_psd,
 )
-from proxilearn.pmmr import pmmr_fit, pmmr_fit_nystrom
+from proxilearn import synthdata
+from proxilearn.pmmr import instrument_gram, pmmr_fit, pmmr_fit_nystrom
 from tests.conftest import nystrom, ridge_loo_scores, rng_dataset
 
 
@@ -48,8 +50,8 @@ def _single_ridge_entry_points():
         "stage1_fit": lambda lam: stage1_fit(data, specs, lam),
         "kpv_fit": lambda lam: kpv_fit(stage1, data, lam),
         "psd_factor": lambda lam: psd_factor(np.eye(3), lam),
-        "nystrom_solve": lambda lam: nystrom_solve(psi, np.eye(4), lam,
-                                                   np.ones(4)),
+        "nystrom_solve": lambda lam: nystrom_solve(psi, np.eye(4) @ psi,
+                                                   lam, np.ones(4)),
     }
 
 
@@ -619,22 +621,49 @@ class TestNystrom:
         assert rel <= 1e-8
 
     def test_matches_fully_scaled_reference(self):
-        # Reference: scale the whole matrix by 1/n^2, then take the
-        # landmark block and columns; folding 1/n^2 into the r-sized
-        # factors gives the same features up to round-off, which the
-        # columns of the smallest kept eigenvalues amplify, so the test
-        # compares psi psi'.
+        # Reference: scale the whole matrix by 1/n^2, keep the landmarks S
+        # at which LAPACK's pivoted Cholesky of the scaled landmark block
+        # stops at the floor, and form s[:, S] s[S, S]^{-1} s[:, S]' by a
+        # dense solve. s[S, S] keeps a pivot of 1e-11 here (condition
+        # number 9e8), and this reference is itself 6e-15 from the same
+        # product in 50 digits, so the two agree to 1e-10 of the scale.
+        # On the kept landmarks the features reproduce s[S, S] to
+        # round-off.
         rng = np.random.default_rng(6)
         k = _rbf_gram(rng.normal(size=(40, 1)))
         psi = nystrom(k, rank=12, landmark_seed=3)
         scaled = k / 40.0**2
         lm = nystrom_landmarks(40, 12, landmark_seed=3)
-        eigvals, eigvecs = np.linalg.eigh(scaled[np.ix_(lm, lm)])
-        keep = eigvals > 1e-12
-        expected = scaled[:, lm] @ (eigvecs[:, keep] / np.sqrt(eigvals[keep]))
-        assert psi.shape == expected.shape
-        np.testing.assert_allclose(psi @ psi.T, expected @ expected.T,
+        _, piv, rank, _ = scipy.linalg.lapack.dpstrf(
+            scaled[np.ix_(lm, lm)], tol=EIGENVALUE_FLOOR, lower=True)
+        kept = lm[piv[:rank] - 1]
+        expected = scaled[:, kept] @ np.linalg.solve(
+            scaled[np.ix_(kept, kept)], scaled[:, kept].T)
+        assert psi.shape == (40, rank)
+        np.testing.assert_allclose(psi @ psi.T, expected,
+                                   rtol=0, atol=1e-10 * scaled.max())
+        np.testing.assert_allclose(psi[kept] @ psi[kept].T,
+                                   scaled[np.ix_(kept, kept)],
                                    rtol=0, atol=1e-12 * scaled.max())
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("rank", [100, 500])
+    def test_no_worse_than_eigen_truncation(self, seed, rank):
+        # Reference: the eigen-truncated features C Q diag(e)^{-1/2} of the
+        # scaled landmark block's eigenpairs above the same floor. On
+        # instrument Grams the pivoted features' Frobenius error is within
+        # 5% of theirs (measured ratios 0.988-1.000).
+        n = 1000
+        data = synthdata.gen_main(n, seed=seed).data
+        w_gram = instrument_gram(data, data, KernelSpecs.from_data(data))
+        lm = nystrom_landmarks(n, rank, landmark_seed=0)
+        psi = nystrom_features(w_gram[:, lm], lm)
+        scaled = w_gram / float(n) ** 2
+        eigvals, eigvecs = np.linalg.eigh(scaled[np.ix_(lm, lm)])
+        keep = eigvals > EIGENVALUE_FLOOR
+        eig = scaled[:, lm] @ (eigvecs[:, keep] / np.sqrt(eigvals[keep]))
+        assert (np.linalg.norm(scaled - psi @ psi.T)
+                <= 1.05 * np.linalg.norm(scaled - eig @ eig.T))
 
     def test_rank_one_matrix(self):
         v = np.array([1.0, 2.0, -1.5, 0.7])
@@ -698,21 +727,21 @@ class TestNystrom:
 
 class TestWoodburyApply:
     """``nystrom_solve`` applies (psi psi' L + lam I)^{-1} psi psi' in its
-    push-through form psi (psi' L psi + lam I)^{-1} psi'."""
+    push-through form psi (psi' L psi + lam I)^{-1} psi', given L psi."""
 
     def test_zero_l_reduces_to_reconstruction(self):
         rng = np.random.default_rng(8)
         k = _rbf_gram(rng.normal(size=(12, 1)))
         psi = nystrom(k, rank=12, landmark_seed=0)
         rhs = rng.normal(size=12)
-        out = nystrom_solve(psi, np.zeros((12, 12)), 1.0, rhs)
+        out = nystrom_solve(psi, np.zeros((12, 12)) @ psi, 1.0, rhs)
         np.testing.assert_allclose(out, psi @ (psi.T @ rhs), atol=1e-12)
 
     def test_zero_rhs(self):
         rng = np.random.default_rng(9)
         k = _rbf_gram(rng.normal(size=(10, 1)))
         psi = nystrom(k, rank=10, landmark_seed=0)
-        out = nystrom_solve(psi, np.eye(10), 0.5, np.zeros(10))
+        out = nystrom_solve(psi, np.eye(10) @ psi, 0.5, np.zeros(10))
         np.testing.assert_allclose(out, np.zeros(10), atol=1e-15)
 
     def test_exact_factors_match_closed_form(self):
@@ -725,7 +754,7 @@ class TestWoodburyApply:
         y = rng.normal(size=n)
         lam = 1e-2
         psi = nystrom(k, rank=n, landmark_seed=2)
-        out = nystrom_solve(psi, l, lam, y)
+        out = nystrom_solve(psi, l @ psi, lam, y)
         scaled = k / n**2
         expected = np.linalg.solve(scaled @ l + lam * np.eye(n), scaled @ y)
         np.testing.assert_allclose(out, expected, rtol=1e-6, atol=1e-10)
@@ -743,7 +772,7 @@ class TestWoodburyApply:
         w_gram = instrument_gram(data, data, specs)
         l_jit = jittered_l(h_side_gram(data, data, specs))
         psi = nystrom(w_gram, rank=10, landmark_seed=0)
-        out = nystrom_solve(psi, l_jit, lam / 100.0, data.y)
+        out = nystrom_solve(psi, l_jit @ psi, lam / 100.0, data.y)
         rel = np.linalg.norm(out - exact.alpha) / np.linalg.norm(exact.alpha)
         assert rel <= 1e-6
 
@@ -752,4 +781,4 @@ class TestWoodburyApply:
         k = _rbf_gram(rng.normal(size=(5, 1)))
         psi = nystrom(k, rank=5, landmark_seed=0)
         with pytest.raises(ValueError, match="lam"):
-            nystrom_solve(psi, np.eye(5), 0.0, np.ones(5))
+            nystrom_solve(psi, np.eye(5) @ psi, 0.0, np.ones(5))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -251,9 +253,9 @@ class TestPmmrNystrom:
         data = synthdata.gen_main(120, seed=2).data
         specs = KernelSpecs.from_data(data)
         lam, rank = 1e-2, 30
+        psi = nystrom(instrument_gram(data, data, specs), rank, 5)
         expected = nystrom_solve(
-            nystrom(instrument_gram(data, data, specs), rank, 5),
-            jittered_l(h_side_gram(data, data, specs)),
+            psi, jittered_l(h_side_gram(data, data, specs)) @ psi,
             lam / 120.0**2, data.y)
         shapes = []
 
@@ -313,6 +315,19 @@ class TestPmmrNystrom:
         got = np.array([v / (1 << 2 * bits) for v in li @ fixed(model.alpha)])
         rel = np.linalg.norm(got - expected) / np.linalg.norm(expected)
         assert rel <= 1e-10
+
+    def test_allocates_no_n_by_n_array(self):
+        # L enters only as L psi, built from row blocks of L.
+        n = 1000
+        data = synthdata.gen_main(n, seed=0).data
+        specs = KernelSpecs.from_data(data)
+        tracemalloc.start()
+        try:
+            pmmr_fit_nystrom(data, specs, 1e-3, rank=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
 
     def test_rank_bounds(self):
         data = rng_dataset(9, 6)
