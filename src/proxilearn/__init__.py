@@ -31,7 +31,6 @@ from .pmmr import (
 from .baselines import (
     Linear2sModel,
     RidgeModel,
-    adjusted_ate,
     fit_linear2s,
 )
 from .synthdata import DiscreteToy, SyntheticDraw, gen_discrete_toy, gen_main, true_ate
@@ -67,7 +66,6 @@ __all__ = [
     "pmmr_h",
     "Linear2sModel",
     "RidgeModel",
-    "adjusted_ate",
     "fit_linear2s",
     "DiscreteToy",
     "SyntheticDraw",

@@ -2,19 +2,19 @@
 adjustment, and a linear two-stage method.
 
 A ridge baseline regresses Y on the groups ("a", "x", *adjust) of its
-training ``Dataset`` with the product kernel of one ``KernelSpecs``, as
-PMMR's bridge does. Averaged over an adjustment sample of the groups V =
-("x", *adjust), it has the effect curve k_A(a, A)' w with the n curve
-weights w = beta * (mean over adjustment rows of k_V) of
-``adjusted_curve_weights``. A searched ridge is the leave-one-out pick
-over a grid, scored from the Gram's eigenpairs or, when the Gram's
-numerical rank is low, from those of a pivoted-Cholesky factor of it
-(``numerics.low_rank_eigh``). That factor keeps only the pivots the grid
-can resolve, those above ``numerics.PIVOT_FLOOR`` times n min(grid). Each
-Gram is built for the one factorization that takes it over and works in
-its memory, so a fit never holds two n x n matrices at once. The
-linear two-stage model keeps its stage-2 coefficients; its curve is
-affine in a and needs only the adjustment sample's W and X means.
+training ``Dataset`` with the product kernel of one ``KernelSpecs``. Its
+``RidgeModel`` is a ``kernels.KernelExpansion``, as PMMR's bridge is, so
+h and the effect curve (h averaged over an adjustment sample of the
+groups ("x", *adjust)) are the expansion's. A searched ridge is the
+leave-one-out pick over a grid, scored from the Gram's eigenpairs or,
+when the Gram's numerical rank is low, from those of a pivoted-Cholesky
+factor of it (``numerics.low_rank_eigh``). That factor keeps only the
+pivots the grid can resolve, those above ``numerics.PIVOT_FLOOR`` times
+n min(grid). Each Gram is built for the one factorization that takes it
+over and works in its memory, so a fit never holds two n x n matrices at
+once. The linear two-stage model keeps its stage-2 coefficients; its
+curve is affine in a and needs only the adjustment sample's W and X
+means.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ import numpy as np
 import scipy.linalg
 
 from .data import GROUPS, Dataset, DoCurve, query_rows
-from .kernels import KernelSpecs, effect_curve, group_gram
+from .kernels import KernelExpansion, KernelSpecs, group_gram
 from .numerics import (
-    SearchRecord,
     loo_path,
     low_rank_eigh,
     matmul,
@@ -40,72 +39,25 @@ DEFAULT_RIDGE_GRID = np.logspace(-7, 1, 25)
 
 
 @dataclass(frozen=True)
-class RidgeModel:
+class RidgeModel(KernelExpansion):
     """Kernel ridge regression of ``sample.y`` on the groups
     ("a", "x", *adjust) of ``sample``, with coefficients
-    beta = (K + n lam I)^{-1} y."""
+    alpha = (K + n lam I)^{-1} y."""
 
-    sample: Dataset
-    adjust: str
-    specs: KernelSpecs
-    lam: float
-    beta: np.ndarray
-    search: SearchRecord | None = None
+    adjust: str = ""
 
-    def curve(self, adjust: Dataset, a_grid) -> DoCurve:
-        """``adjusted_ate`` over the adjustment sample ``adjust``."""
-        return adjusted_ate(self, a_grid, adjust)
+    extra_field = "adjust"
 
-    def to_record(self, adjust: Dataset) -> dict:
-        """The artifact's model fields, curve weights over ``adjust``."""
-        return {"bandwidths": self.specs.to_record(),
-                "lambdas": {"lambda": self.lam},
-                "search": self.search and self.search.to_json(),
-                "adjust": self.adjust,
-                "coefficients": {"beta": self.beta.tolist()},
-                "curve_weights": adjusted_curve_weights(
-                    self, adjust).tolist()}
+    @property
+    def groups(self) -> str:
+        return "ax" + self.adjust
 
     @classmethod
     def from_record(cls, read, data: Dataset) -> RidgeModel:
         """The model again; its method is "ridge-<adjust>" or "ridge"."""
         groups = read("method").partition("-")[2]
-        return cls(sample=data, specs=KernelSpecs.from_record(read, data),
-                   adjust=read("adjust", lambda v: v == groups, repr(groups)),
-                   lam=read.ridge("lambdas.lambda"),
-                   beta=read.vector("coefficients.beta", data.n))
-
-    @classmethod
-    def stored_curve(cls, read, data: Dataset, a_grid) -> DoCurve:
-        """The stored weights' curve, every field checked; fits nothing."""
-        return effect_curve(data.a, cls.from_record(read, data).specs.a,
-                            read.vector("curve_weights", data.n), a_grid)
-
-
-def adjusted_curve_weights(model: RidgeModel, adjust: Dataset) -> np.ndarray:
-    """Curve weights beta * (mean over the rows of ``adjust`` of k_V), V
-    the groups ("x", *model.adjust): the n values w with effect curve
-    k_A(a, A)' w. A model of the treatment alone (no proxy, no X column)
-    has w = beta, plain pointwise prediction."""
-    if adjust.n == 0:
-        raise ValueError("adjustment sample is empty")
-    groups = "x" + model.adjust
-    if not any(getattr(model.specs, g).dim for g in groups):
-        return model.beta.copy()
-    kv = group_gram(groups, adjust, model.sample, model.specs)
-    return kv.mean(axis=0) * model.beta
-
-
-def adjusted_ate(model: RidgeModel, a_grid, adjust: Dataset) -> DoCurve:
-    """Average the regression over the adjustment sample ``adjust``.
-
-    The Gaussian product kernel separates, so the curve is
-    k_A(a, A)' (mean_t k_V(v_t, V) * beta): one adjustment-by-training
-    Gram averaged over its rows and one training-by-grid treatment Gram,
-    not one joint Gram per grid point.
-    """
-    return effect_curve(model.sample.a, model.specs.a,
-                        adjusted_curve_weights(model, adjust), a_grid)
+        return super().from_record(read, data, adjust=read(
+            "adjust", lambda v: v == groups, repr(groups)))
 
 
 def fit_ridge_baseline(data: Dataset, adjust: str = "",
@@ -122,8 +74,8 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     search scores the grid from the eigenpairs of ``numerics.low_rank_eigh``,
     its pivots floored at the grid's smallest shift n min(grid), and picks
     the ridge with ``numerics.search_record``. If those are K's
-    own, beta = U (U'y / (e + n lam)) comes from them. If they come from a
-    low-rank factor of K, beta is the given-ridge solve at the picked ridge
+    own, alpha = U (U'y / (e + n lam)) comes from them. If they come from a
+    low-rank factor of K, alpha is the given-ridge solve at the picked ridge
     on a freshly built K, so the fit equals the fit at that ridge bit for
     bit.
     """
@@ -139,7 +91,7 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
     def joint_gram():
         return group_gram("ax" + adjust, data, data, specs)
 
-    search = beta = None
+    search = alpha = None
     if lam is None:
         lam_grid = ridge_grid(lam_grid)
         # Handed over unnamed, the Gram is factored in its own memory and
@@ -153,14 +105,14 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
         if eigvecs.shape[1] == data.n:
             # K's own eigenpairs, rows in K's order: e >= 0 up to
             # round-off; clipping keeps e + n lam > 0.
-            beta = matmul(eigvecs, matmul(eigvecs.T, y)
-                          / (np.maximum(eigvals, 0.0) + data.n * lam))
+            alpha = matmul(eigvecs, matmul(eigvecs.T, y)
+                           / (np.maximum(eigvals, 0.0) + data.n * lam))
         del eigvals, eigvecs    # before the Gram is built again
-    if beta is None:
-        beta = scipy.linalg.cho_solve(psd_factor(joint_gram(), data.n * lam),
-                                      data.y)
+    if alpha is None:
+        alpha = scipy.linalg.cho_solve(psd_factor(joint_gram(), data.n * lam),
+                                       data.y)
     return RidgeModel(sample=data, adjust=adjust, specs=specs, lam=lam,
-                      beta=beta, search=search)
+                      alpha=alpha, search=search)
 
 
 def _lstsq(design: np.ndarray, target: np.ndarray):

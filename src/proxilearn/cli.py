@@ -142,7 +142,8 @@ def gen(n, seed, out):
 @click.option("--bandwidth", type=str, default="median", show_default=True,
               help="'median' or a list over A,X,Z,W columns (kernel methods).")
 @click.option("--rank", type=int, default=None,
-              help="Nystrom landmark count (pmmr-nystrom).")
+              help="Nystrom landmarks to draw (pmmr-nystrom); the "
+                   "artifact's rank is the number kept.")
 @click.option("--a-grid", "a_grid_text", type=str, default=None,
               help="min:max:count evaluation grid.")
 @click.option("--seed", type=int, default=0, show_default=True)

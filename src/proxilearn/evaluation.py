@@ -57,7 +57,7 @@ class Estimator:
       None means median-heuristic bandwidths; ``options`` holds the
       ``fit`` flags given, by the names in ``reads``.
     - ``model``: the type ``fit`` returns, which answers for itself:
-      ``curve(adjust, a_grid)`` (its module's public curve function),
+      ``curve(adjust, a_grid)`` (its effect curve over the sample ``adjust``),
       ``to_record(adjust)`` and, from a ``cli.ArtifactReader``,
       ``from_record(read, data)`` and ``stored_curve(read, data, a_grid)``.
     """

@@ -18,7 +18,9 @@ centred on the second set's mean, so no offset far from 0 cancels.
 Every kernel estimator's effect curve E[Y | do(A = a)] is
 k_A(a, A_s)' w for one weight vector w over a treatment sample A_s: the
 product kernel separates the treatment from the averaged-out groups.
-``effect_curve`` evaluates that form on a grid in O(n g).
+``effect_curve`` evaluates that form on a grid in O(n g). PMMR's bridge
+and the ridge baselines are each a ``KernelExpansion`` h = sum_i alpha_i
+k(v_i, .), alpha fitted by their own loss.
 
 Bandwidths default to the median heuristic. The median of the n(n-1)/2
 pairwise distances of a column is selected exactly in O(n log n) time and
@@ -34,7 +36,7 @@ import numpy as np
 from scipy.linalg.blas import dgemm
 
 from .data import GROUPS, Dataset, DoCurve
-from .numerics import matmul
+from .numerics import SearchRecord, matmul
 
 # Bytes of output filled per block of rows in ``gram``: about L2-sized.
 _BLOCK_BYTES = 1 << 20
@@ -327,3 +329,63 @@ class KernelSpecs:
     def to_record(self) -> dict:
         """The bandwidths of each group as JSON lists."""
         return {g: getattr(self, g).bandwidths.tolist() for g in GROUPS}
+
+
+@dataclass(frozen=True)
+class KernelExpansion:
+    """A fitted h(v) = sum_i alpha_i k(v_i, .) over the product kernel on
+    the groups ``groups`` of ``sample`` ("a" first), at ridge ``lam``
+    (searched by ``search``, None if given). A subclass names its
+    ``groups`` and the one artifact field it adds, ``extra_field``, which
+    its ``from_record`` reads back."""
+
+    sample: Dataset
+    specs: KernelSpecs
+    alpha: np.ndarray
+    lam: float
+    search: SearchRecord | None = None
+
+    groups = "a"
+
+    def h(self, rows) -> np.ndarray:
+        """h at each of ``rows`` (a ``Dataset`` or ``data.query_rows``)."""
+        return matmul(self.alpha,
+                      group_gram(self.groups, self.sample, rows, self.specs))
+
+    def curve_weights(self, adjust) -> np.ndarray:
+        """alpha * (mean over the rows of ``adjust`` of k on the groups
+        after "a", 1 over no columns): w with curve k_A(a, A)' w."""
+        others = self.groups[1:]
+        if getattr(adjust, others[0]).shape[0] == 0:
+            raise ValueError("adjustment sample is empty")
+        if not any(getattr(self.specs, g).dim for g in others):
+            return self.alpha.copy()
+        k = group_gram(others, self.sample, adjust, self.specs)  # n x nt
+        return k.mean(axis=1) * self.alpha
+
+    def curve(self, adjust, a_grid) -> DoCurve:
+        """The mean of h over the rows of ``adjust`` at each of ``a_grid``."""
+        return effect_curve(self.sample.a, self.specs.a,
+                            self.curve_weights(adjust), a_grid)
+
+    def to_record(self, adjust) -> dict:
+        """The artifact's model fields, curve weights over ``adjust``."""
+        return {"bandwidths": self.specs.to_record(),
+                "lambdas": {"lambda": self.lam},
+                "search": self.search and self.search.to_json(),
+                self.extra_field: getattr(self, self.extra_field),
+                "coefficients": {"alpha": self.alpha.tolist()},
+                "curve_weights": self.curve_weights(adjust).tolist()}
+
+    @classmethod
+    def from_record(cls, read, data: Dataset, **extra) -> KernelExpansion:
+        """The model from its shared fields and its subclass's ``extra``."""
+        return cls(sample=data, specs=KernelSpecs.from_record(read, data),
+                   alpha=read.vector("coefficients.alpha", data.n),
+                   lam=read.ridge("lambdas.lambda"), **extra)
+
+    @classmethod
+    def stored_curve(cls, read, data: Dataset, a_grid) -> DoCurve:
+        """The stored weights' curve, every field checked; fits nothing."""
+        return effect_curve(data.a, cls.from_record(read, data).specs.a,
+                            read.vector("curve_weights", data.n), a_grid)

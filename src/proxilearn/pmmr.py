@@ -29,11 +29,12 @@ triangular multiplies), which overwrites W's upper triangle. The fit
 factors R' W R + lam I in that triangle, and the search eigendecomposes
 R' W R there.
 
-The effect curve is the mean of h over an adjustment sample. The kernel
-on (A, W, X) separates, so it is k_A(a, A)' w with the n curve weights
-w = alpha * (mean over adjustment rows of k_{W,X}) of
-``pmmr_curve_weights``; ``pmmr_ate`` evaluates them with
-``kernels.effect_curve``.
+``PmmrModel`` is a ``kernels.KernelExpansion`` on (A, W, X), so h and
+the effect curve, the mean of h over an adjustment sample, are the
+expansion's. The kernel on (A, W, X) separates, so the curve is
+k_A(a, A)' w with the n curve weights w = alpha * (mean over adjustment
+rows of k_{W,X}). ``pmmr_h`` and ``pmmr_ate`` take the query groups as
+arrays and call the model's ``h`` and ``curve``.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ from scipy.linalg.blas import dgemm, dtrmv
 from scipy.linalg.lapack import dsygst
 
 from .data import Dataset, DoCurve, query_rows
-from .kernels import KernelSpecs, effect_curve, group_gram, row_blocks
+from .kernels import KernelExpansion, KernelSpecs, group_gram, row_blocks
 from .numerics import (
-    SearchRecord,
     eigh_in_place,
     matmul,
     nystrom_features,
@@ -67,51 +67,26 @@ _JITTER_SCALE = 1e-8
 
 
 @dataclass(frozen=True)
-class PmmrModel:
-    """Fitted bridge h(a, w, x) = sum_i alpha_i l((a_i, w_i, x_i), .).
-    ``rank`` is the Nystrom rank of the solve, None for the exact one."""
+class PmmrModel(KernelExpansion):
+    """Fitted bridge h(a, w, x) = sum_i alpha_i l((a_i, w_i, x_i), .);
+    ``rank`` counts the Nystrom landmarks kept, None for the exact fit."""
 
-    sample: Dataset
-    specs: KernelSpecs
-    alpha: np.ndarray
-    lam: float
-    search: SearchRecord | None = None
     rank: int | None = None
 
-    def curve(self, adjust: Dataset, a_grid) -> DoCurve:
-        """``pmmr_ate`` over the adjustment sample ``adjust``."""
-        return pmmr_ate(self, a_grid, adjust.x, adjust.w)
-
-    def to_record(self, adjust: Dataset) -> dict:
-        """The artifact's model fields, curve weights over ``adjust``."""
-        return {"bandwidths": self.specs.to_record(),
-                "lambdas": {"lambda": self.lam},
-                "search": self.search and self.search.to_json(),
-                "rank": self.rank,
-                "coefficients": {"alpha": self.alpha.tolist()},
-                "curve_weights": pmmr_curve_weights(
-                    self, adjust.x, adjust.w).tolist()}
+    groups = "awx"
+    extra_field = "rank"
 
     @classmethod
     def from_record(cls, read, data: Dataset) -> PmmrModel:
         """The model again, its Nystrom rank included."""
-        return cls(sample=data, specs=KernelSpecs.from_record(read, data),
-                   alpha=read.vector("coefficients.alpha", data.n),
-                   lam=read.ridge("lambdas.lambda"),
-                   rank=read("rank", lambda v: v is None or (
-                       type(v) is int and 1 <= v <= data.n),
-                       f"null or an integer in [1, {data.n}]"))
-
-    @classmethod
-    def stored_curve(cls, read, data: Dataset, a_grid) -> DoCurve:
-        """The stored weights' curve, every field checked; fits nothing."""
-        return effect_curve(data.a, cls.from_record(read, data).specs.a,
-                            read.vector("curve_weights", data.n), a_grid)
+        return super().from_record(read, data, rank=read(
+            "rank", lambda v: v is None or (
+                type(v) is int and 1 <= v <= data.n),
+            f"null or an integer in [1, {data.n}]"))
 
 
 def h_side_gram(left, right, specs: KernelSpecs) -> np.ndarray:
-    """Gram matrix of the kernel on (A, W, X) between two samples, or a
-    sample and query rows."""
+    """Gram matrix of the kernel on (A, W, X) between two samples."""
     return group_gram("awx", left, right, specs)
 
 
@@ -187,13 +162,13 @@ def pmmr_fit_nystrom(data: Dataset, specs: KernelSpecs, lam: float,
 
     Only the n x rank landmark columns of the instrument Gram are built,
     and ``nystrom_features`` keeps the r' <= rank landmarks its pivoted
-    Cholesky resolves. The coefficients alpha = psi (psi' L psi +
-    lam/n^2 I)^{-1} psi' y solve the normal equations (psi psi' L +
-    lam/n^2 I) alpha = psi psi' y through one r' x r' system; the ridge is
-    lam / n^2 to match the V-statistic normalization of the features. L
-    enters only as L psi (n x r'), formed from row blocks of the h-side
-    Gram sized as ``kernels.gram`` sizes its own (``row_blocks``), so no
-    n x n array is allocated. L carries the jitter of the exact fit,
+    Cholesky resolves: the model's ``rank`` is r'. The coefficients
+    alpha = psi (psi' L psi + lam/n^2 I)^{-1} psi' y solve the normal
+    equations (psi psi' L + lam/n^2 I) alpha = psi psi' y through one
+    r' x r' system; the ridge is lam / n^2 to match the V-statistic
+    normalization of the features. L enters only as L psi (n x r'), formed
+    from row blocks of the h-side Gram sized as ``kernels.gram`` sizes its
+    own (``row_blocks``), so no n x n array is allocated. L carries the jitter of the exact fit,
     1e-8 trace(L) / n, its trace summed from the blocks' diagonals. With
     ``rank == n`` and every pivot kept this reproduces :func:`pmmr_fit`.
     """
@@ -215,34 +190,20 @@ def pmmr_fit_nystrom(data: Dataset, specs: KernelSpecs, lam: float,
         trace += block.diagonal(lo).sum()
     l_psi += (_JITTER_SCALE * trace / n) * psi
     alpha = nystrom_solve(psi, l_psi, lam / float(n) ** 2, data.y)
-    return PmmrModel(sample=data, specs=specs, alpha=alpha, lam=lam)
+    return PmmrModel(sample=data, specs=specs, alpha=alpha, lam=lam,
+                     rank=psi.shape[1])
 
 
 def pmmr_h(model: PmmrModel, a, w, x=None):
-    """Evaluate the kernel expansion of h.
-
-    Scalar treatment input -> float; array inputs -> ndarray (nq,).
-    """
-    single = np.ndim(a) == 0
-    query = query_rows(model.sample, a=a, w=w, x=x)
-    vals = matmul(model.alpha, h_side_gram(model.sample, query, model.specs))
-    return float(vals[0]) if single else vals
-
-
-def pmmr_curve_weights(model: PmmrModel, x_adjust, w_adjust) -> np.ndarray:
-    """Curve weights alpha * (mean over adjustment rows of k_{W,X}): the
-    n values w with effect curve k_A(a, A)' w."""
-    query = query_rows(model.sample, w=w_adjust, x=x_adjust)
-    if query.w.shape[0] == 0:
-        raise ValueError("adjustment sample is empty")
-    kw = group_gram("wx", model.sample, query, model.specs)  # n x nt
-    return kw.mean(axis=1) * model.alpha
+    """h at the queries: a float for a scalar treatment, else (nq,)."""
+    vals = model.h(query_rows(model.sample, a=a, w=w, x=x))
+    return float(vals[0]) if np.ndim(a) == 0 else vals
 
 
 def pmmr_ate(model: PmmrModel, a_grid, x_adjust, w_adjust) -> DoCurve:
     """Causal-effect curve: mean of h over the adjustment sample."""
-    return effect_curve(model.sample.a, model.specs.a,
-                        pmmr_curve_weights(model, x_adjust, w_adjust), a_grid)
+    return model.curve(query_rows(model.sample, w=w_adjust, x=x_adjust),
+                       a_grid)
 
 
 def pmmr_objective(l_gram: np.ndarray, w_gram: np.ndarray, y: np.ndarray,
@@ -316,4 +277,4 @@ def fit_pmmr(
         lam = search.lam
     model = (pmmr_fit(data, specs, lam) if rank is None
              else pmmr_fit_nystrom(data, specs, lam, rank, split_seed))
-    return replace(model, search=search, rank=rank)
+    return replace(model, search=search)

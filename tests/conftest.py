@@ -92,7 +92,7 @@ def kernel_ridge_predict(model, queries):
     inputs = np.column_stack([getattr(model.sample, g) for g in groups])
     spec = KernelSpec(np.concatenate(
         [getattr(model.specs, g).bandwidths for g in groups]))
-    return gram(queries, inputs, spec) @ model.beta
+    return gram(queries, inputs, spec) @ model.alpha
 
 
 def ridge_loo_scores(inputs, y, spec, lam_grid):

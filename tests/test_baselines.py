@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from proxilearn.baselines import (
-    adjusted_ate,
-    adjusted_curve_weights,
-    fit_ridge_baseline,
-    fit_linear2s,
-)
+from proxilearn.baselines import fit_ridge_baseline, fit_linear2s
 from proxilearn import baselines, evaluation, numerics, synthdata
 from proxilearn.data import Dataset
 from proxilearn.kernels import KernelSpec, KernelSpecs, gram
@@ -55,7 +50,7 @@ class TestKernelRidge:
                                    specs=regression_specs([0.8], [1.2]))
         k = gram(x, x, KernelSpec([0.8, 1.2]))
         expected = np.linalg.solve(k + 6 * lam * np.eye(6), y)
-        np.testing.assert_allclose(model.beta, expected, atol=1e-8)
+        np.testing.assert_allclose(model.alpha, expected, atol=1e-8)
 
     def test_interpolates_at_tiny_ridge(self):
         x = np.linspace(0, 18, 10)[:, None]
@@ -147,12 +142,12 @@ class TestSearchedFit:
         if adjust == "":
             # The factor path solves at the picked ridge as the fit at a
             # given ridge does.
-            np.testing.assert_array_equal(model.beta, fixed.beta)
+            np.testing.assert_array_equal(model.alpha, fixed.alpha)
         else:
             # Both solves are backward stable, so they agree to round-off
             # relative to the largest coefficient.
-            np.testing.assert_allclose(model.beta, fixed.beta, rtol=1e-9,
-                                       atol=1e-12 * np.abs(fixed.beta).max())
+            np.testing.assert_allclose(model.alpha, fixed.alpha, rtol=1e-9,
+                                       atol=1e-12 * np.abs(fixed.alpha).max())
         assert model.sample is fixed.sample is data
         assert model.adjust == fixed.adjust == adjust
         for g in "axzw":
@@ -164,7 +159,7 @@ class TestSearchedFit:
         counts = _Counts(monkeypatch)
         fit_ridge_baseline(data, "")
         # One pivoted Cholesky of the Gram, one eigensolve of G'G of its
-        # rank and one Cholesky for beta.
+        # rank and one Cholesky for alpha.
         assert counts.pstrf == 1
         assert counts.eigh_sizes == [17]
         assert counts.cholesky == 1
@@ -173,7 +168,7 @@ class TestSearchedFit:
                                                      monkeypatch):
         counts = _Counts(monkeypatch)
         fit_ridge_baseline(data, "wz")
-        # Beta comes from the Gram's own eigenpairs: nothing else is
+        # Alpha comes from the Gram's own eigenpairs: nothing else is
         # factored.
         assert counts.pstrf == 1
         assert counts.eigh_sizes == [data.n]
@@ -210,7 +205,7 @@ def test_scores_match_exact_eigenpairs_at_n2000(adjust, seed):
     np.testing.assert_allclose(
         model.search.scores, exact_scores(data, adjust, grid), rtol=1e-8)
     fixed = fit_ridge_baseline(data, adjust, lam=model.lam)
-    np.testing.assert_array_equal(model.beta, fixed.beta)
+    np.testing.assert_array_equal(model.alpha, fixed.alpha)
 
 
 class TestAdjustedAte:
@@ -222,7 +217,7 @@ class TestAdjustedAte:
             specs=regression_specs([1.0], [1.0, 1.0]))
         adjust = regression_data(np.zeros(5), np.zeros(5),
                                  rng.normal(size=(5, 2)))
-        curve = adjusted_ate(model, [0.0, 0.5], adjust)
+        curve = model.curve(adjust, [0.0, 0.5])
         np.testing.assert_array_equal(curve.estimate, 0.0)
 
     def test_single_row_equals_pointwise_prediction(self):
@@ -234,18 +229,17 @@ class TestAdjustedAte:
             specs=regression_specs([1.0], [1.0, 1.0]))
         row = np.array([0.4, -0.2])
         adjust = regression_data([0.0], [0.0], row[None, :])
-        curve = adjusted_ate(model, [0.7], adjust)
+        curve = model.curve(adjust, [0.7])
         direct = kernel_ridge_predict(
             model, np.array([[0.7, 0.4, -0.2]]))
         assert curve.estimate[0] == pytest.approx(direct[0], rel=1e-12)
 
     def test_plain_ridge_uses_empty_adjustment(self):
-        # Plain ridge adjusts over no group: its weights are beta.
+        # Plain ridge adjusts over no group: its weights are alpha.
         data = rng_dataset(6, 30)
         model = fit_ridge_baseline(data, "", lam=0.1)
-        np.testing.assert_array_equal(adjusted_curve_weights(model, data),
-                                      model.beta)
-        curve = adjusted_ate(model, [0.0, 1.0], data)
+        np.testing.assert_array_equal(model.curve_weights(data), model.alpha)
+        curve = model.curve(data, [0.0, 1.0])
         direct = kernel_ridge_predict(model, np.array([[0.0], [1.0]]))
         np.testing.assert_allclose(curve.estimate, direct, atol=1e-12)
 
@@ -254,7 +248,7 @@ class TestAdjustedAte:
         for adjust in ("", "w"):
             model = fit_ridge_baseline(data, adjust, lam=0.1)
             with pytest.raises(ValueError, match="empty"):
-                adjusted_ate(model, [0.0], data.subset(np.arange(0)))
+                model.curve(data.subset(np.arange(0)), [0.0])
 
     @pytest.mark.parametrize("adjust,dw", [("", 2), ("w", 1), ("w", 3),
                                            ("wz", 2)])
@@ -269,15 +263,36 @@ class TestAdjustedAte:
             kernel_ridge_predict(model, np.column_stack(
                 [np.full(adjustment.shape[0], a), adjustment])).mean()
             for a in grid]
-        curve = adjusted_ate(model, grid, data)
+        curve = model.curve(data, grid)
         np.testing.assert_allclose(curve.estimate, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("dx", [0, 1])
+    @pytest.mark.parametrize("adjust", ["", "w", "wz"])
+    def test_curve_is_mean_of_h(self, adjust, dx):
+        # h is the regression's prediction at each row's ("a", "x",
+        # *adjust) columns, and the curve averages h over the adjustment
+        # rows at each treatment, as PMMR's does.
+        data = rng_dataset(19, 12, dx=dx)
+        model = fit_ridge_baseline(data, adjust, lam=0.05)
+        rows = rng_dataset(20, 5, dx=dx)
+        stacked = np.column_stack(
+            [rows.a, rows.x, *(getattr(rows, g) for g in adjust)])
+        np.testing.assert_allclose(model.h(rows),
+                                   kernel_ridge_predict(model, stacked),
+                                   rtol=1e-12)
+        grid = [-0.5, 0.0, 0.8]
+        curve = model.curve(rows, grid)
+        for g, est in zip(grid, curve.estimate):
+            at_g = Dataset(a=np.full(5, g), x=rows.x, z=rows.z, w=rows.w,
+                           y=rows.y)
+            assert est == pytest.approx(model.h(at_g).mean(), abs=1e-12)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_wrong_width_adjustment_rejected(self, width):
         data = rng_dataset(10, 12)
         model = fit_ridge_baseline(data, "w", lam=0.1)
         with pytest.raises(ValueError, match="columns"):
-            adjusted_ate(model, [0.0], rng_dataset(10, 4, dw=width))
+            model.curve(rng_dataset(10, 4, dw=width), [0.0])
 
     def test_explicit_specs_used(self):
         data = rng_dataset(11, 20)
@@ -291,7 +306,7 @@ class TestAdjustedAte:
                  np.column_stack([data.a, data.w, data.z]),
                  KernelSpec([0.3, 0.7, 1.9, 1.1, 1.3]))
         np.testing.assert_allclose(
-            model.beta, np.linalg.solve(k + 20 * 0.1 * np.eye(20), data.y),
+            model.alpha, np.linalg.solve(k + 20 * 0.1 * np.eye(20), data.y),
             rtol=1e-10)
 
     @pytest.mark.parametrize("adjust", ["", "w", "wz"])
@@ -319,11 +334,11 @@ class TestAdjustedAte:
         moved = Dataset(a=data.a, x=data.x, z=data.z + 1.0, w=data.w,
                         y=data.y)
         model_w = fit_ridge_baseline(data, "w", lam=0.1)
-        np.testing.assert_array_equal(adjusted_curve_weights(model_w, data),
-                                      adjusted_curve_weights(model_w, moved))
+        np.testing.assert_array_equal(model_w.curve_weights(data),
+                                      model_w.curve_weights(moved))
         model_wz = fit_ridge_baseline(data, "wz", lam=0.1)
-        assert not np.allclose(adjusted_curve_weights(model_wz, data),
-                               adjusted_curve_weights(model_wz, moved))
+        assert not np.allclose(model_wz.curve_weights(data),
+                               model_wz.curve_weights(moved))
 
 
 class TestLinearTwoStage:
@@ -447,10 +462,10 @@ def test_ridge_baselines_regress_on_x(method, slope):
 
 def test_plain_ridge_on_x_averages_over_x():
     # With an X column, plain ridge's curve weights average k_X over the
-    # adjustment sample, so they are no longer beta.
+    # adjustment sample, so they are no longer alpha.
     data = covariate_design(40, 1)
     model = fit_ridge_baseline(data, "", lam=1e-2)
-    weights = adjusted_curve_weights(model, data)
+    weights = model.curve_weights(data)
     k_x = gram(data.x, data.x, model.specs.x)
-    np.testing.assert_allclose(weights, k_x.mean(axis=0) * model.beta,
+    np.testing.assert_allclose(weights, k_x.mean(axis=0) * model.alpha,
                                rtol=1e-13)

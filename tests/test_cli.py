@@ -11,7 +11,7 @@ from proxilearn import (__version__, baselines, evaluation, kpv, numerics,
                         pmmr, synthdata)
 from proxilearn.cli import ArtifactReader, main
 from proxilearn.data import Dataset
-from proxilearn.kernels import KernelSpec, KernelSpecs
+from proxilearn.kernels import KernelExpansion, KernelSpec, KernelSpecs
 from proxilearn.synthdata import gen_main
 
 
@@ -348,7 +348,7 @@ def library_ate(method, model, grid, adjust: Dataset):
     if method == "kpv":
         return kpv.kpv_ate(model, grid, adjust.x, adjust.w)
     if method in RIDGE_GROUPS:
-        return baselines.adjusted_ate(model, grid, adjust)
+        return model.curve(adjust, grid)
     return pmmr.pmmr_ate(model, grid, adjust.x, adjust.w)
 
 
@@ -395,10 +395,9 @@ class TestAteWeightSources:
         def refit(*args, **kwargs):
             raise AssertionError("ate refitted the model")
 
-        for module, name in ((kpv, "stage1_fit"), (kpv, "kpv_curve_weights"),
-                             (pmmr, "pmmr_curve_weights"),
-                             (baselines, "adjusted_curve_weights")):
-            monkeypatch.setattr(module, name, refit)
+        for owner, name in ((kpv, "stage1_fit"), (kpv, "kpv_curve_weights"),
+                            (KernelExpansion, "curve_weights")):
+            monkeypatch.setattr(owner, name, refit)
         out = tmp_path / "again.csv"
         self.ate(runner, model_path, data_path, out)
         assert out.read_bytes() == \

@@ -185,7 +185,8 @@ def fitted():
 
 
 # One call per function that evaluates query points, the bad value placed
-# in a different variable group each time.
+# in a different variable group each time. "pmmr_curve_weights" is PMMR's
+# curve weights over adjustment rows, which ``pmmr_ate`` computes.
 QUERY_CALLS = {
     "kpv_h": lambda d, k, p, bad: kpv.kpv_h(k, [bad, 0.5], None, d.w[:2]),
     "pmmr_h": lambda d, k, p, bad: pmmr.pmmr_h(p, 0.5, [0.1, bad]),
@@ -193,8 +194,8 @@ QUERY_CALLS = {
         k.stage1, d.a[:2], None, [[0.0, 1.0], [bad, 0.0]]),
     "kpv_curve_weights": lambda d, k, p, bad: kpv.kpv_curve_weights(
         k, None, np.vstack([d.w[:3], [bad, 0.0]])),
-    "pmmr_curve_weights": lambda d, k, p, bad: pmmr.pmmr_curve_weights(
-        p, None, np.vstack([d.w[:3], [0.0, bad]])),
+    "pmmr_curve_weights": lambda d, k, p, bad: pmmr.pmmr_ate(
+        p, [0.0], None, np.vstack([d.w[:3], [0.0, bad]])),
 }
 
 # The same functions with three treatment (or W) queries and five X
@@ -206,8 +207,8 @@ SHORT_X_CALLS = {
         k.stage1, d.a[:3], x, d.z[:3]),
     "kpv_curve_weights": lambda d, k, p, x: kpv.kpv_curve_weights(
         k, x, d.w[:3]),
-    "pmmr_curve_weights": lambda d, k, p, x: pmmr.pmmr_curve_weights(
-        p, x, d.w[:3]),
+    "pmmr_curve_weights": lambda d, k, p, x: pmmr.pmmr_ate(
+        p, [0.0], x, d.w[:3]).estimate,
 }
 
 # The functions that take treatment queries, with three of them and a

@@ -329,6 +329,13 @@ class TestPmmrNystrom:
             tracemalloc.stop()
         assert peak < 8 * n * n
 
+    def test_rank_is_the_landmark_count_kept(self):
+        # The pivoted Cholesky keeps 266 of the 300 landmarks asked for on
+        # this draw, and the model records the count it kept.
+        data = synthdata.gen_main(300, seed=0).data
+        assert fit_pmmr(data, lam=0.1, rank=300).rank == 266
+        assert fit_pmmr(data, lam=0.1).rank is None
+
     def test_rank_bounds(self):
         data = rng_dataset(9, 6)
         with pytest.raises(ValueError, match="rank"):
