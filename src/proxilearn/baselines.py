@@ -110,7 +110,7 @@ def fit_ridge_baseline(data: Dataset, adjust: str = "",
         del eigvals, eigvecs    # before the Gram is built again
     if alpha is None:
         alpha = scipy.linalg.cho_solve(psd_factor(joint_gram(), data.n * lam),
-                                       data.y)
+                                       data.y, check_finite=False)
     return RidgeModel(sample=data, adjust=adjust, specs=specs, lam=lam,
                       alpha=alpha, search=search)
 

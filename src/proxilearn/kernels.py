@@ -41,6 +41,10 @@ from .numerics import SearchRecord, matmul
 # Bytes of output filled per block of rows in ``gram``: about L2-sized.
 _BLOCK_BYTES = 1 << 20
 
+# ``gram`` refuses points whose largest scaled squared norms sum past
+# this, a quarter of the largest double, as their distances could overflow.
+_NORM_LIMIT = np.finfo(float).max / 4
+
 # The median selection bisects until its bracket holds at most this many
 # pairs (or 4 per point, if larger), then materialises and partitions it.
 _PAIR_BUDGET = 1 << 13
@@ -104,10 +108,22 @@ def gram(points_a: np.ndarray, points_b: np.ndarray,
     # rows, so every block is a matrix product, as the whole Gram would be.
     centre = pb.mean(axis=0)
     sa, sb = pa - centre, pb - centre
-    sa /= spec.bandwidths
-    sb /= spec.bandwidths
-    sq_a = np.sum(sa**2, axis=1)[:, None]
-    sq_b = np.sum(sb**2, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sa /= spec.bandwidths
+        sb /= spec.bandwidths
+        sq_a = np.sum(sa**2, axis=1)[:, None]
+        sq_b = np.sum(sb**2, axis=1)
+    # Every entry is exp(-d / 2) with d = |sa|^2 - 2 sa.sb + |sb|^2, and
+    # Cauchy-Schwarz bounds the product and each partial sum of it by
+    # (|sa|^2 + |sb|^2) / 2, so no step of d exceeds 2 (|sa|^2 + |sb|^2):
+    # below this limit every entry is finite, and overflow is the only
+    # way one could be not finite.
+    reach = sq_a.max() + sq_b.max()
+    if not reach <= _NORM_LIMIT:
+        raise ValueError(
+            f"points not finite or too far apart for the bandwidths: their "
+            f"scaled squared norms sum to {reach:.3g}, over "
+            f"{_NORM_LIMIT:.3g}, so Gram entries could overflow")
     out = np.empty((n, m))
     for lo, hi in row_blocks(n, m):
         block = out[lo:hi]
@@ -379,10 +395,13 @@ class KernelExpansion:
 
     @classmethod
     def from_record(cls, read, data: Dataset, **extra) -> KernelExpansion:
-        """The model from its shared fields and its subclass's ``extra``."""
+        """The model from its shared fields, its search record
+        (``SearchRecord.from_record``) included, and its subclass's
+        ``extra``."""
         return cls(sample=data, specs=KernelSpecs.from_record(read, data),
                    alpha=read.vector("coefficients.alpha", data.n),
-                   lam=read.ridge("lambdas.lambda"), **extra)
+                   lam=read.ridge("lambdas.lambda"),
+                   search=SearchRecord.from_record(read), **extra)
 
     @classmethod
     def stored_curve(cls, read, data: Dataset, a_grid) -> DoCurve:

@@ -1,11 +1,13 @@
-"""Linear-algebra substrate: the matrix product, regularized PSD solves, an
-in-place symmetric eigensolve and one that works from a pivoted-Cholesky
-factor when the matrix's numerical rank is low (the factor stops at the
-pivots a ridge search can still resolve), closed-form leave-one-out
-scores over a ridge path, the ridge rule, the grid selection rule and its
-search record, Khatri-Rao products, Nystrom features from a pivoted
-Cholesky of the landmark block, and the low-rank regularized solve built
-on them, which takes l psi in place of the n x n l.
+"""Linear-algebra substrate: the matrix product, Cholesky factors and
+regularized PSD solves, an in-place symmetric eigensolve and one that
+works from a pivoted-Cholesky factor when the matrix's numerical rank is
+low (the factor stops at the pivots a ridge search can still resolve),
+the solves of one symmetric system at every shift of a ridge grid from
+one tridiagonal reduction, closed-form leave-one-out scores over a ridge
+path, the ridge rule, the grid selection rule and its search record,
+Khatri-Rao products, Nystrom features from a pivoted Cholesky of the
+landmark block, and the low-rank regularized solve built on them, which
+takes l psi in place of the n x n l.
 
 Every product and solve in the package goes through scipy's BLAS and
 LAPACK, products through ``matmul``. numpy and scipy each bundle their own
@@ -19,6 +21,13 @@ matrix-vector product, and 0.12 s right after a numpy one (medians of 7).
 and work in its memory, so a fit hands them a Gram built for the purpose
 and never holds a second n x n copy of it; the public ``solve_psd``
 factors a copy and leaves its argument as it was.
+
+No factorization scans its n x n input for NaN or inf, as scipy does by
+default with an O(n^2) pass and an n x n bool array: a Gram is
+finite by construction (``kernels.gram`` refuses points whose distances
+could overflow), and ``cholesky`` checks its factor's O(n) diagonal, which
+any non-finite entry it reads reaches. ``solve_psd`` checks its arguments,
+which come from outside the package.
 """
 
 from __future__ import annotations
@@ -28,7 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import ddot, dgemm, dgemv, dsyrk, dtrsm
-from scipy.linalg.lapack import dpstrf
+from scipy.linalg.lapack import (
+    dormqr,
+    dpstrf,
+    dpttrf,
+    dpttrs,
+    dsytrd,
+    dsytrd_lwork,
+)
 
 # ``nystrom_features`` stops the pivoted Cholesky of the landmark block
 # over n^2 once every remaining pivot (a diagonal entry of the Schur
@@ -101,6 +117,23 @@ def matmul(a, b):
     return dgemm(1.0, fb, fa, trans_a=trans_b, trans_b=trans_a).T
 
 
+def cholesky(f: np.ndarray, lower: bool):
+    """scipy's ``cho_factor`` of one triangle of the Fortran-ordered
+    ``f``, in f's memory, without scipy's O(n^2) finiteness scan.
+
+    OpenBLAS's ``potrf`` returns info 0 and a NaN factor for NaN or inf
+    input, and a non-finite entry of the triangle read reaches the pivot
+    of its row, so the factor's diagonal is checked instead: O(n). Raises
+    ``numpy.linalg.LinAlgError`` for an indefinite or non-finite input.
+    """
+    factor = scipy.linalg.cho_factor(f, lower=lower, overwrite_a=True,
+                                     check_finite=False)
+    if not np.isfinite(factor[0].diagonal()).all():
+        raise np.linalg.LinAlgError("Cholesky factor is not finite: the "
+                                    "matrix holds a NaN or an inf")
+    return factor
+
+
 def psd_factor(m: np.ndarray, ridge: float):
     """Cholesky factor of (m + ridge*I) with one jitter retry, formed in
     the memory of ``m``, which the caller gives up.
@@ -110,7 +143,7 @@ def psd_factor(m: np.ndarray, ridge: float):
     diagonal is restored and the other triangle, which the failed attempt
     never touched, is factored at a slightly larger shift. Raises
     ``numpy.linalg.LinAlgError`` if that fails too, which signals an
-    indefinite input.
+    indefinite or non-finite input (``cholesky``).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -120,17 +153,29 @@ def psd_factor(m: np.ndarray, ridge: float):
     diagonal = f.diagonal().copy()
     np.fill_diagonal(f, diagonal + ridge)
     try:
-        return scipy.linalg.cho_factor(f, lower=True, overwrite_a=True)
+        return cholesky(f, lower=True)
     except np.linalg.LinAlgError:
         np.fill_diagonal(f, diagonal + (ridge * (1.0 + 1e-8) + 1e-10))
-        return scipy.linalg.cho_factor(f, lower=False, overwrite_a=True)
+        return cholesky(f, lower=False)
 
 
 def solve_psd(m: np.ndarray, ridge: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (m + ridge*I) r = rhs for symmetric PSD ``m`` via Cholesky of
-    one copy of ``m`` (``psd_factor``), leaving ``m`` as it was."""
-    return scipy.linalg.cho_solve(psd_factor(np.array(m, dtype=float), ridge),
-                                  np.asarray(rhs, float))
+    one copy of ``m`` (``psd_factor``), leaving ``m`` as it was. Raises
+    ``ValueError`` if m or rhs holds a NaN or an inf."""
+    m = np.array(np.asarray_chkfinite(m, dtype=float))
+    rhs = np.asarray_chkfinite(rhs, dtype=float)
+    return scipy.linalg.cho_solve(psd_factor(m, ridge), rhs,
+                                  check_finite=False)
+
+
+def mirror_upper(f: np.ndarray) -> np.ndarray:
+    """Copy the upper triangle of the square ``f`` into its lower one, in
+    place; returns f. Column by column: 0.6 ms at n = 1000 (2-vCPU VM),
+    with no n x n temporary."""
+    for j in range(f.shape[0] - 1):
+        f[j + 1:, j] = f[j, j + 1:]
+    return f
 
 
 def eigh_in_place(m: np.ndarray):
@@ -155,6 +200,59 @@ def eigh_in_place(m: np.ndarray):
         raise ValueError("matrix must be contiguous")
     return scipy.linalg.eigh(a, lower=lower, driver="evd", overwrite_a=True,
                              check_finite=False)
+
+
+def shifted_solves(m: np.ndarray, rhs: np.ndarray, shifts) -> np.ndarray:
+    """Solutions x of (M + s I) x = rhs for every s of ``shifts``, the
+    columns of an n x len(shifts) array, for the symmetric M whose lower
+    triangle is stored in ``m``. A column is NaN where M + s I is not
+    positive definite at working precision.
+
+    scipy wraps LAPACK's ``ormqr`` but not ``ormql``, so M must sit in
+    the lower triangle of a Fortran-ordered matrix: a Fortran-ordered m is
+    taken over and worked on in its own memory, any other m is copied
+    once (n^2 doubles, half the 2n^2 workspace of an eigensolve). Blocked
+    ``sytrd`` reduces M = Q T Q' there (T tridiagonal, Q kept as the
+    Householder vectors below T's subdiagonal, 4n^3/3 flops), ``ormqr``
+    applies Q' to rhs once and Q to all solutions at once, and each shift
+    costs one ``pttrf``/``pttrs`` of T + s I, O(n). An eigensolve of M
+    would cost several times the reduction.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.dtype != np.float64:
+        raise ValueError("need a square float64 matrix")
+    f = np.asfortranarray(m)
+    n = m.shape[0]
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    lwork, _ = dsytrd_lwork(n, lower=1)
+    c, d, e, tau, info = dsytrd(f, lower=1, lwork=int(lwork), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK sytrd failed with info {info}")
+    # Q's reflectors fill column i of c below row i + 1: the (n-1) x (n-1)
+    # block from c[1, 0] with leading dimension n, which is how LAPACK's
+    # ``ormtr`` hands them to ``ormqr`` for a lower-stored matrix.
+    vectors = c.reshape(-1, order="F")[1:n * n - n + 1].reshape(
+        (n, n - 1), order="F")
+
+    def apply_q(trans, block):
+        """Q' (trans b"T") or Q (b"N") times the n-row ``block``."""
+        if n > 1:
+            work = dormqr(b"L", trans, vectors, tau, block[1:], -1)[1]
+            block[1:] = dormqr(b"L", trans, vectors, tau, block[1:],
+                               int(work[0]))[0]
+        return block
+
+    qtb = apply_q(b"T", np.array(rhs, dtype=float).reshape(n, 1))[:, 0]
+    if n == 1:
+        e = np.zeros(1)     # f2py sizes pttrf's e as 1, not n - 1 = 0
+    out = np.zeros((n, shifts.size), order="F")
+    solved = np.zeros(shifts.size, dtype=bool)
+    for i, s in enumerate(shifts):
+        ds, es, info = dpttrf(d + s, e)
+        if info == 0:
+            out[:, i] = dpttrs(ds, es, qtb)[0]
+            solved[i] = True
+    apply_q(b"N", out)[:, ~solved] = np.nan
+    return out
 
 
 def low_rank_eigh(k: np.ndarray, shift: float = 0.0):
@@ -266,6 +364,29 @@ class SearchRecord:
             v if np.isfinite(v) else None for v in self.scores.tolist()],
             "lambda": self.lam, "edge": self.edge}
 
+    @classmethod
+    def from_record(cls, read) -> SearchRecord | None:
+        """The record an artifact's ``search`` field holds (None for null),
+        rebuilt by ``search_record`` from its grid and scores, a null score
+        read as inf, and checked by ``read``: the stored ``lambda`` and
+        ``edge`` must be the rebuilt record's."""
+        if read("search") is None:
+            return None
+        grid = read.vector("search.grid", positive=True)
+        scores = read("search.scores", lambda v: (
+            isinstance(v, list) and len(v) == grid.size
+            and all(s is None or (type(s) in (int, float) and np.isfinite(s))
+                    for s in v)
+            and any(s is not None for s in v)),
+            f"a list of {grid.size} finite numbers or nulls, not all null")
+        record = search_record(grid, [np.inf if s is None else s
+                                      for s in scores])
+        read("search.lambda", lambda v: type(v) in (int, float)
+             and v == record.lam, f"{record.lam!r}, the grid's pick")
+        read("search.edge", lambda v: v is record.edge,
+             f"{record.edge}, the pick's")
+        return record
+
 
 def search_record(grid, scores) -> SearchRecord:
     """The record of a search that scored ``grid`` with ``scores``."""
@@ -352,4 +473,5 @@ def nystrom_solve(psi: np.ndarray, l_psi: np.ndarray, lam: float,
     ridge_grid(lam, "lam")
     psi = np.asarray(psi, dtype=float)
     factor = psd_factor(matmul(psi.T, l_psi), lam)
-    return matmul(psi, scipy.linalg.cho_solve(factor, matmul(psi.T, rhs)))
+    return matmul(psi, scipy.linalg.cho_solve(factor, matmul(psi.T, rhs),
+                                              check_finite=False))

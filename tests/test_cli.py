@@ -211,6 +211,22 @@ class TestFitAndAte:
         payload = json.loads(result.stderr or result.output)
         assert "--bandwidth needs 5 values" in payload["message"]
 
+    def test_overflowing_bandwidths_refused(self, runner, tmp_path):
+        # Bandwidths of 1e-200 scale the points' squared norms past the
+        # largest double: the Gram check refuses the fit, nothing written.
+        data_path = tmp_path / "train.csv"
+        gen_main(30, seed=2).data.to_csv(data_path)
+        model_path = tmp_path / "m.json"
+        result = runner.invoke(main, ["fit", "--data", str(data_path),
+                                      "--method", "pmmr", "--bandwidth",
+                                      ",".join(["1e-200"] * 5), "--out",
+                                      str(model_path)])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload["error"] == "ValueError"
+        assert "could overflow" in payload["message"]
+        assert not list(tmp_path.glob("m.json*"))
+
     def test_bandwidth_list_splits_a_x_z_w(self, runner, tmp_path):
         # With one X column the list covers A, X1, Z1, Z2, W1, W2.
         draw = gen_main(40, seed=2).data
@@ -493,6 +509,52 @@ class TestAteWeightSources:
         result = runner.invoke(main, ["ate", "--model", str(model_path),
                                       "--data", str(data_path), "--out",
                                       str(tmp_path / "x.csv"), *extra])
+        assert result.exit_code == 1
+        payload = json.loads(result.stderr or result.output)
+        assert payload["error"] == "ValueError"
+        assert repr(field) in payload["message"]
+        assert not list(tmp_path.glob("x.csv*"))
+
+    @pytest.mark.parametrize("method", ["pmmr", "pmmr-nystrom", "ridge-w"])
+    def test_model_from_record_round_trips(self, runner, tmp_path, method):
+        # A searched fit: the rebuilt model writes the artifact's model
+        # fields again, its search record included.
+        data_path = tmp_path / "train.csv"
+        gen_main(60, seed=2).data.to_csv(data_path)
+        model_path = tmp_path / "m.json"
+        run_ok(runner, ["fit", "--data", str(data_path), "--method", method,
+                        "--out", str(model_path)])
+        artifact = json.loads(model_path.read_text())
+        data = Dataset.from_csv(data_path)
+        model = evaluation.estimator(method).model.from_record(
+            ArtifactReader(artifact), data)
+        record = model.to_record(data)
+        assert artifact["search"] is not None
+        assert record == {key: artifact[key] for key in record}
+
+    @pytest.mark.parametrize("field, edit", [
+        ("search.lambda", lambda s: s.update({"lambda": next(
+            v for v in s["grid"] if v != s["lambda"])})),
+        ("search.edge", lambda s: s.update(edge=not s["edge"])),
+        ("search.scores", lambda s: s["scores"].pop()),
+        ("search.scores", lambda s: s.update(scores=[None] * len(s["grid"]))),
+        ("search.grid", lambda s: s["grid"].__setitem__(0, 0.0)),
+    ])
+    def test_search_record_checked(self, runner, tmp_path, field, edit):
+        # The stored lambda and edge must be what the selection rule gives
+        # for the stored grid and scores.
+        data_path = tmp_path / "train.csv"
+        gen_main(60, seed=2).data.to_csv(data_path)
+        model_path = tmp_path / "m.json"
+        run_ok(runner, ["fit", "--data", str(data_path), "--method", "pmmr",
+                        "--lambda-grid", "0.001,0.01,0.1,1", "--out",
+                        str(model_path)])
+        artifact = json.loads(model_path.read_text())
+        edit(artifact["search"])
+        model_path.write_text(json.dumps(artifact))
+        result = runner.invoke(main, ["ate", "--model", str(model_path),
+                                      "--data", str(data_path), "--out",
+                                      str(tmp_path / "x.csv")])
         assert result.exit_code == 1
         payload = json.loads(result.stderr or result.output)
         assert payload["error"] == "ValueError"

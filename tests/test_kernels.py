@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -107,6 +108,28 @@ class TestGram:
             KernelSpec([-1.0])
         with pytest.raises(ValueError):
             KernelSpec([np.inf])
+
+    @pytest.mark.parametrize("points, bandwidth", [
+        ([[0.0], [1.0], [2.0]], 1e-200),    # (1e200)^2 overflows
+        ([[0.0], [1e200]], 1.0),
+        ([[0.0], [np.nan]], 1.0),
+        ([[0.0], [np.inf]], 1.0),
+    ])
+    def test_overflowing_points_refused(self, points, bandwidth):
+        # A Gram entry can be non-finite only if the scaled squared norms
+        # overflow; gram refuses such points in O(n), without a warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="could overflow"):
+                gram(np.array(points), np.zeros((2, 1)),
+                     KernelSpec([bandwidth]))
+
+    def test_far_but_safe_points_give_a_finite_gram(self):
+        # Scaled squared norms of 2.5e299 each are far below the limit:
+        # the points are 1e150 apart, so the Gram is the identity.
+        p = np.array([[0.0], [1e150]])
+        np.testing.assert_array_equal(gram(p, p, KernelSpec([1.0])),
+                                      np.eye(2))
 
     def test_symmetric_unit_diagonal(self):
         rng = np.random.default_rng(3)

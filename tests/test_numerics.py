@@ -8,10 +8,10 @@ import pytest
 import scipy.linalg
 
 import proxilearn
-from proxilearn import numerics
+from proxilearn import kernels, numerics
 from proxilearn.baselines import fit_ridge_baseline
 from proxilearn.kernels import KernelSpec, KernelSpecs, gram
-from proxilearn.kpv import kpv_fit, stage1_fit
+from proxilearn.kpv import fit_kpv, kpv_fit, stage1_fit
 from proxilearn.numerics import (
     EIGENVALUE_FLOOR,
     argmin_ties_larger,
@@ -20,16 +20,23 @@ from proxilearn.numerics import (
     loo_path,
     low_rank_eigh,
     matmul,
+    mirror_upper,
     nystrom_features,
     nystrom_landmarks,
     nystrom_solve,
     psd_factor,
     ridge_grid,
     search_record,
+    shifted_solves,
     solve_psd,
 )
 from proxilearn import synthdata
-from proxilearn.pmmr import instrument_gram, pmmr_fit, pmmr_fit_nystrom
+from proxilearn.pmmr import (
+    fit_pmmr,
+    instrument_gram,
+    pmmr_fit,
+    pmmr_fit_nystrom,
+)
 from tests.conftest import nystrom, ridge_loo_scores, rng_dataset
 
 
@@ -275,6 +282,133 @@ class TestSolvePsd:
                   np.ones(m.shape[0]))
         assert m.flags.c_contiguous == before.flags.c_contiguous
         np.testing.assert_array_equal(m, before)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_solve_psd_refuses_non_finite_input(self, bad):
+        m = np.eye(3)
+        m[0, 2] = m[2, 0] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_psd(m, 0.1, np.ones(3))
+        rhs = np.ones(3)
+        rhs[1] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_psd(np.eye(3), 0.1, rhs)
+
+
+def poison_grams(monkeypatch, value):
+    """Make every Gram with two or more rows and columns hold ``value`` at
+    (0, 1) and (1, 0), which no Gram that ``kernels.gram`` returns can."""
+    real = kernels.gram
+
+    def gram(points_a, points_b, spec):
+        k = real(points_a, points_b, spec)
+        if min(k.shape) >= 2:
+            k[0, 1] = k[1, 0] = value
+        return k
+
+    monkeypatch.setattr(kernels, "gram", gram)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+class TestNonFiniteInputRaises:
+    """The package's Choleskys skip scipy's O(n^2) finiteness scan, and
+    OpenBLAS's potrf returns info 0 and a NaN factor for NaN or inf input:
+    the factor's diagonal check must make every fit raise, never return a
+    model with NaN coefficients."""
+
+    @pytest.mark.parametrize("where", [(0, 3), (2, 2)])
+    def test_psd_factor(self, value, where):
+        m = np.eye(5) + 0.1
+        m[where] = m[where[::-1]] = value
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            psd_factor(m, 0.1)
+
+    @pytest.fixture()
+    def data(self):
+        return synthdata.gen_main(60, seed=0).data
+
+    def test_pmmr_fit(self, value, data, monkeypatch):
+        specs = KernelSpecs.from_data(data)
+        poison_grams(monkeypatch, value)
+        with pytest.raises(np.linalg.LinAlgError):
+            pmmr_fit(data, specs, 0.1)
+        with pytest.raises((np.linalg.LinAlgError, ValueError)):
+            fit_pmmr(data, specs)
+
+    @pytest.mark.parametrize("lam", [None, 1e-3])
+    @pytest.mark.parametrize("adjust", ["", "w", "wz"])
+    def test_fit_ridge_baseline(self, value, data, monkeypatch, lam, adjust):
+        specs = KernelSpecs.from_data(data)
+        poison_grams(monkeypatch, value)
+        # A search whose scores are all non-finite raises ValueError.
+        errors = (np.linalg.LinAlgError,) + (ValueError,) * (lam is None)
+        with pytest.raises(errors):
+            fit_ridge_baseline(data, adjust, lam=lam, specs=specs)
+
+    def test_kpv_fit(self, value, data, monkeypatch):
+        specs = KernelSpecs.from_data(data)
+        sample1, sample2 = data.split_half(0)
+        fit = stage1_fit(sample1, specs, 1e-3)
+        poison_grams(monkeypatch, value)
+        with pytest.raises(np.linalg.LinAlgError):
+            kpv_fit(fit, sample2, 1e-2)
+        with pytest.raises(np.linalg.LinAlgError):
+            fit_kpv(data, specs)
+
+
+class TestShiftedSolves:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_dense_solves_from_lower_triangle(self, order):
+        rng = np.random.default_rng(21)
+        a = rng.normal(size=(40, 30))
+        sym = a @ a.T / 30                   # rank 30: 10 zero eigenvalues
+        m = np.array(sym, order=order)
+        m[np.triu_indices(40, 1)] = np.nan    # the strict upper is not read
+        rhs = rng.normal(size=40)
+        shifts = np.array([1e-3, 0.1, 10.0])
+        got = shifted_solves(m, rhs, shifts)
+        assert got.shape == (40, 3)
+        for column, s in zip(got.T, shifts):
+            expected = np.linalg.solve(sym + s * np.eye(40), rhs)
+            np.testing.assert_allclose(column, expected, rtol=0,
+                                       atol=1e-11 * np.abs(expected).max())
+
+    def test_indefinite_shift_gives_nan_column(self):
+        rng = np.random.default_rng(22)
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        sym = (q * [-1.0, 0.5, 1.0, 2.0, 3.0, 4.0]) @ q.T
+        rhs = rng.normal(size=6)
+        got = shifted_solves(np.array(sym), rhs, [0.5, 2.0, 1e-30])
+        assert np.isnan(got[:, [0, 2]]).all()
+        np.testing.assert_allclose(
+            got[:, 1], np.linalg.solve(sym + 2.0 * np.eye(6), rhs),
+            rtol=1e-12)
+
+    def test_one_by_one(self):
+        got = shifted_solves(np.array([[2.0]]), [4.0], [0.0, 2.0, -3.0])
+        assert got[0, 0] == 2.0 and got[0, 1] == 1.0
+        assert np.isnan(got[0, 2])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_takes_over_only_fortran_input(self, order):
+        # A Fortran-ordered m is reduced in place; any other is copied.
+        m = np.array(np.diag([1.0, 2.0, 3.0]) + 0.1, order=order)
+        before = m.copy()
+        shifted_solves(m, np.ones(3), [1.0])
+        assert np.array_equal(m, before) == (order == "C")
+
+    def test_rejects_non_square_input(self):
+        with pytest.raises(ValueError, match="square"):
+            shifted_solves(np.ones((2, 3)), np.ones(2), [1.0])
+
+
+def test_mirror_upper():
+    m = np.arange(16.0).reshape(4, 4)
+    out = mirror_upper(m)
+    assert out is m
+    np.testing.assert_array_equal(m, np.triu(m) + np.triu(m, 1).T)
+    assert m[3, 0] == 3.0 and m[0, 3] == 3.0 and m[2, 1] == 6.0
 
 
 def dense_loo_scores(eigvals, eigvecs, y, lam_grid):

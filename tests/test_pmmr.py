@@ -465,9 +465,12 @@ class TestSelection:
             pmmr_validation_scores(train, validate, specs, grid), expected,
             rtol=1e-9)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_scores_match_refit_over_default_grid(self, seed):
-        data = synthdata.gen_main(400, seed=seed).data
+    @staticmethod
+    def refit_scores_match(n, seed, rtol):
+        """The search's scores on the halves of ``gen_main(n, seed)``, split
+        as ``fit_pmmr`` splits it, against one ``pmmr_fit`` per ridge of the
+        default grid."""
+        data = synthdata.gen_main(n, seed=seed).data
         specs = KernelSpecs.from_data(data)
         train, validate = data.split_half(seed)
         l_cross = h_side_gram(train, validate, specs)
@@ -480,7 +483,31 @@ class TestSelection:
         np.testing.assert_allclose(
             pmmr_validation_scores(train, validate, specs,
                                    DEFAULT_LAMBDA_GRID),
-            expected, rtol=1e-7)
+            expected, rtol=rtol)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scores_match_refit_over_default_grid(self, seed):
+        self.refit_scores_match(400, seed, rtol=1e-7)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("seed", [0, 1000, 7000])
+    def test_scores_match_refits_on_pinned_draws(self, seed):
+        # Three of the benchmark's n = 2000 draws. The tridiagonal path
+        # agrees with the refits within 4.3e-9, 1.8e-9 and 2.8e-9
+        # (relative); an eigendecomposition of R' W R reached 1.8e-7.
+        self.refit_scores_match(2000, seed, rtol=2e-8)
+
+    def test_indefinite_ridge_scores_inf(self):
+        # At 1e-30, R' W R + lam I of this draw's 1000-row half is not
+        # positive definite at working precision: that ridge scores inf,
+        # and the pick is the default grid's (tests/test_selected_lambdas).
+        data = synthdata.gen_main(2000, seed=0).data
+        grid = np.concatenate([[1e-30], DEFAULT_LAMBDA_GRID])
+        model = fit_pmmr(data, KernelSpecs.from_data(data), lam_grid=grid,
+                         split_seed=0)
+        assert model.search.scores[0] == np.inf
+        assert np.isfinite(model.search.scores[1:]).all()
+        assert model.lam == DEFAULT_LAMBDA_GRID[36]
 
     def test_interior_minimum_on_synthetic_data(self):
         data = synthdata.gen_main(500, seed=0).data

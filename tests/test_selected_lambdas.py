@@ -5,9 +5,11 @@ grid positions were recorded with the searches built on ``np.linalg.eigh``
 and general matrix products (plain ridge's with the in-place eigensolve of
 the whole Gram). The in-place eigensolves and the PMMR reduction move the
 scores by round-off, and the ridge searches' low-rank factor, its pivots
-floored at the grid's resolution, by at most 5.1e-9 (relative), so every
-fit must still select the same value, as ``evaluation.fit_method``
-calls it (split seed = data seed). KPV fits at its fixed ridges, the values
+floored at the grid's resolution, by at most 5.1e-9 (relative). PMMR now
+picks from the tridiagonal path (``numerics.shifted_solves``), whose
+scores agree with per-ridge refits within 4.3e-9 on draws 0, 1000 and
+7000. Every fit must still select the same value, as
+``evaluation.fit_method`` calls it (split seed = data seed). KPV fits at its fixed ridges, the values
 its former leave-one-out search picked on every one of these draws.
 """
 
